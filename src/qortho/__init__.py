@@ -7,15 +7,13 @@ from .errors import (
     RankDeficient, BadN, BadFamily, ConditionFailed, NoPlaneConjugation,
     Unclassifiable, WitnessNotAutomorphism, IdentityFailed, RankMismatch,
 )
-from .scalars import (
-    GaussRat, Scalar, ConjRegime, scalar_arith, bar, classical_limit,
-)
+from .scalars import GaussRat, Scalar, ConjRegime
 from .linalg import (
-    SqMat, pack, unpack, matmul, kron_embed, inverse, rank, signature,
+    SqMat, pack, unpack, kron_embed, row_reduce, inverse, rank, signature,
     antilinear_fixed_basis, bar_mat, classical_mat,
 )
 from .rmatrix import (
-    GroupShape, RData, build_rho, build_metric, build_R, check_ybe,
+    GroupShape, build_rho, build_metric, build_R, check_ybe,
     build_projectors, check_char_eq, check_r_reality,
 )
 from .realforms import (

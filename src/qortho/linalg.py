@@ -4,6 +4,11 @@ Matrices are square, 1-based, and stored as sparse (row, col) -> Scalar
 maps holding only nonzero canonical entries.  Composite tensor indices
 are row-major: (a, b) -> (a-1)*N + b, so slot 1 is the slow index.
 Everything here is immutable in spirit: operations return new matrices.
+
+`row_reduce` is the one row-elimination kernel: `inverse`, `rank`,
+`antilinear_fixed_basis` and the quantum-plane relations all run on it.
+`signature` is a congruence reduction (rows and columns together), not a
+row reduction, and keeps its own loop.
 """
 
 from fractions import Fraction
@@ -140,9 +145,6 @@ class SqMat:
     def is_zero(self):
         return not self.entries
 
-    def is_identity(self):
-        return self == SqMat.identity(self.dim)
-
     def map_entries(self, f):
         return SqMat(self.dim, {k: f(v) for k, v in self.entries.items()})
 
@@ -152,10 +154,6 @@ class SqMat:
 
     def __repr__(self):
         return f"<SqMat dim={self.dim} nnz={len(self.entries)}>"
-
-
-def matmul(A, B):
-    return A * B
 
 
 def bar_mat(A, regime):
@@ -212,55 +210,74 @@ def _product(ranges):
             yield (x,) + rest
 
 
-def _dense(A):
-    z = Scalar.zero()
-    return [[A.entries.get((r, c), z) for c in range(1, A.dim + 1)]
-            for r in range(1, A.dim + 1)]
+def row_reduce(rows):
+    """Sparse Gauss-Jordan elimination: the one row-reduction kernel.
+
+    `rows` are {col: value} dicts over a field whose elements provide
+    is_zero, inv, * and - (Scalar and GaussRat both do).  They are taken in
+    order; each row is reduced against the basis so far and, if anything is
+    left, pivots on its lowest nonzero column and is eliminated from the
+    earlier basis rows.  Returns the reduced row echelon basis as a list of
+    (pivot, row, index) in the order the pivots were opened: row has a 1 at
+    pivot and zeros at every other pivot, and index is the position in
+    `rows` of the input row that opened the pivot.
+    """
+    basis = []
+    for index, row in enumerate(rows):
+        vec = {k: v for k, v in row.items() if not v.is_zero()}
+        for piv, brow, _ in basis:
+            f = vec.get(piv)
+            if f is not None:
+                _subtract_multiple(vec, f, brow)
+        if not vec:
+            continue
+        piv = min(vec)
+        inv = vec[piv].inv()
+        vec = {k: inv * v for k, v in vec.items()}
+        for _, brow, _ in basis:
+            f = brow.get(piv)
+            if f is not None:
+                _subtract_multiple(brow, f, vec)
+        basis.append((piv, vec, index))
+    return basis
+
+
+def _subtract_multiple(vec, f, row):
+    # vec -= f * row in place, dropping entries that cancel
+    for k, v in row.items():
+        w = vec.get(k)
+        w = -(f * v) if w is None else w - f * v
+        if w.is_zero():
+            vec.pop(k, None)
+        else:
+            vec[k] = w
+
+
+def _rows(A):
+    """Rows of A as 0-based {col: value} dicts, in row order."""
+    rows = [{} for _ in range(A.dim)]
+    for (r, c), v in A.entries.items():
+        rows[r - 1][c - 1] = v
+    return rows
 
 
 def inverse(A):
-    """Exact inverse by Gauss-Jordan elimination over the fraction field."""
+    """Exact inverse: row-reduce [A | I] over the fraction field."""
     n = A.dim
-    M = _dense(A)
-    E = _dense(SqMat.identity(n))
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not M[r][col].is_zero()), None)
-        if piv is None:
-            raise Singular(f"no pivot in column {col + 1}")
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            E[col], E[piv] = E[piv], E[col]
-        inv = M[col][col].inv()
-        M[col] = [x * inv for x in M[col]]
-        E[col] = [x * inv for x in E[col]]
-        for r in range(n):
-            f = M[r][col]
-            if r == col or f.is_zero():
-                continue
-            M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-            E[r] = [a - f * b for a, b in zip(E[r], E[col])]
-    return SqMat(n, {(r + 1, c + 1): E[r][c]
-                     for r in range(n) for c in range(n)})
+    rows = _rows(A)
+    for r, row in enumerate(rows):
+        row[n + r] = Scalar.one()
+    basis = [(piv, row) for piv, row, _ in row_reduce(rows) if piv < n]
+    if len(basis) < n:
+        col = min(set(range(n)) - {piv for piv, _ in basis})
+        raise Singular(f"no pivot in column {col + 1}")
+    return SqMat(n, {(piv + 1, c - n + 1): v for piv, row in basis
+                     for c, v in row.items() if c >= n})
 
 
 def rank(A):
     """Rank over the fraction field of the scalar ring."""
-    M = [row[:] for row in _dense(A)]
-    n = A.dim
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, n) if not M[i][col].is_zero()), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = M[r][col].inv()
-        M[r] = [x * inv for x in M[r]]
-        for i in range(n):
-            if i != r and not M[i][col].is_zero():
-                f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        r += 1
-    return r
+    return len(row_reduce(_rows(A)))
 
 
 def _rational_entry(v):
@@ -333,9 +350,10 @@ def antilinear_fixed_basis(K, regime=None):
     """Basis M of the fixed vectors of the antilinear map r -> bar(r)*K.
 
     Requires K*bar(K) = I so the map is an involution.  Candidate rows
-    (e_j + tau(e_j))/2 for all j, then i*(e_j - tau(e_j))/2, scanned in
-    order with greedy rank selection over the Gaussian rationals; every
-    selected row satisfies bar(row)*K = row and M is invertible.
+    (e_j + tau(e_j))/2 for all j, then i*(e_j - tau(e_j))/2, are row-reduced
+    in order over the Gaussian rationals, and the ones that open a pivot
+    are kept; every selected row satisfies bar(row)*K = row and M is
+    invertible.
     """
     n = K.dim
     rows = _gauss_rows(K)
@@ -370,22 +388,8 @@ def antilinear_fixed_basis(K, regime=None):
         te = tau(e)
         candidates.append([(x - y) * ihalf for x, y in zip(e, te)])
 
-    picked = []
-    echelon = []  # reduced rows with pivot positions
-    for cand in candidates:
-        if len(picked) == n:
-            break
-        red = cand[:]
-        for pivot_col, prow in echelon:
-            f = red[pivot_col]
-            if not f.is_zero():
-                red = [a - f * b for a, b in zip(red, prow)]
-        pc = next((i for i, x in enumerate(red) if not x.is_zero()), None)
-        if pc is None:
-            continue
-        inv = red[pc].inv()
-        echelon.append((pc, [x * inv for x in red]))
-        picked.append(cand)
+    basis = row_reduce([dict(enumerate(cand)) for cand in candidates])
+    picked = [candidates[index] for _, _, index in basis]
     if len(picked) < n:
         raise RankDeficient(f"only {len(picked)} independent fixed rows")
     return SqMat(n, {(r + 1, c + 1): Scalar.from_gauss(v)

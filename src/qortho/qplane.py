@@ -11,9 +11,9 @@ Words are plain tuples of generator indices; the empty tuple is the unit.
 """
 
 from .errors import BadN, QorthoError, RankMismatch
-from .linalg import unpack
+from .linalg import row_reduce, unpack
 from .rmatrix import build_projectors
-from .scalars import Scalar, bar as bar_scalar
+from .scalars import Scalar
 
 _REDUCE_BUDGET = 100_000
 
@@ -238,43 +238,13 @@ def plane_relations(N):
     rows = {}
     for (r, c), v in PA.entries.items():
         rows.setdefault(r, {})[colpos[unpack(c, N, 2)]] = v
-    basis = []  # (pivot position, row dict with pivot coefficient 1)
-    for r in sorted(rows):
-        vec = dict(rows[r])
-        for piv, brow in basis:
-            coef = vec.get(piv)
-            if coef is None or coef.is_zero():
-                continue
-            for k, v in brow.items():
-                s = vec.get(k, Scalar.zero()) - coef * v
-                if s.is_zero():
-                    vec.pop(k, None)
-                else:
-                    vec[k] = s
-        vec = {k: v for k, v in vec.items() if not v.is_zero()}
-        if not vec:
-            continue
-        piv = min(vec)
-        inv = vec[piv].inv()
-        vec = {k: inv * v for k, v in vec.items()}
-        for _, brow in basis:
-            coef = brow.get(piv)
-            if coef is None:
-                continue
-            for k, v in vec.items():
-                s = brow.get(k, Scalar.zero()) - coef * v
-                if s.is_zero():
-                    brow.pop(k, None)
-                else:
-                    brow[k] = s
-        basis.append((piv, vec))
-
-    pivots = {cols[piv] for piv, _ in basis}
+    basis = row_reduce([rows[r] for r in sorted(rows)])
+    pivots = {cols[piv] for piv, _, _ in basis}
     if pivots != set(inc):
         raise RankMismatch(f"P_A pivots {sorted(pivots)} are not the "
                            f"increasing pairs for N={N}")
     rules = {}
-    for piv, vec in basis:
+    for piv, vec, _ in basis:
         rhs = NCPoly({cols[k]: -v for k, v in vec.items() if k != piv})
         rules[cols[piv]] = rhs
     return RewriteSystem(N, rules)
@@ -326,7 +296,7 @@ def conj_poly(p, K, regime):
                             if not K.get(a, b).is_zero()})
     out = NCPoly.zero()
     for w, c in p.terms.items():
-        term = NCPoly.const(bar_scalar(c, regime))
+        term = NCPoly.const(c.bar(regime))
         for l in reversed(w):
             term = term * images[l]
         out = out + term

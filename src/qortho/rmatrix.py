@@ -62,7 +62,8 @@ def build_R(N):
 
     def put(row, col, val):
         key = (pack(row, N), pack(col, N))
-        assert key not in entries, f"R entry collision at {row},{col}"
+        if key in entries:
+            raise AssertionError(f"R entry collision at {row},{col}")
         if not val.is_zero():
             entries[key] = val
 
@@ -94,18 +95,6 @@ def build_R(N):
                 put((a, ap), (b, shape.prime(b)),
                     -lam * Scalar.q_power(rho[a - 1] - rho[b - 1]))
     return SqMat(N * N, entries)
-
-
-class RData:
-    """Shared bundle: shape, rho, metric, R matrix for a given N."""
-
-    __slots__ = ("shape", "rho", "C", "R")
-
-    def __init__(self, N):
-        self.shape = GroupShape(N)
-        self.rho = build_rho(N)
-        self.C = build_metric(N)
-        self.R = build_R(N)
 
 
 def embed_13(R, N):
@@ -161,11 +150,10 @@ def build_projectors(N):
     PA = (q + q^-1)^-1 (-Rhat + q I - (q - q^(1-N)) P0); q is the unique
     coefficient of I making PA a projector orthogonal to P0.
     """
-    data = RData(N)
     q = Scalar.q_power(1)
     qi = Scalar.q_power(-1)
-    rho = data.rho
-    shape = data.shape
+    rho = build_rho(N)
+    shape = GroupShape(N)
     lam_metric = Scalar.zero()
     for e in range(1, N + 1):
         lam_metric = lam_metric + Scalar.q_power(-2 * rho[e - 1])
@@ -177,7 +165,7 @@ def build_projectors(N):
             col = pack((c, shape.prime(c)), N)
             p0[(row, col)] = coef * Scalar.q_power(-rho[a - 1] - rho[c - 1])
     P0 = SqMat(N * N, p0)
-    Rhat = build_rhat(data.R, N)
+    Rhat = build_rhat(build_R(N), N)
     I = SqMat.identity(N * N)
     PA = ((q + qi).inv()) * (-Rhat + q * I - (q - Scalar.q_power(1 - N)) * P0)
     PS = I - PA - P0
@@ -186,8 +174,7 @@ def build_projectors(N):
 
 def check_char_eq(N):
     """Cubic characteristic equation of the flipped R matrix."""
-    data = RData(N)
-    Rhat = build_rhat(data.R, N)
+    Rhat = build_rhat(build_R(N), N)
     I = SqMat.identity(N * N)
     prod = ((Rhat - Scalar.q_power(1) * I)
             * (Rhat + Scalar.q_power(-1) * I)

@@ -221,7 +221,8 @@ def _lp_divexact(a, g):
         return {}
     lo = min(a)
     q, r = _lp_divmod(_lp_shift(a, -lo), g)
-    assert not r, "inexact Laurent division"
+    if r:
+        raise AssertionError("inexact Laurent division")
     return _lp_shift(q, lo)
 
 
@@ -442,23 +443,3 @@ _T_SQUARE = {1: GaussRat(1), -1: GaussRat(1)}  # t^2 = s + s^-1
 _ZERO = Scalar()
 _ONE = Scalar({0: GaussRat(1)})
 
-
-def scalar_arith(a, b, op):
-    """Ring operation dispatch; op in {'add', 'sub', 'mul', 'div'}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def bar(a, regime):
-    return a.bar(regime)
-
-
-def classical_limit(a):
-    return a.classical_limit()

@@ -55,9 +55,10 @@ def test_unknown_subcommand_is_usage_error():
 
 
 def test_ybe_cap_requires_force():
-    code, _, err = run(["ybe", "--n", "13"])
-    assert code == 2
-    assert "--force" in err
+    for command in ("ybe", "verify-all"):
+        code, _, err = run([command, "--n", "13"])
+        assert code == 2
+        assert "--force" in err
 
 
 def test_failed_check_exits_one():

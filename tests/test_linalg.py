@@ -10,7 +10,7 @@ from qortho.errors import (
 )
 from qortho.linalg import (
     SqMat, antilinear_fixed_basis, bar_mat, classical_mat, inverse,
-    kron_embed, matmul, pack, rank, signature, unpack,
+    kron_embed, pack, rank, signature, unpack,
 )
 from qortho.scalars import ConjRegime, GaussRat, Scalar
 
@@ -45,7 +45,7 @@ def test_pack_unpack():
 def test_matmul_metric_self_inverse():
     assert C3 * C3 == SqMat.identity(3)
     assert C4 * C4 == SqMat.identity(4)
-    assert matmul(D4, D4) == SqMat.identity(4)
+    assert D4 * D4 == SqMat.identity(4)
     assert C4 * SqMat.identity(4) == C4
 
 
@@ -100,6 +100,12 @@ def test_rank():
     assert rank(SqMat.identity(4)) == 4
     assert rank(SqMat(3, {(1, 1): 1, (2, 2): 1})) == 2
     assert rank(SqMat(3, {(1, 1): ONE, (2, 1): sp(3)})) == 1
+    # row 3 = row 1 + q*row 2, a multiple of neither: it must be reduced
+    # against two basis rows before it vanishes
+    q = Scalar.q_power(1)
+    assert rank(SqMat(3, {(1, 1): ONE, (1, 2): sp(1),
+                          (2, 2): ONE, (2, 3): I_,
+                          (3, 1): ONE, (3, 2): sp(1) + q, (3, 3): q * I_})) == 2
 
 
 def test_transpose_trace():

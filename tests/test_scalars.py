@@ -1,14 +1,16 @@
 """Coefficient ring: canonical forms, bar conjugation, classical limit."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qortho
 from qortho.errors import DivisionByZero, PoleAtOne, ResidualT
-from qortho.scalars import (
-    ConjRegime, GaussRat, Scalar, bar, classical_limit, scalar_arith,
-)
+from qortho.scalars import ConjRegime, GaussRat, Scalar
 
 REAL = ConjRegime.REAL_Q
 UNIT = ConjRegime.UNIT_MODULUS_Q
@@ -43,7 +45,6 @@ def test_division_oracle():
     quo = {1: Fraction(1), -1: Fraction(1)}
     assert poly_mul(den, quo) == num
     assert as_scalar(num) / as_scalar(den) == as_scalar(quo)
-    assert scalar_arith(as_scalar(num), as_scalar(den), "div") == as_scalar(quo)
 
 
 def test_identity_factor():
@@ -60,7 +61,25 @@ def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         ONE / ZERO
     with pytest.raises(DivisionByZero):
-        scalar_arith(Q, ZERO, "div")
+        Q / ZERO
+
+
+def test_inexact_division_raises_under_optimize():
+    # (1 + s^2) / (1 + s) leaves the remainder 2; without the check the
+    # quotient s - 1 would come back silently.  Run under -O, which strips
+    # assert statements, to show the check is not one.
+    code = ("from qortho.scalars import GaussRat, _lp_divexact\n"
+            "one = GaussRat(1)\n"
+            "try:\n"
+            "    _lp_divexact({0: one, 2: one}, {0: one, 1: one})\n"
+            "except AssertionError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('inexact division returned a quotient')\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qortho.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_t_division_rationalizes():
@@ -84,12 +103,12 @@ def test_canonical_zero():
 # --- bar -------------------------------------------------------------------
 
 def test_bar_fixed_points():
-    assert bar(Q, REAL) == Q
-    assert bar(Q, UNIT) == ONE / Q
-    assert bar(I * S, UNIT) == -I / S
-    assert bar(T, REAL) == T
-    assert bar(T, UNIT) == T
-    assert bar(I, REAL) == -I
+    assert Q.bar(REAL) == Q
+    assert Q.bar(UNIT) == ONE / Q
+    assert (I * S).bar(UNIT) == -I / S
+    assert T.bar(REAL) == T
+    assert T.bar(UNIT) == T
+    assert I.bar(REAL) == -I
 
 
 coefs = st.builds(GaussRat,
@@ -110,14 +129,14 @@ def scalars(draw, with_den=True):
 @given(scalars(), st.sampled_from([REAL, UNIT]))
 @settings(max_examples=100, deadline=None)
 def test_bar_involutive(a, regime):
-    assert bar(bar(a, regime), regime) == a
+    assert a.bar(regime).bar(regime) == a
 
 
 @given(scalars(), scalars(), st.sampled_from([REAL, UNIT]))
 @settings(max_examples=100, deadline=None)
 def test_bar_multiplicative(a, b, regime):
-    assert bar(a * b, regime) == bar(a, regime) * bar(b, regime)
-    assert bar(a + b, regime) == bar(a, regime) + bar(b, regime)
+    assert (a * b).bar(regime) == a.bar(regime) * b.bar(regime)
+    assert (a + b).bar(regime) == a.bar(regime) + b.bar(regime)
 
 
 @given(scalars(), scalars(), scalars())
@@ -145,17 +164,17 @@ def test_division_roundtrip(a, b):
 # --- classical limit -------------------------------------------------------
 
 def test_classical_limit_values():
-    assert classical_limit(Q - ONE / Q) == GaussRat(0)
-    assert classical_limit(Scalar.q_power(Fraction(-1, 2))) == GaussRat(1)
-    assert classical_limit(Scalar.s_power(-2)) == GaussRat(1)
-    assert classical_limit((Q - ONE / Q) / (S - ONE / S)) == GaussRat(2)
+    assert (Q - ONE / Q).classical_limit() == GaussRat(0)
+    assert Scalar.q_power(Fraction(-1, 2)).classical_limit() == GaussRat(1)
+    assert Scalar.s_power(-2).classical_limit() == GaussRat(1)
+    assert ((Q - ONE / Q) / (S - ONE / S)).classical_limit() == GaussRat(2)
 
 
 def test_classical_limit_errors():
     with pytest.raises(PoleAtOne):
-        classical_limit(ONE / (S - ONE))
+        (ONE / (S - ONE)).classical_limit()
     with pytest.raises(ResidualT):
-        classical_limit(T)
+        T.classical_limit()
 
 
 @given(scalars(with_den=False), scalars(with_den=False))
@@ -163,8 +182,8 @@ def test_classical_limit_errors():
 def test_classical_limit_homomorphism(a, b):
     if a.has_t() or b.has_t():
         return
-    assert classical_limit(a + b) == classical_limit(a) + classical_limit(b)
-    assert classical_limit(a * b) == classical_limit(a) * classical_limit(b)
+    assert (a + b).classical_limit() == a.classical_limit() + b.classical_limit()
+    assert (a * b).classical_limit() == a.classical_limit() * b.classical_limit()
 
 
 # --- wire format -----------------------------------------------------------
