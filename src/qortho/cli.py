@@ -183,7 +183,7 @@ def cmd_ybe(args):
 
 
 def _projector_checks(N):
-    P0, PA, PS, _ = build_projectors(N)
+    P0, PA, PS, Rhat = build_projectors(N)
     I = SqMat.identity(N * N)
     zero = SqMat(N * N, {})
     trace = P0.trace()
@@ -197,7 +197,7 @@ def _projector_checks(N):
                data={"trace": str(trace)}),
         _check("rank_pa", rank_pa == N * (N - 1) // 2,
                data={"rank": rank_pa}),
-        _check("char_eq", check_char_eq(N)),
+        _check("char_eq", check_char_eq(Rhat, N)),
     ]
 
 

@@ -1,23 +1,29 @@
 """Exact sparse matrices over the scalar ring.
 
-Matrices are square, 1-based, and stored as sparse (row, col) -> Scalar
-maps holding only nonzero canonical entries.  Composite tensor indices
-are row-major: (a, b) -> (a-1)*N + b, so slot 1 is the slow index.
-Everything here is immutable in spirit: operations return new matrices.
+`SqMat` is the one matrix representation above the scalar layer.  A
+matrix is square, 1-based, and stored as a read-only sparse
+(row, col) -> Scalar map holding only nonzero canonical entries; every
+matrix is built by `SqMat(...)` or by the trusted `SqMat._of`, and
+operations return new matrices.  Composite tensor indices are row-major:
+(a, b) -> (a-1)*N + b, so slot 1 is the slow index.
 
 `row_reduce` is the one row-elimination kernel: `inverse`, `rank`,
 `antilinear_fixed_basis` and the quantum-plane relations all run on it.
 `signature` is a congruence reduction (rows and columns together), not a
-row reduction, and keeps its own loop.
+row reduction, and keeps its own loop on the one dense copy in the
+package: a list of `Fraction` rows, because the sign of a pivot needs an
+ordered field and the scalar ring is not one.
 """
 
+import itertools
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import (
     Degenerate, DimMismatch, NotInvolution, NotReal, NotSymmetric,
     RankDeficient, Singular,
 )
-from .scalars import GaussRat, Scalar
+from .scalars import ConjRegime, GaussRat, Scalar
 
 
 def pack(parts, width):
@@ -43,12 +49,21 @@ class SqMat:
 
     def __init__(self, dim, entries=None):
         self.dim = dim
-        self.entries = {}
+        out = {}
         for (r, c), v in (entries or {}).items():
             if not isinstance(v, Scalar):
                 v = Scalar.from_gauss(v) if isinstance(v, GaussRat) else Scalar.from_frac(v)
             if not v.is_zero():
-                self.entries[(r, c)] = v
+                out[(r, c)] = v
+        self.entries = MappingProxyType(out)
+
+    @staticmethod
+    def _of(dim, entries):
+        """Trusted constructor: `entries` is a fresh dict of nonzero Scalars
+        that no caller keeps a reference to."""
+        m = SqMat.__new__(SqMat)
+        m.dim, m.entries = dim, MappingProxyType(entries)
+        return m
 
     @staticmethod
     def identity(dim):
@@ -73,7 +88,7 @@ class SqMat:
     def __add__(self, other):
         if self.dim != other.dim:
             raise DimMismatch(f"{self.dim} vs {other.dim}")
-        out = dict(self.entries)
+        out = self.entries.copy()
         for k, v in other.entries.items():
             w = out.get(k)
             w = v if w is None else w + v
@@ -81,18 +96,13 @@ class SqMat:
                 out.pop(k, None)
             else:
                 out[k] = w
-        m = SqMat.__new__(SqMat)
-        m.dim, m.entries = self.dim, out
-        return m
+        return SqMat._of(self.dim, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        m = SqMat.__new__(SqMat)
-        m.dim = self.dim
-        m.entries = {k: -v for k, v in self.entries.items()}
-        return m
+        return SqMat._of(self.dim, {k: -v for k, v in self.entries.items()})
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
@@ -112,9 +122,7 @@ class SqMat:
                     out.pop(key, None)
                 else:
                     out[key] = acc
-        m = SqMat.__new__(SqMat)
-        m.dim, m.entries = self.dim, out
-        return m
+        return SqMat._of(self.dim, out)
 
     def __rmul__(self, other):
         if isinstance(other, Scalar):
@@ -124,16 +132,10 @@ class SqMat:
     def scale(self, c):
         if c.is_zero():
             return SqMat(self.dim)
-        m = SqMat.__new__(SqMat)
-        m.dim = self.dim
-        m.entries = {k: c * v for k, v in self.entries.items()}
-        return m
+        return SqMat._of(self.dim, {k: c * v for k, v in self.entries.items()})
 
     def transpose(self):
-        m = SqMat.__new__(SqMat)
-        m.dim = self.dim
-        m.entries = {(c, r): v for (r, c), v in self.entries.items()}
-        return m
+        return SqMat._of(self.dim, {(c, r): v for (r, c), v in self.entries.items()})
 
     def trace(self):
         t = Scalar.zero()
@@ -183,11 +185,10 @@ def kron_embed(A, slot, width, arity):
         raise DimMismatch(f"slot {slot} (span {span}) outside arity {arity}")
     rest = [i for i in range(arity) if not (slot - 1 <= i < slot - 1 + span)]
     out = {}
-    free = [range(1, width + 1)] * len(rest)
     for (r, c), v in A.entries.items():
         rp = unpack(r, width, span)
         cp = unpack(c, width, span)
-        for combo in _product(free):
+        for combo in itertools.product(range(1, width + 1), repeat=len(rest)):
             row = [0] * arity
             col = [0] * arity
             for i, x in zip(rest, combo):
@@ -196,28 +197,26 @@ def kron_embed(A, slot, width, arity):
                 row[slot - 1 + i] = x
                 col[slot - 1 + i] = y
             out[(pack(row, width), pack(col, width))] = v
-    m = SqMat.__new__(SqMat)
-    m.dim, m.entries = total, out
-    return m
+    return SqMat._of(total, out)
 
 
-def _product(ranges):
-    if not ranges:
-        yield ()
-        return
-    for x in ranges[0]:
-        for rest in _product(ranges[1:]):
-            yield (x,) + rest
+def first_diff(X, Y):
+    """First entry, in (row, col) order, where X and Y differ, as
+    (row, col, X entry, Y entry); None if X and Y agree everywhere."""
+    for r, c in sorted(X.entries.keys() | Y.entries.keys()):
+        xv, yv = X.get(r, c), Y.get(r, c)
+        if xv != yv:
+            return r, c, xv, yv
+    return None
 
 
 def row_reduce(rows):
     """Sparse Gauss-Jordan elimination: the one row-reduction kernel.
 
-    `rows` are {col: value} dicts over a field whose elements provide
-    is_zero, inv, * and - (Scalar and GaussRat both do).  They are taken in
-    order; each row is reduced against the basis so far and, if anything is
-    left, pivots on its lowest nonzero column and is eliminated from the
-    earlier basis rows.  Returns the reduced row echelon basis as a list of
+    `rows` are {col: value} dicts of Scalars, taken in order.  Each row is
+    reduced against the basis so far and, if anything is left, pivots on
+    its lowest nonzero column and is eliminated from the earlier basis
+    rows.  Returns the reduced row echelon basis as a list of
     (pivot, row, index) in the order the pivots were opened: row has a 1 at
     pivot and zeros at every other pivot, and index is the position in
     `rows` of the input row that opened the pivot.
@@ -292,6 +291,9 @@ def _rational_entry(v):
 def signature(S):
     """Signature (p, m) of a symmetric rational matrix by congruence.
 
+    Works on a dense copy with `Fraction` entries, the one matrix here that
+    is not a SqMat: the sign of a pivot needs an ordered field.
+
     Pivot rule: first nonzero diagonal entry; if every remaining diagonal
     entry is zero, fold the first nonzero off-diagonal pair (i, j) by
     adding row/column j to row/column i, which makes S_ii = 2 S_ij.
@@ -334,64 +336,29 @@ def signature(S):
     return (p, m)
 
 
-def _gauss_rows(K):
-    """Matrix rows as lists of GaussRat; entries must be constants."""
-    n = K.dim
-    rows = [[GaussRat(0)] * n for _ in range(n)]
-    for (r, c), v in K.entries.items():
-        g = v.as_gauss()
-        if g is None:
-            raise NotReal(f"entry {v} is not a constant")
-        rows[r - 1][c - 1] = g
-    return rows
-
-
-def antilinear_fixed_basis(K, regime=None):
+def antilinear_fixed_basis(K):
     """Basis M of the fixed vectors of the antilinear map r -> bar(r)*K.
 
-    Requires K*bar(K) = I so the map is an involution.  Candidate rows
-    (e_j + tau(e_j))/2 for all j, then i*(e_j - tau(e_j))/2, are row-reduced
-    in order over the Gaussian rationals, and the ones that open a pivot
-    are kept; every selected row satisfies bar(row)*K = row and M is
-    invertible.
+    K must have constant entries, and K*bar(K) = I so the map, tau, is an
+    involution.  tau(e_j) is row j of K, so the candidate rows
+    (e_j + tau(e_j))/2 for all j, then i*(e_j - tau(e_j))/2, are the rows of
+    (I + K)/2 and of i(I - K)/2.  They are row-reduced in order and the ones
+    that open a pivot are kept; every selected row satisfies
+    bar(row)*K = row and M is invertible.
     """
+    for v in K.entries.values():
+        if v.as_gauss() is None:
+            raise NotReal(f"entry {v} is not a constant")
     n = K.dim
-    rows = _gauss_rows(K)
-    for i in range(n):
-        for j in range(n):
-            acc = GaussRat(0)
-            for k in range(n):
-                acc = acc + rows[i][k] * rows[k][j].conj()
-            if acc != GaussRat(1 if i == j else 0):
-                raise NotInvolution(f"K*bar(K) differs from I at ({i + 1},{j + 1})")
-
-    def tau(vec):
-        out = [GaussRat(0)] * n
-        for k, x in enumerate(vec):
-            if x.is_zero():
-                continue
-            xb = x.conj()
-            for j, kj in enumerate(rows[k]):
-                if not kj.is_zero():
-                    out[j] = out[j] + xb * kj
-        return out
-
-    half = GaussRat(Fraction(1, 2))
-    ihalf = GaussRat(0, Fraction(1, 2))
-    candidates = []
-    for j in range(n):
-        e = [GaussRat(1) if a == j else GaussRat(0) for a in range(n)]
-        te = tau(e)
-        candidates.append([(x + y) * half for x, y in zip(e, te)])
-    for j in range(n):
-        e = [GaussRat(1) if a == j else GaussRat(0) for a in range(n)]
-        te = tau(e)
-        candidates.append([(x - y) * ihalf for x, y in zip(e, te)])
-
-    basis = row_reduce([dict(enumerate(cand)) for cand in candidates])
-    picked = [candidates[index] for _, _, index in basis]
-    if len(picked) < n:
-        raise RankDeficient(f"only {len(picked)} independent fixed rows")
-    return SqMat(n, {(r + 1, c + 1): Scalar.from_gauss(v)
-                     for r, row in enumerate(picked)
-                     for c, v in enumerate(row) if not v.is_zero()})
+    I = SqMat.identity(n)
+    diff = first_diff(K * bar_mat(K, ConjRegime.REAL_Q), I)
+    if diff is not None:
+        raise NotInvolution(f"K*bar(K) differs from I at ({diff[0]},{diff[1]})")
+    half = Scalar.from_frac(Fraction(1, 2))
+    candidates = (_rows((I + K).scale(half))
+                  + _rows((I - K).scale(Scalar.i_unit() * half)))
+    basis = row_reduce(candidates)
+    if len(basis) < n:
+        raise RankDeficient(f"only {len(basis)} independent fixed rows")
+    return SqMat._of(n, {(r + 1, c + 1): v for r, (_, _, index) in enumerate(basis)
+                         for c, v in candidates[index].items()})

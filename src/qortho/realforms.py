@@ -18,11 +18,11 @@ from .errors import (
     NotInvolution, Unclassifiable, WitnessNotAutomorphism,
 )
 from .linalg import (
-    SqMat, antilinear_fixed_basis, bar_mat, classical_mat, inverse,
-    kron_embed, signature,
+    SqMat, antilinear_fixed_basis, bar_mat, classical_mat, first_diff,
+    inverse, kron_embed, signature,
 )
 from .rmatrix import GroupShape, build_metric, build_R
-from .scalars import ConjRegime, GaussRat, Scalar
+from .scalars import ConjRegime, Scalar
 
 STAR = "star"
 CROSS = "cross"
@@ -228,12 +228,12 @@ class RealFormLabel:
         return f"<RealFormLabel {self}>"
 
 
-def _first_diff(X, Y):
-    for r, c in sorted(set(X.entries) | set(Y.entries)):
-        xv, yv = X.get(r, c), Y.get(r, c)
-        if xv != yv:
-            return {"row": r, "col": c, "lhs": str(xv), "rhs": str(yv)}
-    return None
+def _witness(X, Y):
+    diff = first_diff(X, Y)
+    if diff is None:
+        return None
+    r, c, xv, yv = diff
+    return {"row": r, "col": c, "lhs": str(xv), "rhs": str(yv)}
 
 
 def check_auto_conditions(Dm, N):
@@ -245,21 +245,21 @@ def check_auto_conditions(Dm, N):
     C = build_metric(N)
     for X in (mat.transpose() * C * mat, mat * C * mat.transpose()):
         if X != C:
-            raise ConditionFailed("DCD", _first_diff(X, C))
+            raise ConditionFailed("DCD", _witness(X, C))
     R = build_R(N)
     D1 = kron_embed(mat, 1, N, 2)
     D2 = kron_embed(mat, 2, N, 2)
     lhs = R * D1 * D2
     rhs = D2 * D1 * R
     if lhs != rhs:
-        raise ConditionFailed("RDD", _first_diff(lhs, rhs))
+        raise ConditionFailed("RDD", _witness(lhs, rhs))
     sq = mat * mat
     if sq == SqMat.identity(N):
         sign = +1
     elif sq == -SqMat.identity(N):
         sign = -1
     else:
-        raise ConditionFailed("square", _first_diff(sq, SqMat.identity(N)))
+        raise ConditionFailed("square", _witness(sq, SqMat.identity(N)))
     return {"RDD": True, "DCD": True, "square_sign": sign}
 
 
@@ -312,16 +312,13 @@ def _dsecond_from(G, N):
     shape = GroupShape(N)
     if shape.odd or len(G.entries) != N:
         return None
-    i_unit = GaussRat(0, 1)
+    i_unit = Scalar.i_unit()
     eps = []
     for a in range(1, N + 1):
-        v = G.get(a, a).as_gauss()
-        if v is None:
-            return None
-        e = v / i_unit
-        if e == GaussRat(1):
+        v = G.get(a, a)
+        if v == i_unit:
             eps.append(1)
-        elif e == GaussRat(-1):
+        elif v == -i_unit:
             eps.append(-1)
         else:
             return None
@@ -344,7 +341,7 @@ def classify(spec, N):
         if K * bar_mat(K, spec.regime) != I:
             raise NotInvolution("K bar(K) != I at generic q")
         K1 = classical_mat(K)
-        M = antilinear_fixed_basis(K1, spec.regime)
+        M = antilinear_fixed_basis(K1)
         Minv = inverse(M)
         S = Minv.transpose() * classical_mat(build_metric(N)) * Minv
         p, m = signature(S)
@@ -469,7 +466,7 @@ def check_equivalence_witness(A, spec1, spec2, N, at_q1=False):
     lam = _match_up_to_unit(lhs, rhs)
     if lam is None:
         raise IdentityFailed("conjugation transport identity fails",
-                             _first_diff(lhs, rhs))
+                             _witness(lhs, rhs))
     return True
 
 

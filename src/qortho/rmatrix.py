@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from .errors import BadN
-from .linalg import SqMat, bar_mat, inverse, kron_embed, pack, unpack
+from .linalg import SqMat, bar_mat, first_diff, inverse, kron_embed, pack, unpack
 from .scalars import ConjRegime, Scalar
 
 
@@ -105,9 +105,7 @@ def embed_13(R, N):
         d, f = unpack(c, N, 2)
         for b in range(1, N + 1):
             out[(pack((a, b, e), N), pack((d, b, f), N))] = v
-    m = SqMat.__new__(SqMat)
-    m.dim, m.entries = N ** 3, out
-    return m
+    return SqMat._of(N ** 3, out)
 
 
 def check_ybe(R, N):
@@ -120,17 +118,12 @@ def check_ybe(R, N):
     R12 = kron_embed(R, 1, N, 3)
     R23 = kron_embed(R, 2, N, 3)
     R13 = embed_13(R, N)
-    lhs = R12 * R13 * R23
-    rhs = R23 * R13 * R12
-    if lhs == rhs:
+    diff = first_diff(R12 * R13 * R23, R23 * R13 * R12)
+    if diff is None:
         return True, None
-    keys = sorted(set(lhs.entries) | set(rhs.entries))
-    for r, c in keys:
-        lv, rv = lhs.get(r, c), rhs.get(r, c)
-        if lv != rv:
-            return False, {"row": list(unpack(r, N, 3)), "col": list(unpack(c, N, 3)),
-                           "lhs": str(lv), "rhs": str(rv)}
-    raise AssertionError("matrices differ but no witness found")
+    r, c, lv, rv = diff
+    return False, {"row": list(unpack(r, N, 3)), "col": list(unpack(c, N, 3)),
+                   "lhs": str(lv), "rhs": str(rv)}
 
 
 def build_rhat(R, N):
@@ -139,9 +132,7 @@ def build_rhat(R, N):
     for (r, c), v in R.entries.items():
         b, a = unpack(r, N, 2)
         out[(pack((a, b), N), c)] = v
-    m = SqMat.__new__(SqMat)
-    m.dim, m.entries = N * N, out
-    return m
+    return SqMat._of(N * N, out)
 
 
 def build_projectors(N):
@@ -172,9 +163,8 @@ def build_projectors(N):
     return P0, PA, PS, Rhat
 
 
-def check_char_eq(N):
-    """Cubic characteristic equation of the flipped R matrix."""
-    Rhat = build_rhat(build_R(N), N)
+def check_char_eq(Rhat, N):
+    """Cubic characteristic equation of the flipped R matrix Rhat."""
     I = SqMat.identity(N * N)
     prod = ((Rhat - Scalar.q_power(1) * I)
             * (Rhat + Scalar.q_power(-1) * I)
@@ -195,6 +185,4 @@ def check_r_reality(R, regime):
         d, cc = unpack(c, N, 2)
         a, b = unpack(r, N, 2)
         flipped[(pack((cc, d), N), pack((b, a), N))] = v
-    F = SqMat.__new__(SqMat)
-    F.dim, F.entries = R.dim, flipped
-    return bar_mat(R, regime) == F
+    return bar_mat(R, regime) == SqMat._of(R.dim, flipped)

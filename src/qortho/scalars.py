@@ -371,9 +371,6 @@ class Scalar:
     def is_zero(self):
         return not self.n0 and not self.n1
 
-    def is_one(self):
-        return self.n0 == _ONE_POLY and not self.n1 and self.d == _ONE_POLY
-
     def has_t(self):
         return bool(self.n1)
 

@@ -86,7 +86,7 @@ def test_03_projector_algebra_and_characteristic_equation():
     with acceptance("03 projector idempotence, orthogonality, completeness, "
                     "trace, rank, cubic identity for N=3..6"):
         for N in range(3, 7):
-            P0, PA, PS, _ = build_projectors(N)
+            P0, PA, PS, Rhat = build_projectors(N)
             I = SqMat.identity(N * N)
             zero = SqMat(N * N, {})
             assert PA * PA == PA, N
@@ -98,7 +98,7 @@ def test_03_projector_algebra_and_characteristic_equation():
                 trace = trace + P0.get(k, k)
             assert trace == one, N
             assert rank(PA) == N * (N - 1) // 2, N
-            assert check_char_eq(N), N
+            assert check_char_eq(Rhat, N), N
 
 
 def test_04_r_matrix_reality_in_both_regimes():
@@ -127,8 +127,9 @@ def test_05_automorphism_families_pass_and_corruptions_fail():
                 assert check_reality(m, STAR, N), (N, m.tag())
                 assert check_reality(m, CROSS, N), (N, m.tag())
         # one corrupted matrix per family, each must fail with a witness
-        bad_canonical = SqMat(4, dict(canonical_D(4).mat.entries))
-        bad_canonical.entries[(1, 1)] = Scalar.from_frac(2)
+        bad_entries = dict(canonical_D(4).mat.entries)
+        bad_entries[(1, 1)] = Scalar.from_frac(2)
+        bad_canonical = SqMat(4, bad_entries)
         bad_dprime = SqMat.diag([one, Scalar.from_frac(2),
                                  Scalar.from_frac(2), one])
         bad_dsecond = SqMat.diag([iu, iu, iu, -iu])  # breaks pair antisymmetry

@@ -49,6 +49,12 @@ def test_matmul_metric_self_inverse():
     assert C4 * SqMat.identity(4) == C4
 
 
+def test_entries_are_read_only():
+    for A in (C4, C4 * D4, C4 + D4, -C4, C4.transpose(), kron_embed(D4, 1, 4, 2)):
+        with pytest.raises(TypeError):
+            A.entries[(1, 1)] = ONE
+
+
 def test_dim_mismatch():
     with pytest.raises(DimMismatch):
         C3 * C4
@@ -184,6 +190,11 @@ def test_fixed_basis_minkowski():
     Minv = check_fixed(K)
     S = Minv.transpose() * C1 * Minv
     assert signature(S) == (3, 1)
+
+
+def test_fixed_basis_complex_k():
+    # K*bar(K) = I but K*K = -I: the involution check must conjugate
+    check_fixed(SqMat.diag([I_, -I_]))
 
 
 def test_fixed_basis_not_involution():

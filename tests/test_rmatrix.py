@@ -112,7 +112,7 @@ def test_projector_algebra():
 
 def test_char_eq():
     for N in (3, 4, 5, 6):
-        assert check_char_eq(N)
+        assert check_char_eq(build_rhat(build_R(N), N), N)
 
 
 def test_char_eq_negative():
