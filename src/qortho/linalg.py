@@ -3,9 +3,10 @@
 `SqMat` is the one matrix representation above the scalar layer.  A
 matrix is square, 1-based, and stored as a read-only sparse
 (row, col) -> Scalar map holding only nonzero canonical entries; every
-matrix is built by `SqMat(...)` or by the trusted `SqMat._of`, and
-operations return new matrices.  Composite tensor indices are row-major:
-(a, b) -> (a-1)*N + b, so slot 1 is the slow index.
+matrix is built by `SqMat(...)` or by the trusted `SqMat._of`, its
+attributes cannot be rebound, and operations return new matrices.
+Composite tensor indices are row-major: (a, b) -> (a-1)*N + b, so slot 1
+is the slow index.
 
 `row_reduce` is the one row-elimination kernel: `inverse`, `rank`,
 `antilinear_fixed_basis` and the quantum-plane relations all run on it.
@@ -48,22 +49,31 @@ class SqMat:
     __slots__ = ("dim", "entries")
 
     def __init__(self, dim, entries=None):
-        self.dim = dim
         out = {}
         for (r, c), v in (entries or {}).items():
             if not isinstance(v, Scalar):
                 v = Scalar.from_gauss(v) if isinstance(v, GaussRat) else Scalar.from_frac(v)
             if not v.is_zero():
                 out[(r, c)] = v
-        self.entries = MappingProxyType(out)
+        self._set(dim, out)
 
     @staticmethod
     def _of(dim, entries):
         """Trusted constructor: `entries` is a fresh dict of nonzero Scalars
         that no caller keeps a reference to."""
         m = SqMat.__new__(SqMat)
-        m.dim, m.entries = dim, MappingProxyType(entries)
+        m._set(dim, entries)
         return m
+
+    def _set(self, dim, entries):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "entries", MappingProxyType(entries))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SqMat is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SqMat is immutable: cannot delete {name!r}")
 
     @staticmethod
     def identity(dim):

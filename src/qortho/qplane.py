@@ -3,19 +3,20 @@
 Relations come from the antisymmetric projector: each row of P_A applied
 to x (x) x must vanish.  Row reduction with increasing pairs as pivot
 columns turns the row space into one rewrite rule per pair x^a x^b (a < b),
-with right-hand sides supported on weakly decreasing words.  The diamond
-lemma on triple overlaps certifies confluence, so weakly decreasing words
-form a monomial basis and normal forms decide ideal membership.
+with right-hand sides supported on weakly decreasing words.  A rewriting
+system certifies termination before it rewrites; the diamond lemma on
+overlaps then certifies confluence, so weakly decreasing words form a
+monomial basis and normal forms decide ideal membership.
 
 Words are plain tuples of generator indices; the empty tuple is the unit.
 """
+
+from types import MappingProxyType
 
 from .errors import BadN, QorthoError, RankMismatch
 from .linalg import row_reduce, unpack
 from .rmatrix import build_projectors
 from .scalars import Scalar
-
-_REDUCE_BUDGET = 100_000
 
 
 class NCPoly:
@@ -106,9 +107,22 @@ class NCPoly:
 
 
 def _measure(word, letter_rules):
-    # (degree, letters that still carry a letter rule, reversed index order)
+    # (degree, letters that still carry a letter rule, reversed index order);
+    # well-founded, and u < v gives x u y < x v y, so lowering rules terminate
     return (len(word), sum(1 for l in word if l in letter_rules),
             tuple(-l for l in word))
+
+
+def _certify(rules, letter_rules):
+    """Raise unless every right-hand side lies below its left-hand word;
+    `rules` maps left-hand words (letters as 1-tuples) to NCPolys."""
+    for lhs, rhs in rules.items():
+        bound = _measure(lhs, letter_rules)
+        for w in rhs.terms:
+            if not _measure(w, letter_rules) < bound:
+                name = lhs if len(lhs) == 2 else f"x{lhs[0]}"
+                raise QorthoError(f"rule {name} does not decrease the "
+                                  f"termination measure at {w}")
 
 
 def _reduce_spot(word, pair_rules, letter_rules):
@@ -120,7 +134,7 @@ def _reduce_spot(word, pair_rules, letter_rules):
     return None
 
 
-def _normalize_terms(terms, pair_rules, letter_rules, budget=None):
+def _normalize_terms(terms, pair_rules, letter_rules):
     out = {}
     work = dict(terms)
     while work:
@@ -137,10 +151,6 @@ def _normalize_terms(terms, pair_rules, letter_rules, budget=None):
             else:
                 out[w] = s
             continue
-        if budget is not None:
-            budget -= 1
-            if budget < 0:
-                raise QorthoError("rewriting exceeded the step budget")
         i, span, rep = spot
         for w2, c2 in rep.terms.items():
             nw = w[:i] + w2 + w[i + span:]
@@ -158,9 +168,10 @@ class RewriteSystem:
     """Quadratic rules x^a x^b -> lower terms (a < b), plus optional
     generator substitutions x^a -> poly used by the quotient embeddings.
 
-    Construction completes the system (right-hand sides are re-normalized
-    against the full rule set, at most 10 passes) and then certifies that
-    every rule strictly decreases the termination measure."""
+    Construction first certifies that each letter rule, and each pair rule
+    after letter substitution, lowers the termination measure.  One pass
+    then normalizes every right-hand side; a second could change nothing,
+    as irreducibility depends only on the rule keys.  Rules are read-only."""
 
     __slots__ = ("N", "pair_rules", "letter_rules", "confluent")
 
@@ -168,7 +179,6 @@ class RewriteSystem:
         if not isinstance(N, int) or N < 1:
             raise BadN(f"width must be a positive integer, got {N!r}")
         self.N = N
-        pair_rules = dict(pair_rules)
         letter_rules = dict(letter_rules or {})
         for (a, b) in pair_rules:
             if not (1 <= a < b <= N):
@@ -176,38 +186,16 @@ class RewriteSystem:
         for a in letter_rules:
             if not (1 <= a <= N):
                 raise ValueError(f"letter rule key out of range: {a}")
-        for _ in range(10):
-            changed = False
-            for key, rhs in list(pair_rules.items()):
-                nf = NCPoly(_normalize_terms(rhs.terms, pair_rules, letter_rules,
-                                             budget=_REDUCE_BUDGET))
-                if nf != rhs:
-                    pair_rules[key] = nf
-                    changed = True
-            for key, rhs in list(letter_rules.items()):
-                nf = NCPoly(_normalize_terms(rhs.terms, pair_rules, letter_rules,
-                                             budget=_REDUCE_BUDGET))
-                if nf != rhs:
-                    letter_rules[key] = nf
-                    changed = True
-            if not changed:
-                break
-        else:
-            raise QorthoError("rule completion did not stabilize in 10 passes")
-        for key, rhs in pair_rules.items():
-            bound = _measure(key, letter_rules)
-            for w in rhs.terms:
-                if not _measure(w, letter_rules) < bound:
-                    raise QorthoError(f"rule {key} does not decrease the "
-                                      f"termination measure at {w}")
-        for a, rhs in letter_rules.items():
-            bound = _measure((a,), letter_rules)
-            for w in rhs.terms:
-                if not _measure(w, letter_rules) < bound:
-                    raise QorthoError(f"rule x{a} does not decrease the "
-                                      f"termination measure at {w}")
-        self.pair_rules = pair_rules
-        self.letter_rules = letter_rules
+        _certify({(a,): rhs for a, rhs in letter_rules.items()}, letter_rules)
+        pair_rules = {key: NCPoly(_normalize_terms(rhs.terms, {}, letter_rules))
+                      for key, rhs in pair_rules.items()}
+        _certify(pair_rules, letter_rules)
+        for rules in (pair_rules, letter_rules):
+            for key, rhs in rules.items():
+                rules[key] = NCPoly(_normalize_terms(rhs.terms, pair_rules,
+                                                     letter_rules))
+        self.pair_rules = MappingProxyType(pair_rules)
+        self.letter_rules = MappingProxyType(letter_rules)
         self.confluent = "unchecked"
 
     def __repr__(self):
@@ -216,8 +204,9 @@ class RewriteSystem:
 
 
 def normal_form(p, rs):
-    """Rewrite p to its normal form (leftmost redex first).  Terminates for
-    every constructed system: each step strictly decreases the measure."""
+    """Rewrite p to its normal form (leftmost redex first).  Terminates
+    without a step count: construction certified that every rule lowers the
+    termination measure, so every rewriting sequence stops."""
     for w in p.terms:
         if any(l < 1 or l > rs.N for l in w):
             raise ValueError(f"word {w} uses letters outside 1..{rs.N}")
@@ -250,39 +239,37 @@ def plane_relations(N):
     return RewriteSystem(N, rules)
 
 
-def check_confluence(rs):
-    """Diamond lemma on overlaps.  For words x^a x^b x^c with both (a,b)
-    and (b,c) rules, the two one-step reducts must share a normal form;
-    generator substitutions overlapping a pair rule are checked the same
-    way.  Returns (True, None) or (False, witness) and records the status."""
-    def nf(p):
-        return normal_form(p, rs)
-
+def _ambiguities(rs):
+    """(witness stub, reduct, reduct) for each ambiguity: the overlaps
+    x^a x^b x^c of two pair rules, then each letter rule inside the left
+    word of a pair rule."""
     for (a, b), rhs_ab in sorted(rs.pair_rules.items()):
         for c in range(b + 1, rs.N + 1):
             rhs_bc = rs.pair_rules.get((b, c))
             if rhs_bc is None:
                 continue
-            left = nf(rhs_ab * NCPoly.gen(c))
-            right = nf(NCPoly.gen(a) * rhs_bc)
-            if left != right:
-                witness = {"overlap": [a, b, c],
-                           "left": str(left), "right": str(right)}
-                rs.confluent = ("no", witness)
-                return False, witness
+            yield {"overlap": [a, b, c]}, rhs_ab * NCPoly.gen(c), NCPoly.gen(a) * rhs_bc
     for (a, b), rhs_ab in sorted(rs.pair_rules.items()):
         for pos, l in enumerate((a, b)):
             sub = rs.letter_rules.get(l)
             if sub is None:
                 continue
             one_step = (sub * NCPoly.gen(b)) if pos == 0 else (NCPoly.gen(a) * sub)
-            left = nf(one_step)
-            right = nf(rhs_ab)
-            if left != right:
-                witness = {"overlap": [a, b], "letter": l,
-                           "left": str(left), "right": str(right)}
-                rs.confluent = ("no", witness)
-                return False, witness
+            yield {"overlap": [a, b], "letter": l}, one_step, rhs_ab
+
+
+def check_confluence(rs):
+    """Diamond lemma on overlaps.  For words x^a x^b x^c with both (a,b)
+    and (b,c) rules, the two one-step reducts must share a normal form;
+    generator substitutions overlapping a pair rule are checked the same
+    way.  Returns (True, None) or (False, witness) and records the status."""
+    for stub, left, right in _ambiguities(rs):
+        left = normal_form(left, rs)
+        right = normal_form(right, rs)
+        if left != right:
+            witness = dict(stub, left=str(left), right=str(right))
+            rs.confluent = ("no", witness)
+            return False, witness
     rs.confluent = "yes"
     return True, None
 

@@ -19,7 +19,7 @@ from .errors import (
 )
 from .linalg import (
     SqMat, antilinear_fixed_basis, bar_mat, classical_mat, first_diff,
-    inverse, kron_embed, signature,
+    kron_embed, signature,
 )
 from .rmatrix import GroupShape, build_metric, build_R
 from .scalars import ConjRegime, Scalar
@@ -342,9 +342,9 @@ def classify(spec, N):
             raise NotInvolution("K bar(K) != I at generic q")
         K1 = classical_mat(K)
         M = antilinear_fixed_basis(K1)
-        Minv = inverse(M)
-        S = Minv.transpose() * classical_mat(build_metric(N)) * Minv
-        p, m = signature(S)
+        # M C1 M^T is the inverse of the metric M^-T C1 M^-1 (C1 C1 = 1);
+        # a real symmetric matrix and its inverse share their signature
+        p, m = signature(M * classical_mat(build_metric(N)) * M.transpose())
         return RealFormLabel.so(p, m, spec.regime)
     if G2 == -I and spec.base == STAR:
         dsec = _dsecond_from(G, N)
@@ -385,9 +385,10 @@ def symplectic_j(N):
 def check_sostar(N, Dsec, mpp=None):
     """SO*(2n) structure checks at q = 1.
 
-    (i) the M'' basis turns the metric into the identity;
+    (i) the M'' basis turns the metric into the identity: M''^t M'' = C;
     (ii) the canonical D''_1 conjugation transports to O bar = J O J^-1,
-        i.e. bar(M'') C^t D''_1 M''^-1 = J up to one global unit;
+        i.e. bar(M'') C^t D''_1 M''^-1 = J up to one global unit, where
+        M''^-1 = C M''^t by (i) and C C = 1;
     (iii) the given D'' reduces to D''_1 through the pair-swap witness A.
     """
     shape = GroupShape(N)
@@ -396,12 +397,12 @@ def check_sostar(N, Dsec, mpp=None):
     n = shape.n
     C = build_metric(N)
     Mpp = mpp if mpp is not None else build_mpp(N)
-    Minv = inverse(Mpp)
-    if classical_mat(Minv.transpose() * C * Minv) != SqMat.identity(N):
+    if classical_mat(Mpp.transpose() * Mpp) != classical_mat(C):
         return False
 
     D1 = dsecond_canonical(N)
-    X = classical_mat(bar_mat(Mpp, ConjRegime.REAL_Q) * C.transpose() * D1.mat * Minv)
+    X = classical_mat(bar_mat(Mpp, ConjRegime.REAL_Q) * C.transpose() * D1.mat
+                      * C * Mpp.transpose())
     if _match_up_to_unit(X, symplectic_j(N)) is None:
         return False
 
@@ -417,7 +418,7 @@ def check_sostar(N, Dsec, mpp=None):
             entries[(j, j)] = one
             entries[(jp, jp)] = one
     A = SqMat(N, entries)
-    if A * Dsec.mat * inverse(A) != D1.mat:
+    if A * Dsec.mat != D1.mat * A:
         return False
     C1 = classical_mat(C)
     if A.transpose() * C1 * A != C1:
@@ -433,23 +434,21 @@ def check_equivalence_witness(A, spec1, spec2, N, at_q1=False):
     for star, with lam a unit scalar.  A itself must satisfy the automorphism
     conditions (up to an overall sign of the metric identity).
 
-    With at_q1 the identities are evaluated in the classical limit, where
-    R = 1 makes the commutation trivial."""
+    With at_q1 the identities are evaluated in the classical limit.  There
+    R = 1, and the commutation A1 A2 = A2 A1 holds for every A (both sides
+    are A (x) A), so it is not checked."""
     if spec1.base != spec2.base or spec1.regime is not spec2.regime:
         raise ValueError("witness requires specs with a common base and regime")
     regime = spec1.regime
     C = build_metric(N)
     if at_q1:
         C = classical_mat(C)
-        rdd_ok = kron_embed(A, 1, N, 2) * kron_embed(A, 2, N, 2) == \
-            kron_embed(A, 2, N, 2) * kron_embed(A, 1, N, 2)
     else:
         R = build_R(N)
         A1 = kron_embed(A, 1, N, 2)
         A2 = kron_embed(A, 2, N, 2)
-        rdd_ok = R * A1 * A2 == A2 * A1 * R
-    if not rdd_ok:
-        raise WitnessNotAutomorphism("A fails the R commutation")
+        if R * A1 * A2 != A2 * A1 * R:
+            raise WitnessNotAutomorphism("A fails the R commutation")
     X = A.transpose() * C * A
     Y = A * C * A.transpose()
     if not ((X == C and Y == C) or (X == -C and Y == -C)):

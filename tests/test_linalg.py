@@ -53,6 +53,12 @@ def test_entries_are_read_only():
     for A in (C4, C4 * D4, C4 + D4, -C4, C4.transpose(), kron_embed(D4, 1, 4, 2)):
         with pytest.raises(TypeError):
             A.entries[(1, 1)] = ONE
+        with pytest.raises(AttributeError):
+            A.entries = {(1, 1): ONE}
+        with pytest.raises(AttributeError):
+            A.dim = 5
+        with pytest.raises(AttributeError):
+            del A.dim
 
 
 def test_dim_mismatch():

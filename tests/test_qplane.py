@@ -166,10 +166,27 @@ def test_bad_rule_keys_rejected():
 
 
 def test_nonterminating_rules_rejected():
-    with pytest.raises(QorthoError):
+    with pytest.raises(QorthoError, match="does not decrease"):
         RewriteSystem(4, {(1, 2): NCPoly({(2, 1, 1): one})})  # degree grows
-    with pytest.raises(QorthoError):
+    with pytest.raises(QorthoError, match="does not decrease"):
         RewriteSystem(4, {}, {1: NCPoly.gen(2), 2: NCPoly.gen(1)})  # cycle
+
+
+def test_rule_must_decrease_before_normalization():
+    # x1x3 -> x1x2 lies above x1x3 and drops below it only once x1x2 is
+    # rewritten; termination is certified on the rules as given
+    with pytest.raises(QorthoError, match=r"rule \(1, 3\) does not decrease"):
+        RewriteSystem(3, {(1, 2): NCPoly.word((2, 1)),
+                          (1, 3): NCPoly.word((1, 2))})
+
+
+def test_rules_are_read_only():
+    base = plane_relations(4)
+    with pytest.raises(TypeError):
+        base.pair_rules[(1, 2)] = NCPoly.word((2, 1))
+    ext = RewriteSystem(4, base.pair_rules, {3: NCPoly({(2,): one})})
+    with pytest.raises(TypeError):
+        ext.letter_rules[3] = NCPoly.gen(1)
 
 
 # -- conjugations on the plane -------------------------------------------------
