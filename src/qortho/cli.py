@@ -5,6 +5,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import __version__
 from .errors import (
@@ -79,7 +80,10 @@ def parse_conjugation(text, N):
             raise _UsageError(f"unknown conjugation field {key!r}")
     if base is None or regime is None:
         raise _UsageError("conjugation spec needs base and regime fields")
-    return ConjugationSpec(base, autos, regime)
+    try:
+        return ConjugationSpec(base, autos, regime)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
 
 
 # -- report assembly -----------------------------------------------------------
@@ -367,12 +371,17 @@ def main(argv=None, out=None, err=None):
     except _UsageError as exc:
         err.write(f"error: {exc}\n")
         return 2
-    except (BadFamily, BadN, ValueError) as exc:
+    except (BadFamily, BadN) as exc:
         err.write(f"error: {exc}\n")
         return 2
     except QorthoError as exc:
         err.write(f"error: {exc}\n")
         return 1
+    except Exception as exc:
+        # a bug, not a failed check: keep it apart from exit code 1
+        traceback.print_exc(file=err)
+        err.write(f"error: internal: {type(exc).__name__}: {exc}\n")
+        return 3
     if args.command == "table":
         table, regime = result
         _emit_table(table, args.n, regime, fmt, out, err)

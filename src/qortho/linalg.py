@@ -119,19 +119,23 @@ class SqMat:
             return self.scale(other)
         if self.dim != other.dim:
             raise DimMismatch(f"{self.dim} vs {other.dim}")
-        rows = {}
-        for (r, c), v in other.entries.items():
-            rows.setdefault(r, []).append((c, v))
+        # one output row at a time: gather each entry's (v, w) pairs, then
+        # sum them with one canonicalisation per denominator pair
+        left, right = {}, {}
+        for (r, c), v in self.entries.items():
+            left.setdefault(r, []).append((c, v))
+        for (r, c), w in other.entries.items():
+            right.setdefault(r, []).append((c, w))
         out = {}
-        for (i, k), v in self.entries.items():
-            for j, w in rows.get(k, ()):
-                key = (i, j)
-                acc = out.get(key)
-                acc = v * w if acc is None else acc + v * w
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
+        for i, row in left.items():
+            pairs = {}
+            for k, v in row:
+                for j, w in right.get(k, ()):
+                    pairs.setdefault(j, []).append((v, w))
+            for j, entry in pairs.items():
+                x = Scalar.sum_of_products(entry)
+                if not x.is_zero():
+                    out[(i, j)] = x
         return SqMat._of(self.dim, out)
 
     def __rmul__(self, other):

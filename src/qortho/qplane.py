@@ -20,13 +20,21 @@ from .scalars import Scalar
 
 
 class NCPoly:
-    """Noncommutative polynomial: map word -> Scalar, zero terms dropped."""
+    """Noncommutative polynomial: read-only map word -> Scalar, zero terms
+    dropped.  The terms cannot be rebound, so a certified rule stays as
+    certified."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {tuple(w): v for w, v in (terms or {}).items()
-                      if not v.is_zero()}
+        object.__setattr__(self, "terms", MappingProxyType(
+            {tuple(w): v for w, v in (terms or {}).items() if not v.is_zero()}))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"NCPoly is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"NCPoly is immutable: cannot delete {name!r}")
 
     @staticmethod
     def zero():
@@ -171,14 +179,17 @@ class RewriteSystem:
     Construction first certifies that each letter rule, and each pair rule
     after letter substitution, lowers the termination measure.  One pass
     then normalizes every right-hand side; a second could change nothing,
-    as irreducibility depends only on the rule keys.  Rules are read-only."""
+    as irreducibility depends only on the rule keys.  Rules are read-only
+    and `N`, `pair_rules` and `letter_rules` cannot be rebound; `confluent`
+    records the result of `check_confluence`."""
 
     __slots__ = ("N", "pair_rules", "letter_rules", "confluent")
+    _FROZEN = frozenset(("N", "pair_rules", "letter_rules"))
 
     def __init__(self, N, pair_rules, letter_rules=None):
         if not isinstance(N, int) or N < 1:
             raise BadN(f"width must be a positive integer, got {N!r}")
-        self.N = N
+        object.__setattr__(self, "N", N)
         letter_rules = dict(letter_rules or {})
         for (a, b) in pair_rules:
             if not (1 <= a < b <= N):
@@ -194,9 +205,19 @@ class RewriteSystem:
             for key, rhs in rules.items():
                 rules[key] = NCPoly(_normalize_terms(rhs.terms, pair_rules,
                                                      letter_rules))
-        self.pair_rules = MappingProxyType(pair_rules)
-        self.letter_rules = MappingProxyType(letter_rules)
+        object.__setattr__(self, "pair_rules", MappingProxyType(pair_rules))
+        object.__setattr__(self, "letter_rules", MappingProxyType(letter_rules))
         self.confluent = "unchecked"
+
+    def __setattr__(self, name, value):
+        if name in self._FROZEN:
+            raise AttributeError(f"RewriteSystem cannot rebind {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        if name in self._FROZEN:
+            raise AttributeError(f"RewriteSystem cannot delete {name!r}")
+        object.__delattr__(self, name)
 
     def __repr__(self):
         return (f"<RewriteSystem N={self.N} rules={len(self.pair_rules)}"

@@ -14,6 +14,7 @@ s to s^-1; both conjugate the Gaussian-rational coefficients and fix t.
 """
 
 import enum
+import math
 from fractions import Fraction
 
 from .errors import DivisionByZero, PoleAtOne, ResidualT
@@ -25,40 +26,64 @@ class ConjRegime(enum.Enum):
 
 
 class GaussRat:
-    """Gaussian rational a + b*i with exact Fraction components."""
+    """Gaussian rational (a + b*i)/d held as three ints in lowest terms:
+    d > 0 and gcd(a, b, d) = 1, so equal values have equal fields.  Each
+    operation costs at most one `math.gcd`, and none when d comes out 1."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        p, r = re.denominator, im.denominator
+        d = p * r // math.gcd(p, r)  # lcm of lowest-terms denominators is lowest
+        self.a, self.b, self.d = re.numerator * (d // p), im.numerator * (d // r), d
+
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        other = _try_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussRat(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussRat:
+            other = _try_gauss(other)
+            if other is None:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            return _gauss(self.a + other.a, self.b + other.b, d)
+        return _gauss(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _try_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussRat(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussRat:
+            other = _try_gauss(other)
+            if other is None:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            return _gauss(self.a - other.a, self.b - other.b, d)
+        return _gauss(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
         return _as_gauss(other) - self
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return _exact(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        other = _try_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussRat(self.re * other.re - self.im * other.im,
-                        self.re * other.im + self.im * other.re)
+        if type(other) is not GaussRat:
+            other = _try_gauss(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _gauss(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -69,36 +94,60 @@ class GaussRat:
         return _as_gauss(other) * self.inv()
 
     def inv(self):
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
+        # d / (a + b i) = d (a - b i) / (a^2 + b^2)
+        a, b, d = self.a, self.b, self.d
+        n = a * a + b * b
+        if not n:
             raise DivisionByZero("inverse of zero Gaussian rational")
-        return GaussRat(self.re / n, -self.im / n)
+        return _gauss(d * a, -d * b, n)
 
     def conj(self):
-        return GaussRat(self.re, -self.im)
+        return _exact(self.a, -self.b, self.d)
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return not self.a and not self.b
+
+    def is_one(self):
+        return self.a == 1 and self.d == 1 and not self.b
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussRat(other)
-        if not isinstance(other, GaussRat):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussRat:
+            if isinstance(other, (int, Fraction)):
+                other = GaussRat(other)
+            elif not isinstance(other, GaussRat):
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __str__(self):
         # wire format: "a/b" when real, "a/b+c/d*i" otherwise; signs live
         # inside the fractions so the grammar stays concatenative
-        if self.im == 0:
+        if not self.b:
             return str(self.re)
         return f"{self.re}+{self.im}*i"
 
     def __repr__(self):
         return f"GaussRat({self.re!r}, {self.im!r})"
+
+
+def _exact(a, b, d):
+    # (a + b i)/d, already in lowest terms
+    g = object.__new__(GaussRat)
+    g.a, g.b, g.d = a, b, d
+    return g
+
+
+def _gauss(a, b, d):
+    # (a + b i)/d for any d != 0, reduced to lowest terms
+    if d != 1:
+        g = math.gcd(a, b, d)
+        if d < 0:
+            g = -g
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _exact(a, b, d)
 
 
 def _try_gauss(x):
@@ -206,12 +255,17 @@ def _lp_ground(a):
 
 def _lp_gcd(a, b):
     # monic gcd of grounded polynomials (Euclid over Q(i)[s])
-    a, b = _lp_ground(a), _lp_ground(b)
+    a, b = _lp_monic(a), _lp_monic(b)
     while b:
-        a, b = b, _lp_divmod(a, b)[1]
-        b = _lp_ground(b)
+        a, b = b, _lp_monic(_lp_divmod(a, b)[1])
+    return a
+
+
+def _lp_monic(a):
+    # grounded, leading coefficient 1: keeps Euclid's coefficients small
     if not a:
         return {}
+    a = _lp_ground(a)
     return _lp_scale(a, a[max(a)].inv())
 
 
@@ -250,12 +304,13 @@ class Scalar:
         elif len(d) == 1:
             # monomial denominator: absorb it into the numerator
             (k, c), = d.items()
-            ci = c.inv()
-            n0 = _lp_shift(_lp_scale(n0, ci), -k)
-            n1 = _lp_shift(_lp_scale(n1, ci), -k)
-            d = dict(_ONE_POLY)
+            if k or not c.is_one():
+                ci = c.inv()
+                n0 = _lp_shift(_lp_scale(n0, ci), -k)
+                n1 = _lp_shift(_lp_scale(n1, ci), -k)
+                d = dict(_ONE_POLY)
         else:
-            g = _lp_gcd(d, _lp_gcd(n0, n1))
+            g = _lp_gcd(_lp_gcd(d, n0), n1)
             if len(g) > 1 or (g and 0 not in g):
                 n0 = _lp_divexact(n0, g)
                 n1 = _lp_divexact(n1, g)
@@ -264,7 +319,7 @@ class Scalar:
             if lo:
                 n0, n1, d = _lp_shift(n0, -lo), _lp_shift(n1, -lo), _lp_shift(d, -lo)
             lc = d[max(d)]
-            if not (lc.re == 1 and lc.im == 0):
+            if not lc.is_one():
                 ci = lc.inv()
                 n0, n1, d = _lp_scale(n0, ci), _lp_scale(n1, ci), _lp_scale(d, ci)
         self.n0, self.n1, self.d = n0, n1, d
@@ -339,13 +394,33 @@ class Scalar:
         other = _try_scalar(other)
         if other is None:
             return NotImplemented
-        # (a0 + t a1)(b0 + t b1) = a0 b0 + (s + s^-1) a1 b1 + t (a0 b1 + a1 b0)
-        n0 = _lp_add(_lp_mul(self.n0, other.n0),
-                     _lp_mul(_T_SQUARE, _lp_mul(self.n1, other.n1)))
-        n1 = _lp_add(_lp_mul(self.n0, other.n1), _lp_mul(self.n1, other.n0))
+        n0, n1 = {}, {}
+        _add_product(self, other, n0, n1)
         return Scalar(n0, n1, _lp_mul(self.d, other.d))
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sum_of_products(pairs):
+        """The sum of v*w over an iterable of (v, w) Scalar pairs.
+
+        Numerators are multiplied raw and summed in one bucket per distinct
+        pair of denominators; each bucket becomes one canonical Scalar and
+        the few buckets are then added.  A sum of k products thus costs one
+        canonicalisation per bucket instead of two per term.
+        """
+        buckets = {}
+        for v, w in pairs:
+            key = (v._key[2], w._key[2])
+            bucket = buckets.get(key)
+            if bucket is None:
+                bucket = buckets[key] = (v.d, w.d, {}, {})
+            _add_product(v, w, bucket[2], bucket[3])
+        total = None
+        for dv, dw, n0, n1 in buckets.values():
+            term = Scalar(n0, n1, _lp_mul(dv, dw))
+            total = term if total is None else total + term
+        return _ZERO if total is None else total
 
     def __truediv__(self, other):
         other = _try_scalar(other)
@@ -360,8 +435,9 @@ class Scalar:
         if self.is_zero():
             raise DivisionByZero("inverse of zero scalar")
         # 1/(n0 + t n1) rationalized with the conjugate n0 - t n1
-        norm = _lp_add(_lp_mul(self.n0, self.n0),
-                       _lp_neg(_lp_mul(_T_SQUARE, _lp_mul(self.n1, self.n1))))
+        norm = {}
+        _lp_addmul(norm, self.n0, self.n0, (0,))
+        _lp_addmul(norm, _lp_neg(self.n1), self.n1, (1, -1))
         return Scalar(_lp_mul(self.d, self.n0),
                       _lp_neg(_lp_mul(self.d, self.n1)),
                       norm)
@@ -416,7 +492,27 @@ class Scalar:
 
 
 def _freeze(p):
-    return tuple(sorted((k, v.re, v.im) for k, v in p.items()))
+    return tuple(sorted((k, v.a, v.b, v.d) for k, v in p.items()))
+
+
+def _add_product(v, w, n0, n1):
+    # n0 + t*n1 += numerator of v*w, in place, zero coefficients kept:
+    # (a0 + t a1)(b0 + t b1) = a0 b0 + (s + s^-1) a1 b1 + t (a0 b1 + a1 b0)
+    _lp_addmul(n0, v.n0, w.n0, (0,))
+    _lp_addmul(n0, v.n1, w.n1, (1, -1))
+    _lp_addmul(n1, v.n0, w.n1, (0,))
+    _lp_addmul(n1, v.n1, w.n0, (0,))
+
+
+def _lp_addmul(out, a, b, shifts):
+    # out += (sum over shifts of s^shift) * a * b, in place
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            p = va * vb
+            for k in shifts:
+                k += ka + kb
+                w = out.get(k)
+                out[k] = p if w is None else w + p
 
 
 def _try_scalar(x):
@@ -436,7 +532,6 @@ def _as_scalar(x):
     return v
 
 
-_T_SQUARE = {1: GaussRat(1), -1: GaussRat(1)}  # t^2 = s + s^-1
 _ZERO = Scalar()
 _ONE = Scalar({0: GaussRat(1)})
 

@@ -61,6 +61,22 @@ def test_ybe_cap_requires_force():
         assert "--force" in err
 
 
+@pytest.mark.parametrize("error", [RuntimeError, ValueError])
+def test_internal_error_exits_three(monkeypatch, error):
+    import qortho.cli as cli
+
+    def broken(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_rmat", broken)
+    code, out, err = run(["rmat", "--n", "3"])
+    assert code == 3
+    assert out == ""
+    # the traceback comes first; the last line names the error
+    assert err.startswith("Traceback")
+    assert err.endswith(f"\nerror: internal: {error.__name__}: boom\n")
+
+
 def test_failed_check_exits_one():
     code, report, _ = run_json(["quotient", "--sign", "plus", "--no-scaling"])
     assert code == 1

@@ -12,6 +12,7 @@ from qortho.linalg import (
     SqMat, antilinear_fixed_basis, bar_mat, classical_mat, inverse,
     kron_embed, pack, rank, signature, unpack,
 )
+from qortho.rmatrix import build_projectors
 from qortho.scalars import ConjRegime, GaussRat, Scalar
 
 ONE = Scalar.one()
@@ -59,6 +60,32 @@ def test_entries_are_read_only():
             A.dim = 5
         with pytest.raises(AttributeError):
             del A.dim
+
+
+def entrywise_product(A, B):
+    # reference: one Scalar * and + per term, no bucketing
+    out = {}
+    for (i, k), v in A.entries.items():
+        for (k2, j), w in B.entries.items():
+            if k == k2:
+                out[(i, j)] = out.get((i, j), Scalar.zero()) + v * w
+    return {key: x for key, x in out.items() if not x.is_zero()}
+
+
+def test_product_kernel_matches_entrywise_reference():
+    P0, PA, _, _ = build_projectors(4)
+    # PA's entries mix the denominators q + q^-1 and sum_e q^(-2 rho_e)
+    assert len({tuple(sorted(v.d.items())) for v in PA.entries.values()}) >= 2
+    T = Scalar.t_unit()
+    X = PA.scale(ONE + T) + SqMat.diag([T * sp(k) for k in range(16)])
+    assert any(v.has_t() for v in X.entries.values())
+    for A, B in ((PA, PA), (P0, PA), (X, PA), (PA, X)):
+        product = A * B
+        assert dict(product.entries) == entrywise_product(A, B)
+        assert all(not v.is_zero() for v in product.entries.values())
+    assert PA * PA == PA
+    # P_A P_0 = 0: every entry cancels and none is stored
+    assert not (PA * P0).entries
 
 
 def test_dim_mismatch():

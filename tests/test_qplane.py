@@ -189,6 +189,32 @@ def test_rules_are_read_only():
         ext.letter_rules[3] = NCPoly.gen(1)
 
 
+def test_rule_terms_are_read_only():
+    # a rule changed after certification could rewrite forever: x1x2 -> x1x2x3
+    rs = plane_relations(3)
+    rule = rs.pair_rules[(1, 2)]
+    with pytest.raises(TypeError):
+        rule.terms[(1, 2, 3)] = Scalar.one()
+    with pytest.raises(AttributeError):
+        rule.terms = {(1, 2, 3): Scalar.one()}
+    with pytest.raises(AttributeError):
+        del rule.terms
+    assert normal_form(NCPoly.word((1, 2)), rs) == rule
+
+
+def test_rewrite_system_attributes_cannot_be_rebound():
+    rs = plane_relations(3)
+    for name in ("N", "pair_rules", "letter_rules"):
+        with pytest.raises(AttributeError):
+            setattr(rs, name, {})
+        with pytest.raises(AttributeError):
+            delattr(rs, name)
+    assert rs.N == 3 and len(rs.pair_rules) == 3 and not rs.letter_rules
+    # the confluence status stays writable: check_confluence records it
+    assert check_confluence(rs) == (True, None)
+    assert rs.confluent == "yes"
+
+
 # -- conjugations on the plane -------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Coefficient ring: canonical forms, bar conjugation, classical limit."""
 
+import math
 import os
 import subprocess
 import sys
@@ -100,6 +101,48 @@ def test_canonical_zero():
         assert a - a is not None and (a - a).is_zero()
 
 
+# --- coefficients: oracle against plain Fraction pairs ---------------------
+
+fracs = st.fractions(min_value=-40, max_value=40, max_denominator=48)
+
+
+def assert_canonical(g, re, im):
+    # lowest terms keep structural equality and Scalar._key canonical
+    assert all(type(x) is int for x in (g.a, g.b, g.d))
+    assert g.d > 0 and math.gcd(g.a, g.b, g.d) == 1
+    assert type(g.re) is Fraction and type(g.im) is Fraction
+    assert (g.re, g.im) == (re, im)
+    assert str(g) == (str(re) if im == 0 else f"{re}+{im}*i")
+
+
+@given(fracs, fracs, fracs, fracs)
+@settings(max_examples=300, deadline=None)
+def test_gaussrat_matches_fraction_pairs(a, b, c, d):
+    x, y = GaussRat(a, b), GaussRat(c, d)
+    assert_canonical(x, a, b)
+    assert_canonical(x + y, a + c, b + d)
+    assert_canonical(x - y, a - c, b - d)
+    assert_canonical(x * y, a * c - b * d, a * d + b * c)
+    assert_canonical(-x, -a, -b)
+    assert_canonical(x.conj(), a, -b)
+    assert_canonical(x + 1, a + 1, b)
+    assert_canonical(1 - x, 1 - a, -b)
+    assert_canonical(c * x, c * a, c * b)
+    n = c * c + d * d
+    if n:
+        assert_canonical(y.inv(), c / n, -d / n)
+        assert_canonical(x / y, (a * c + b * d) / n, (b * c - a * d) / n)
+        assert_canonical(1 / y, c / n, -d / n)
+    else:
+        with pytest.raises(DivisionByZero):
+            y.inv()
+        with pytest.raises(DivisionByZero):
+            x / y
+    assert (x == y) == ((a, b) == (c, d))
+    assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+    assert (x == a) == (b == 0)
+
+
 # --- bar -------------------------------------------------------------------
 
 def test_bar_fixed_points():
@@ -149,6 +192,19 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a + ZERO == a and a * ONE == a
     assert a - a == ZERO
+
+
+# the right factors carry no denominator, which keeps the reference sum's
+# gcds small; products of two denominators are covered in test_linalg
+@given(st.lists(st.tuples(scalars(), scalars(with_den=False)), max_size=4))
+@settings(max_examples=50, deadline=None)
+def test_sum_of_products_matches_mul_and_add(pairs):
+    expected = ZERO
+    for v, w in pairs:
+        expected = expected + v * w
+    total = Scalar.sum_of_products(pairs)
+    assert total == expected
+    assert str(total) == str(expected)
 
 
 @given(scalars(), scalars())
