@@ -4,7 +4,7 @@ their real forms, and the associated quantum orthogonal planes."""
 from .errors import (
     QorthoError, DivisionByZero, PoleAtOne, ResidualT, DimMismatch,
     Singular, NotSymmetric, Degenerate, NotReal, NotInvolution,
-    RankDeficient, BadN, BadFamily, ConditionFailed, NoPlaneConjugation,
+    BadN, BadFamily, ConditionFailed, NoPlaneConjugation,
     Unclassifiable, WitnessNotAutomorphism, IdentityFailed, RankMismatch,
 )
 from .scalars import GaussRat, Scalar, ConjRegime
@@ -20,7 +20,7 @@ from .realforms import (
     STAR, CROSS, AutoMatrix, ConjugationSpec, RealFormLabel, CountResult,
     canonical_D, dsecond_canonical, enumerate_autos, auto_from_signs,
     check_auto_conditions, check_reality, plane_conjugation_matrix,
-    classify, build_mpp, symplectic_j, check_sostar,
+    classify, build_mpp, symplectic_j, check_sostar, check_sostar_basis,
     check_equivalence_witness, count_real_forms,
 )
 from .qplane import (

@@ -20,8 +20,7 @@ from .realforms import (
     check_auto_conditions, check_reality, classify, count_real_forms,
     enumerate_autos, plane_conjugation_matrix,
 )
-from .rmatrix import GroupShape, build_metric, build_projectors, build_R, \
-    check_char_eq, check_r_reality, check_ybe
+from .rmatrix import GroupShape, check_char_eq, check_r_reality, check_ybe
 from .scalars import ConjRegime, Scalar
 
 YBE_CAP = 12
@@ -144,22 +143,15 @@ def _emit_table(result, N, regime, fmt, out, err):
 # -- subcommand bodies -----------------------------------------------------------
 
 
-def _require_n(n, minimum=3):
-    if n < minimum:
-        raise _UsageError(f"N must be at least {minimum}, got {n}")
-
-
 def _require_ybe_n(args):
     # the N^3 x N^3 Yang-Baxter products are capped unless --force is given
-    _require_n(args.n)
     if args.n > YBE_CAP and not args.force:
         raise _UsageError(
             f"N={args.n} exceeds the cap {YBE_CAP}; pass --force to override")
 
 
-def _metric_checks(N):
-    shape = GroupShape(N)
-    C = build_metric(N)
+def _metric_checks(shape):
+    N, C = shape.N, shape.C
     I = SqMat.identity(N)
     perm = SqMat(N, {(a, shape.prime(a)): Scalar.one()
                      for a in range(1, N + 1)})
@@ -172,22 +164,23 @@ def _metric_checks(N):
 
 
 def cmd_rmat(args):
-    _require_n(args.n)
-    R = build_R(args.n)
+    shape = GroupShape(args.n)
+    R = shape.R
     checks = [_check("build", True,
                      data={"dimension": R.dim, "nonzero": len(R.entries)})]
-    checks += _metric_checks(args.n)
+    checks += _metric_checks(shape)
     return _report("rmat", args.n, checks)
 
 
 def cmd_ybe(args):
     _require_ybe_n(args)
-    ok, witness = check_ybe(build_R(args.n), args.n)
+    ok, witness = check_ybe(GroupShape(args.n).R, args.n)
     return _report("ybe", args.n, [_check("ybe", ok, witness)])
 
 
-def _projector_checks(N):
-    P0, PA, PS, Rhat = build_projectors(N)
+def _projector_checks(shape):
+    N = shape.N
+    P0, PA, PS, Rhat = shape.projectors
     I = SqMat.identity(N * N)
     zero = SqMat(N * N, {})
     trace = P0.trace()
@@ -206,33 +199,27 @@ def _projector_checks(N):
 
 
 def cmd_projectors(args):
-    _require_n(args.n)
-    return _report("projectors", args.n, _projector_checks(args.n))
+    return _report("projectors", args.n,
+                   _projector_checks(GroupShape(args.n)))
 
 
 def cmd_classify(args):
-    _require_n(args.n)
+    shape = GroupShape(args.n)
     spec = parse_conjugation(args.spec, args.n)
     try:
-        label = classify(spec, args.n)
-        sig = label.signature
-        check = _check("classify", True,
-                       data={"label": str(label),
-                             "signature": list(sig) if sig else None})
+        check = _check("classify", True, data=classify(spec, shape).to_json())
     except (Unclassifiable, NotInvolution) as exc:
         check = _check("classify", False, witness={"error": str(exc)})
     return _report("classify", args.n, [check], spec.regime)
 
 
 def cmd_table(args):
-    _require_n(args.n)
     regime = _parse_regime(args.regime)
     return count_real_forms(args.n, regime), regime
 
 
 def cmd_plane(args):
-    _require_n(args.n)
-    rs = plane_relations(args.n)
+    rs = plane_relations(GroupShape(args.n))
     ok, witness = check_confluence(rs)
     checks = [
         _check("relations", len(rs.pair_rules) == args.n * (args.n - 1) // 2,
@@ -243,13 +230,13 @@ def cmd_plane(args):
 
 
 def cmd_plane_conj(args):
-    _require_n(args.n)
+    shape = GroupShape(args.n)
     spec = parse_conjugation(args.spec, args.n)
     try:
-        K = plane_conjugation_matrix(spec, args.n)
+        K = plane_conjugation_matrix(spec, shape)
     except NoPlaneConjugation as exc:
         raise _UsageError(f"no plane conjugation: {exc}")
-    rs = plane_relations(args.n)
+    rs = plane_relations(shape)
     entries = {f"{r},{c}": str(v) for (r, c), v in sorted(K.entries.items())}
     ok = check_star_consistency(rs, K, spec.regime)
     return _report("plane-conj", args.n,
@@ -266,19 +253,20 @@ def cmd_quotient(args):
                                  "scaling": not args.no_scaling})])
 
 
-def _auto_suite_check(N):
+def _auto_suite_check(shape):
+    N = shape.N
     members = [canonical_D(N)] + enumerate_autos(N, "dprime")
-    if N % 2 == 0:
+    if not shape.odd:
         members += enumerate_autos(N, "dsecond")
     for m in members:
         try:
-            check_auto_conditions(m, N)
+            check_auto_conditions(m, shape)
         except ConditionFailed as exc:
             return _check("automorphism_families", False,
                           witness={"member": m.tag(), "condition": exc.name,
                                    "detail": exc.witness})
         for base in (STAR, CROSS):
-            if not check_reality(m, base, N):
+            if not check_reality(m, base, shape):
                 return _check("automorphism_families", False,
                               witness={"member": m.tag(),
                                        "condition": f"reality_{base}"})
@@ -288,20 +276,18 @@ def _auto_suite_check(N):
 
 def cmd_verify_all(args):
     _require_ybe_n(args)
-    N = args.n
-    checks = _metric_checks(N)
-    R = build_R(N)
-    ok, witness = check_ybe(R, N)
+    shape = GroupShape(args.n)
+    checks = _metric_checks(shape)
+    ok, witness = check_ybe(shape.R, args.n)
     checks.append(_check("ybe", ok, witness))
-    checks += _projector_checks(N)
-    checks.append(_check("r_reality_real",
-                         check_r_reality(R, ConjRegime.REAL_Q)))
-    checks.append(_check("r_reality_unit",
-                         check_r_reality(R, ConjRegime.UNIT_MODULUS_Q)))
-    checks.append(_auto_suite_check(N))
-    ok, witness = check_confluence(plane_relations(N))
+    checks += _projector_checks(shape)
+    for name, regime in (("r_reality_real", ConjRegime.REAL_Q),
+                         ("r_reality_unit", ConjRegime.UNIT_MODULUS_Q)):
+        checks.append(_check(name, check_r_reality(shape.R, shape, regime)))
+    checks.append(_auto_suite_check(shape))
+    ok, witness = check_confluence(plane_relations(shape))
     checks.append(_check("plane_confluent", ok, witness))
-    return _report("verify-all", N, checks)
+    return _report("verify-all", args.n, checks)
 
 
 # -- driver ---------------------------------------------------------------------

@@ -43,10 +43,6 @@ class NotInvolution(QorthoError):
     pass
 
 
-class RankDeficient(QorthoError):
-    pass
-
-
 # R-matrix construction
 class BadN(QorthoError):
     pass

@@ -21,8 +21,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import (
-    Degenerate, DimMismatch, NotInvolution, NotReal, NotSymmetric,
-    RankDeficient, Singular,
+    Degenerate, DimMismatch, NotInvolution, NotReal, NotSymmetric, Singular,
 )
 from .scalars import ConjRegime, GaussRat, Scalar
 
@@ -358,7 +357,8 @@ def antilinear_fixed_basis(K):
     (e_j + tau(e_j))/2 for all j, then i*(e_j - tau(e_j))/2, are the rows of
     (I + K)/2 and of i(I - K)/2.  They are row-reduced in order and the ones
     that open a pivot are kept; every selected row satisfies
-    bar(row)*K = row and M is invertible.
+    bar(row)*K = row.  They always span, so M is invertible for every K:
+    row j of (I + K)/2 minus i times row j of i(I - K)/2 is e_j.
     """
     for v in K.entries.values():
         if v.as_gauss() is None:
@@ -372,7 +372,5 @@ def antilinear_fixed_basis(K):
     candidates = (_rows((I + K).scale(half))
                   + _rows((I - K).scale(Scalar.i_unit() * half)))
     basis = row_reduce(candidates)
-    if len(basis) < n:
-        raise RankDeficient(f"only {len(basis)} independent fixed rows")
     return SqMat._of(n, {(r + 1, c + 1): v for r, (_, _, index) in enumerate(basis)
                          for c, v in candidates[index].items()})

@@ -15,7 +15,7 @@ from types import MappingProxyType
 
 from .errors import BadN, QorthoError, RankMismatch
 from .linalg import row_reduce, unpack
-from .rmatrix import build_projectors
+from .rmatrix import GroupShape
 from .scalars import Scalar
 
 
@@ -234,12 +234,10 @@ def normal_form(p, rs):
     return NCPoly(_normalize_terms(p.terms, rs.pair_rules, rs.letter_rules))
 
 
-def plane_relations(N):
+def plane_relations(shape):
     """Rewrite rules of the N-generator quantum orthogonal plane, one per
-    increasing pair, derived from the rows of P_A."""
-    if not isinstance(N, int) or N < 3:
-        raise BadN(f"plane relations need integer N >= 3, got {N!r}")
-    _, PA, _, _ = build_projectors(N)
+    increasing pair, derived from the rows of the P_A of shape."""
+    N, PA = shape.N, shape.projectors[1]
     inc = [(a, b) for a in range(1, N + 1) for b in range(a + 1, N + 1)]
     rest = [(a, b) for a in range(1, N + 1) for b in range(1, a + 1)]
     cols = inc + rest
@@ -336,7 +334,7 @@ def quotient_check(sign, n_from=4, include_scaling=True):
         raise BadN("the quotient embedding is defined from the N=4 plane")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    base = plane_relations(4)
+    base = plane_relations(GroupShape(4))
     sub = NCPoly({(2,): Scalar.from_frac(sign)})
     ext = RewriteSystem(4, base.pair_rules, {3: sub})
     ok, _ = check_confluence(ext)
@@ -346,7 +344,7 @@ def quotient_check(sign, n_from=4, include_scaling=True):
     if sign == -1:
         scale = Scalar.i_unit() * scale
     images = {1: NCPoly.gen(1), 2: NCPoly({(2,): scale}), 3: NCPoly.gen(4)}
-    for (a, b), rhs in plane_relations(3).pair_rules.items():
+    for (a, b), rhs in plane_relations(GroupShape(3)).pair_rules.items():
         rel = NCPoly.word((a, b)) - rhs
         mapped = NCPoly.zero()
         for w, c in rel.terms.items():

@@ -21,7 +21,7 @@ from .linalg import (
     SqMat, antilinear_fixed_basis, bar_mat, classical_mat, first_diff,
     kron_embed, signature,
 )
-from .rmatrix import GroupShape, build_metric, build_R
+from .rmatrix import GroupShape
 from .scalars import ConjRegime, Scalar
 
 STAR = "star"
@@ -213,6 +213,10 @@ class RealFormLabel:
     def signature(self):
         return (self.l, self.m) if self.kind == "so" else None
 
+    def to_json(self):
+        sig = self.signature
+        return {"label": str(self), "signature": list(sig) if sig else None}
+
     def __eq__(self, other):
         if not isinstance(other, RealFormLabel):
             return NotImplemented
@@ -236,17 +240,17 @@ def _witness(X, Y):
     return {"row": r, "col": c, "lhs": str(xv), "rhs": str(yv)}
 
 
-def check_auto_conditions(Dm, N):
-    """Verify R D1 D2 = D2 D1 R, D^t C D = C = D C D^t, and D^2 = +-1.
+def check_auto_conditions(Dm, shape):
+    """Verify R D1 D2 = D2 D1 R, D^t C D = C = D C D^t, and D^2 = +-1,
+    with the R and C of shape.
 
     Returns a certificate dict recording the square sign; raises
     ConditionFailed with the first offending entry otherwise."""
     mat = Dm.mat if isinstance(Dm, AutoMatrix) else Dm
-    C = build_metric(N)
+    N, C, R = shape.N, shape.C, shape.R
     for X in (mat.transpose() * C * mat, mat * C * mat.transpose()):
         if X != C:
             raise ConditionFailed("DCD", _witness(X, C))
-    R = build_R(N)
     D1 = kron_embed(mat, 1, N, 2)
     D2 = kron_embed(mat, 2, N, 2)
     lhs = R * D1 * D2
@@ -263,7 +267,7 @@ def check_auto_conditions(Dm, N):
     return {"RDD": True, "DCD": True, "square_sign": sign}
 
 
-def check_reality(Dm, base, N):
+def check_reality(Dm, base, shape):
     """Reality condition matching the base conjugation: cross needs
     bar(D) = D with D^2 = 1 or bar(D) = -D with D^2 = -1; star needs
     bar(D) = C^t D C^t."""
@@ -271,22 +275,21 @@ def check_reality(Dm, base, N):
     barD = bar_mat(mat, ConjRegime.REAL_Q)  # entries are constants
     sq = mat * mat
     if base == CROSS:
-        I = SqMat.identity(N)
+        I = SqMat.identity(shape.N)
         return (barD == mat and sq == I) or (barD == -mat and sq == -I)
     if base == STAR:
-        C = build_metric(N)
-        return barD == C.transpose() * mat * C.transpose()
+        return barD == shape.C.transpose() * mat * shape.C.transpose()
     raise ValueError(f"base must be star or cross, got {base!r}")
 
 
-def plane_conjugation_matrix(spec, N):
+def plane_conjugation_matrix(spec, shape):
     """K with x* = K x on the quantum plane: C^t G for star, G for cross;
     exists only when the composed automorphism G squares to +1."""
-    G = spec.composed(N)
-    if G * G != SqMat.identity(N):
+    G = spec.composed(shape.N)
+    if G * G != SqMat.identity(shape.N):
         raise NoPlaneConjugation("composed automorphism does not square to +1")
     if spec.base == STAR:
-        return build_metric(N).transpose() * G
+        return shape.C.transpose() * G
     return G
 
 
@@ -307,9 +310,9 @@ def _match_up_to_unit(X, Y):
     return None
 
 
-def _dsecond_from(G, N):
+def _dsecond_from(G, shape):
     """Recognize G (or -G) as a dsecond family member; None otherwise."""
-    shape = GroupShape(N)
+    N = shape.N
     if shape.odd or len(G.entries) != N:
         return None
     i_unit = Scalar.i_unit()
@@ -330,25 +333,26 @@ def _dsecond_from(G, N):
         return None
 
 
-def classify(spec, N):
+def classify(spec, shape):
     """Real-form label of a conjugation: classical-limit signature of the
     invariant metric in a real basis, or SO*(2n) for the imaginary family."""
+    N = shape.N
     I = SqMat.identity(N)
     G = spec.composed(N)
     G2 = G * G
     if G2 == I:
-        K = plane_conjugation_matrix(spec, N)
+        K = plane_conjugation_matrix(spec, shape)
         if K * bar_mat(K, spec.regime) != I:
             raise NotInvolution("K bar(K) != I at generic q")
         K1 = classical_mat(K)
         M = antilinear_fixed_basis(K1)
         # M C1 M^T is the inverse of the metric M^-T C1 M^-1 (C1 C1 = 1);
         # a real symmetric matrix and its inverse share their signature
-        p, m = signature(M * classical_mat(build_metric(N)) * M.transpose())
+        p, m = signature(M * classical_mat(shape.C) * M.transpose())
         return RealFormLabel.so(p, m, spec.regime)
     if G2 == -I and spec.base == STAR:
-        dsec = _dsecond_from(G, N)
-        if dsec is not None and check_sostar(N, dsec):
+        dsec = _dsecond_from(G, shape)
+        if dsec is not None and check_sostar(shape, dsec):
             return RealFormLabel.sostar(N, spec.regime)
     raise Unclassifiable(f"no classification branch applies to {spec!r}")
 
@@ -382,30 +386,31 @@ def symplectic_j(N):
     return SqMat(N, entries)
 
 
-def check_sostar(N, Dsec, mpp=None):
-    """SO*(2n) structure checks at q = 1.
+def check_sostar_basis(Mpp, shape):
+    """The SO*(2n) checks at q = 1 that depend only on N, for a basis Mpp:
 
-    (i) the M'' basis turns the metric into the identity: M''^t M'' = C;
+    (i) Mpp turns the metric into the identity: Mpp^t Mpp = C;
     (ii) the canonical D''_1 conjugation transports to O bar = J O J^-1,
-        i.e. bar(M'') C^t D''_1 M''^-1 = J up to one global unit, where
-        M''^-1 = C M''^t by (i) and C C = 1;
-    (iii) the given D'' reduces to D''_1 through the pair-swap witness A.
+        i.e. bar(Mpp) C^t D''_1 Mpp^-1 = J up to one global unit, where
+        Mpp^-1 = C Mpp^t by (i) and C C = 1.
     """
-    shape = GroupShape(N)
-    if shape.odd:
-        raise BadN("SO* requires even N")
-    n = shape.n
-    C = build_metric(N)
-    Mpp = mpp if mpp is not None else build_mpp(N)
+    C, D1 = shape.C, dsecond_canonical(shape.N)  # BadFamily for odd N
     if classical_mat(Mpp.transpose() * Mpp) != classical_mat(C):
         return False
-
-    D1 = dsecond_canonical(N)
     X = classical_mat(bar_mat(Mpp, ConjRegime.REAL_Q) * C.transpose() * D1.mat
                       * C * Mpp.transpose())
-    if _match_up_to_unit(X, symplectic_j(N)) is None:
-        return False
+    return _match_up_to_unit(X, symplectic_j(shape.N)) is not None
 
+
+def check_sostar(shape, Dsec):
+    """SO*(2n) structure checks at q = 1: steps (i) and (ii) of
+    `check_sostar_basis` on M'', run once per shape, then (iii) the given
+    D'' reduces to D''_1 through the pair-swap witness A."""
+    if not shape.once("sostar_basis",
+                      lambda: check_sostar_basis(build_mpp(shape.N), shape)):
+        return False
+    N, n = shape.N, shape.n
+    D1 = dsecond_canonical(N)
     # pair-swap permutation sending the given eps pattern to D''_1
     one = Scalar.one()
     entries = {}
@@ -420,7 +425,7 @@ def check_sostar(N, Dsec, mpp=None):
     A = SqMat(N, entries)
     if A * Dsec.mat != D1.mat * A:
         return False
-    C1 = classical_mat(C)
+    C1 = classical_mat(shape.C)
     if A.transpose() * C1 * A != C1:
         return False
     lhs = C1.transpose() * Dsec.mat * A
@@ -428,7 +433,7 @@ def check_sostar(N, Dsec, mpp=None):
     return _match_up_to_unit(lhs, rhs) is not None
 
 
-def check_equivalence_witness(A, spec1, spec2, N, at_q1=False):
+def check_equivalence_witness(A, spec1, spec2, shape, at_q1=False):
     """Verify that the automorphism alpha(T) = A T A^-1 intertwines the two
     conjugations: G1 A = lam bar(A) G2 for cross, C^t G1 A = lam bar(A) C^t G2
     for star, with lam a unit scalar.  A itself must satisfy the automorphism
@@ -440,11 +445,11 @@ def check_equivalence_witness(A, spec1, spec2, N, at_q1=False):
     if spec1.base != spec2.base or spec1.regime is not spec2.regime:
         raise ValueError("witness requires specs with a common base and regime")
     regime = spec1.regime
-    C = build_metric(N)
+    N, C = shape.N, shape.C
     if at_q1:
         C = classical_mat(C)
     else:
-        R = build_R(N)
+        R = shape.R
         A1 = kron_embed(A, 1, N, 2)
         A2 = kron_embed(A, 2, N, 2)
         if R * A1 * A2 != A2 * A1 * R:
@@ -482,13 +487,6 @@ class CountResult:
         return f"<CountResult {self.count} forms>"
 
 
-def _row(spec, N):
-    label = classify(spec, N)
-    sig = label.signature
-    return {"spec": spec.to_json(), "label": str(label),
-            "signature": list(sig) if sig else None}
-
-
 def count_real_forms(N, regime):
     """Inequivalent conjugations with their labels.
 
@@ -515,7 +513,8 @@ def count_real_forms(N, regime):
         specs.append(ConjugationSpec(CROSS, [], regime))
         if not shape.odd:
             specs.append(ConjugationSpec(CROSS, [canonical_D(N)], regime))
-    rows = [_row(spec, N) for spec in specs]
+    rows = [dict(classify(spec, shape).to_json(), spec=spec.to_json())
+            for spec in specs]
     caveat = ("N=8 admits outer triality automorphisms beyond these families; "
               "the table lists only the D-matrix classes" if N == 8 else None)
     return CountResult(len(rows), rows, caveat)

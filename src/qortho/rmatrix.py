@@ -1,4 +1,8 @@
-"""Construction of the SO_q(N) R matrix, metric, and tensor projectors."""
+"""Construction of the SO_q(N) R matrix, metric, and tensor projectors.
+
+The builders take N.  The per-N `GroupShape` builds the metric, R and the
+projectors at most once each; `check_r_reality` and the checks in realforms,
+qplane and cli take it instead of N."""
 
 from fractions import Fraction
 
@@ -8,21 +12,42 @@ from .scalars import ConjRegime, Scalar
 
 
 class GroupShape:
-    """N with its derived index data: n = floor(N/2), parity, and for odd
-    N the self-prime middle index n2 = (N+1)/2."""
+    """SO_q(N) for one N, and the only place N is validated: n = floor(N/2),
+    parity, for odd N the self-prime middle index n2 = (N+1)/2, and the
+    N-only values C (the metric), R and projectors (P0, PA, PS, Rhat), each
+    built by its builder on first use and then kept.  `once` keeps any
+    other N-only value the same way.  Attributes cannot be rebound and kept
+    values are immutable, so one shape serves every check of a run."""
 
-    __slots__ = ("N", "n", "odd", "n2")
+    __slots__ = ("N", "n", "odd", "n2", "_kept")
 
     def __init__(self, N):
         if not isinstance(N, int) or N < 3:
-            raise BadN(f"N must be an integer >= 3, got {N}")
-        self.N = N
-        self.n = N // 2
-        self.odd = N % 2 == 1
-        self.n2 = (N + 1) // 2 if self.odd else None
+            raise BadN(f"N must be an integer at least 3, got {N}")
+        for name, value in (("N", N), ("n", N // 2), ("odd", N % 2 == 1),
+                            ("n2", (N + 1) // 2 if N % 2 else None),
+                            ("_kept", {})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GroupShape is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GroupShape is immutable: cannot delete {name!r}")
 
     def prime(self, a):
         return self.N + 1 - a
+
+    def once(self, key, build):
+        """The value kept under key, from build() on first use."""
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
+
+    C = property(lambda self: self.once("C", lambda: build_metric(self.N)))
+    R = property(lambda self: self.once("R", lambda: build_R(self.N)))
+    projectors = property(lambda self: self.once(
+        "projectors", lambda: build_projectors(self.R, self.N)))
 
 
 def build_rho(N):
@@ -135,8 +160,9 @@ def build_rhat(R, N):
     return SqMat._of(N * N, out)
 
 
-def build_projectors(N):
-    """Trace projector P0, q-antisymmetrizer PA, and PS = I - PA - P0.
+def build_projectors(R, N):
+    """Trace projector P0, q-antisymmetrizer PA, PS = I - PA - P0, and the
+    flipped R matrix Rhat of R, the R matrix of SO_q(N).
 
     PA = (q + q^-1)^-1 (-Rhat + q I - (q - q^(1-N)) P0); q is the unique
     coefficient of I making PA a projector orthogonal to P0.
@@ -145,18 +171,15 @@ def build_projectors(N):
     qi = Scalar.q_power(-1)
     rho = build_rho(N)
     shape = GroupShape(N)
-    lam_metric = Scalar.zero()
-    for e in range(1, N + 1):
-        lam_metric = lam_metric + Scalar.q_power(-2 * rho[e - 1])
+    coef = sum((Scalar.q_power(-2 * r) for r in rho), Scalar.zero()).inv()
     p0 = {}
-    coef = lam_metric.inv()
     for a in range(1, N + 1):
         for c in range(1, N + 1):
             row = pack((a, shape.prime(a)), N)
             col = pack((c, shape.prime(c)), N)
             p0[(row, col)] = coef * Scalar.q_power(-rho[a - 1] - rho[c - 1])
     P0 = SqMat(N * N, p0)
-    Rhat = build_rhat(build_R(N), N)
+    Rhat = build_rhat(R, N)
     I = SqMat.identity(N * N)
     PA = ((q + qi).inv()) * (-Rhat + q * I - (q - Scalar.q_power(1 - N)) * P0)
     PS = I - PA - P0
@@ -172,12 +195,12 @@ def check_char_eq(Rhat, N):
     return prod.is_zero()
 
 
-def check_r_reality(R, regime):
-    """Reality of R: bar(R) = R^-1 for |q| = 1; bar(R^{ab}_{cd}) = R^{dc}_{ba}
-    for q real."""
-    N = round(R.dim ** 0.5)
-    if N * N != R.dim:
-        raise BadN(f"dim {R.dim} is not a square")
+def check_r_reality(R, shape, regime):
+    """Reality of an R matrix R of SO_q(N), N = shape.N: bar(R) = R^-1 for
+    |q| = 1; bar(R^{ab}_{cd}) = R^{dc}_{ba} for q real."""
+    N = shape.N
+    if R.dim != N * N:
+        raise BadN(f"R has dim {R.dim}, expected {N * N}")
     if regime is ConjRegime.UNIT_MODULUS_Q:
         return bar_mat(R, regime) == inverse(R)
     flipped = {}

@@ -23,8 +23,8 @@ from qortho.realforms import (
     enumerate_autos, plane_conjugation_matrix,
 )
 from qortho.rmatrix import (
-    GroupShape, build_metric, build_projectors, build_R, build_rho,
-    check_char_eq, check_r_reality, check_ybe,
+    GroupShape, build_metric, build_R, build_rho, check_char_eq,
+    check_r_reality, check_ybe,
 )
 from qortho.scalars import ConjRegime, Scalar
 
@@ -86,7 +86,7 @@ def test_03_projector_algebra_and_characteristic_equation():
     with acceptance("03 projector idempotence, orthogonality, completeness, "
                     "trace, rank, cubic identity for N=3..6"):
         for N in range(3, 7):
-            P0, PA, PS, Rhat = build_projectors(N)
+            P0, PA, PS, Rhat = GroupShape(N).projectors
             I = SqMat.identity(N * N)
             zero = SqMat(N * N, {})
             assert PA * PA == PA, N
@@ -105,9 +105,9 @@ def test_04_r_matrix_reality_in_both_regimes():
     with acceptance("04 R-matrix reality for unit-modulus and real q, "
                     "N=3..6"):
         for N in range(3, 7):
-            R = build_R(N)
-            assert check_r_reality(R, UNIT), N
-            assert check_r_reality(R, REAL), N
+            shape = GroupShape(N)
+            assert check_r_reality(shape.R, shape, UNIT), N
+            assert check_r_reality(shape.R, shape, REAL), N
 
 
 def _all_family_members(N):
@@ -121,11 +121,12 @@ def test_05_automorphism_families_pass_and_corruptions_fail():
     with acceptance("05 automorphism families pass commutation, metric, "
                     "square, reality for N=3..8; corrupted controls fail"):
         for N in range(3, 9):
+            shape = GroupShape(N)
             for m in _all_family_members(N):
-                cert = check_auto_conditions(m, N)
+                cert = check_auto_conditions(m, shape)
                 assert cert["square_sign"] == m.square_sign, (N, m.tag())
-                assert check_reality(m, STAR, N), (N, m.tag())
-                assert check_reality(m, CROSS, N), (N, m.tag())
+                assert check_reality(m, STAR, shape), (N, m.tag())
+                assert check_reality(m, CROSS, shape), (N, m.tag())
         # one corrupted matrix per family, each must fail with a witness
         bad_entries = dict(canonical_D(4).mat.entries)
         bad_entries[(1, 1)] = Scalar.from_frac(2)
@@ -135,7 +136,7 @@ def test_05_automorphism_families_pass_and_corruptions_fail():
         bad_dsecond = SqMat.diag([iu, iu, iu, -iu])  # breaks pair antisymmetry
         for bad in (bad_canonical, bad_dprime, bad_dsecond):
             with pytest.raises(ConditionFailed) as exc:
-                check_auto_conditions(bad, 4)
+                check_auto_conditions(bad, GroupShape(4))
             assert exc.value.witness is not None
 
 
@@ -156,17 +157,17 @@ def test_06_plane_relations_match_canonical_rule_sets():
             (1, 3): NCPoly({(3, 1): one,
                             (2, 2): -(s - Scalar.s_power(-1))}),
         }
-        assert plane_relations(4).pair_rules == four
-        assert plane_relations(3).pair_rules == three
+        assert plane_relations(GroupShape(4)).pair_rules == four
+        assert plane_relations(GroupShape(3)).pair_rules == three
 
 
 def test_07_confluence_passes_and_corrupted_system_yields_witness():
     with acceptance("07 rewriting systems confluent for N=3..6; corrupted "
                     "N=4 system fails with an overlap witness"):
         for N in range(3, 7):
-            ok, witness = check_confluence(plane_relations(N))
+            ok, witness = check_confluence(plane_relations(GroupShape(N)))
             assert ok and witness is None, N
-        rules = dict(plane_relations(4).pair_rules)
+        rules = dict(plane_relations(GroupShape(4)).pair_rules)
         rules[(2, 3)] = NCPoly({(3, 2): q})  # coefficient must be 1
         ok, witness = check_confluence(RewriteSystem(4, rules))
         assert not ok
@@ -186,7 +187,7 @@ def test_08_classification_fixtures():
             (star([dsecond_canonical(4)]), 4, "SO*(4)"),
         ]
         for spec, N, expected in fixtures:
-            assert str(classify(spec, N)) == expected, (N, expected)
+            assert str(classify(spec, GroupShape(N))) == expected, (N, expected)
 
 
 def test_09_real_form_counts_match_quoted_totals():
@@ -216,9 +217,10 @@ def test_10_equivalence_witnesses_verify_exactly():
             n = (N - 1) // 2
             A = SqMat.diag([iu] * n + [one] + [-iu] * n)
             assert check_equivalence_witness(
-                A, cross([canonical_D(N)]), cross([]), N)
+                A, cross([canonical_D(N)]), cross([]), GroupShape(N))
         for N in (4, 6, 8):
             n = N // 2
+            shape = GroupShape(N)
             A = SqMat.diag([-one] * n + [one] * n)
             D = canonical_D(N)
             for dp in enumerate_autos(N, "dprime"):
@@ -229,9 +231,9 @@ def test_10_equivalence_witnesses_verify_exactly():
                     for j, e in enumerate(dp.eps))
                 dp2 = auto_from_signs(N, "dprime", partner)
                 assert check_equivalence_witness(
-                    A, star([D, dp]), star([D, dp2]), N)
-                assert classify(star([D, dp]), N) == \
-                    classify(star([D, dp2]), N)
+                    A, star([D, dp]), star([D, dp2]), shape)
+                assert classify(star([D, dp]), shape) == \
+                    classify(star([D, dp2]), shape)
         for N in (4, 6, 8):
             n = N // 2
             target = dsecond_canonical(N)
@@ -246,16 +248,17 @@ def test_10_equivalence_witnesses_verify_exactly():
                         entries[(j, j)] = one
                         entries[(jp, jp)] = one
                 assert check_equivalence_witness(
-                    SqMat(N, entries), star([ds]), star([target]), N,
-                    at_q1=True)
+                    SqMat(N, entries), star([ds]), star([target]),
+                    GroupShape(N), at_q1=True)
 
 
 def test_11_sostar_structure_for_n4_and_n6():
     with acceptance("11 SO* structure: real basis orthonormality and "
                     "symplectic transport at q=1 for N=4, 6"):
         for N in (4, 6):
+            shape = GroupShape(N)
             for ds in enumerate_autos(N, "dsecond"):
-                assert check_sostar(N, ds), (N, ds.tag())
+                assert check_sostar(shape, ds), (N, ds.tag())
 
 
 def test_12_quotient_embeddings_need_the_scaling():
@@ -270,13 +273,15 @@ def test_12_quotient_embeddings_need_the_scaling():
 def test_13_star_consistency_on_planes():
     with acceptance("13 plane conjugations close on the relation ideal for "
                     "the four fixtures; identity fails for real q"):
-        rs4 = plane_relations(4)
-        rs3 = plane_relations(3)
-        K_star_sharp = plane_conjugation_matrix(star([canonical_D(4)]), 4)
+        rs4 = plane_relations(GroupShape(4))
+        rs3 = plane_relations(GroupShape(3))
+        K_star_sharp = plane_conjugation_matrix(star([canonical_D(4)]),
+                                                GroupShape(4))
         assert check_star_consistency(rs4, K_star_sharp, REAL)
-        K_cross_sharp = plane_conjugation_matrix(cross([canonical_D(4)]), 4)
+        K_cross_sharp = plane_conjugation_matrix(cross([canonical_D(4)]),
+                                                 GroupShape(4))
         assert check_star_consistency(rs4, K_cross_sharp, UNIT)
-        K_star = plane_conjugation_matrix(star([]), 3)
+        K_star = plane_conjugation_matrix(star([]), GroupShape(3))
         assert check_star_consistency(rs3, K_star, REAL)
         K_so21 = build_metric(3).transpose() * SqMat.diag([one, -one, one])
         assert conj_entry_is_negated(K_so21)

@@ -61,6 +61,43 @@ def test_ybe_cap_requires_force():
         assert "--force" in err
 
 
+def count_calls(monkeypatch, module, *names):
+    """Count calls of functions of module, under every qortho module name
+    that refers to them."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, _name=name, _real=real):
+            counts[_name] += 1
+            return _real(*args)
+        for mod in list(sys.modules.values()):
+            if (mod.__name__.startswith("qortho")
+                    and vars(mod).get(name) is real):
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+def test_verify_all_builds_per_n_data_once(monkeypatch):
+    import qortho.rmatrix as rmatrix
+    counts = count_calls(monkeypatch, rmatrix,
+                         "build_R", "build_metric", "build_projectors")
+    code, _, _ = run(["verify-all", "--n", "5"])
+    assert code == 0
+    assert counts == {"build_R": 1, "build_metric": 1, "build_projectors": 1}
+
+
+def test_table_runs_sostar_basis_checks_once(monkeypatch):
+    import qortho.realforms as realforms
+    counts = count_calls(monkeypatch, realforms,
+                         "check_sostar_basis", "check_sostar")
+    code, _, _ = run(["table", "--n", "6", "--regime", "real"])
+    assert code == 0
+    # steps (i) and (ii) once for N = 6, step (iii) for each of the
+    # 2^(n-1) = 4 imaginary-family members
+    assert counts == {"check_sostar_basis": 1, "check_sostar": 4}
+
+
 @pytest.mark.parametrize("error", [RuntimeError, ValueError])
 def test_internal_error_exits_three(monkeypatch, error):
     import qortho.cli as cli

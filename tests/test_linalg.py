@@ -12,7 +12,7 @@ from qortho.linalg import (
     SqMat, antilinear_fixed_basis, bar_mat, classical_mat, inverse,
     kron_embed, pack, rank, signature, unpack,
 )
-from qortho.rmatrix import build_projectors
+from qortho.rmatrix import GroupShape
 from qortho.scalars import ConjRegime, GaussRat, Scalar
 
 ONE = Scalar.one()
@@ -73,7 +73,7 @@ def entrywise_product(A, B):
 
 
 def test_product_kernel_matches_entrywise_reference():
-    P0, PA, _, _ = build_projectors(4)
+    P0, PA, _, _ = GroupShape(4).projectors
     # PA's entries mix the denominators q + q^-1 and sum_e q^(-2 rho_e)
     assert len({tuple(sorted(v.d.items())) for v in PA.entries.values()}) >= 2
     T = Scalar.t_unit()

@@ -1,6 +1,6 @@
 import pytest
 
-from qortho.errors import BadN, QorthoError
+from qortho.errors import BadN, QorthoError, RankMismatch
 from qortho.qplane import (
     NCPoly, RewriteSystem, check_confluence, check_star_consistency,
     conj_poly, normal_form, plane_relations, quotient_check, rules_json,
@@ -8,7 +8,7 @@ from qortho.qplane import (
 from qortho.linalg import SqMat
 from qortho.realforms import CROSS, STAR, ConjugationSpec, canonical_D, \
     plane_conjugation_matrix
-from qortho.rmatrix import build_metric
+from qortho.rmatrix import GroupShape, build_metric
 from qortho.scalars import ConjRegime, Scalar
 
 REAL = ConjRegime.REAL_Q
@@ -44,16 +44,16 @@ def threeplane_rules():
 
 
 def test_fourplane_rules_exact():
-    assert plane_relations(4).pair_rules == fourplane_rules()
+    assert plane_relations(GroupShape(4)).pair_rules == fourplane_rules()
 
 
 def test_threeplane_rules_exact():
-    assert plane_relations(3).pair_rules == threeplane_rules()
+    assert plane_relations(GroupShape(3)).pair_rules == threeplane_rules()
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_rule_count_matches_antisymmetric_rank(N):
-    rs = plane_relations(N)
+    rs = plane_relations(GroupShape(N))
     assert len(rs.pair_rules) == N * (N - 1) // 2
     assert set(rs.pair_rules) == {(a, b) for a in range(1, N + 1)
                                   for b in range(a + 1, N + 1)}
@@ -61,38 +61,47 @@ def test_rule_count_matches_antisymmetric_rank(N):
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_rule_right_sides_are_normal(N):
-    for rhs in plane_relations(N).pair_rules.values():
+    for rhs in plane_relations(GroupShape(N)).pair_rules.values():
         for w in rhs.terms:
             assert all(w[i] >= w[i + 1] for i in range(len(w) - 1))
 
 
 def test_plane_relations_rejects_small_N():
     with pytest.raises(BadN):
-        plane_relations(2)
+        plane_relations(GroupShape(2))
+
+
+def test_rank_mismatch_when_pivots_leave_increasing_pairs(monkeypatch):
+    # with P_A = I every column opens a pivot, the decreasing pairs too
+    import qortho.rmatrix as rmatrix
+    monkeypatch.setattr(rmatrix, "build_projectors", lambda R, N: (
+        None, SqMat.identity(N * N), None, None))
+    with pytest.raises(RankMismatch, match="not the increasing pairs"):
+        plane_relations(GroupShape(3))
 
 
 # -- normal forms -------------------------------------------------------------
 
 
 def test_normal_form_simple_swap():
-    rs = plane_relations(4)
+    rs = plane_relations(GroupShape(4))
     assert normal_form(NCPoly.word((1, 2)), rs) == NCPoly({(2, 1): q})
 
 
 def test_normal_form_middle_pair():
-    rs = plane_relations(4)
+    rs = plane_relations(GroupShape(4))
     nf = normal_form(NCPoly.word((1, 4)), rs)
     assert nf == NCPoly({(4, 1): one, (3, 2): -lam})
 
 
 def test_normal_form_fixed_point_on_normal_word():
-    rs = plane_relations(4)
+    rs = plane_relations(GroupShape(4))
     p = NCPoly.word((4, 3, 1))
     assert normal_form(p, rs) == p
 
 
 def test_normal_form_idempotent_and_linear():
-    rs = plane_relations(4)
+    rs = plane_relations(GroupShape(4))
     p = NCPoly.word((1, 2, 4)) - NCPoly.word((2, 3), lam)
     r = NCPoly.word((1, 4, 2), q)
     nf_p = normal_form(p, rs)
@@ -104,7 +113,7 @@ def test_normal_form_idempotent_and_linear():
 
 def test_normal_degree_two_monomial_count():
     for N in (3, 4, 5):
-        rs = plane_relations(N)
+        rs = plane_relations(GroupShape(N))
         normals = set()
         for a in range(1, N + 1):
             for b in range(1, N + 1):
@@ -114,7 +123,7 @@ def test_normal_degree_two_monomial_count():
 
 
 def test_normal_form_validates_letters():
-    rs = plane_relations(3)
+    rs = plane_relations(GroupShape(3))
     with pytest.raises(ValueError):
         normal_form(NCPoly.word((1, 4)), rs)
 
@@ -124,7 +133,7 @@ def test_normal_form_validates_letters():
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_plane_systems_confluent(N):
-    rs = plane_relations(N)
+    rs = plane_relations(GroupShape(N))
     ok, witness = check_confluence(rs)
     assert ok and witness is None
     assert rs.confluent == "yes"
@@ -181,7 +190,7 @@ def test_rule_must_decrease_before_normalization():
 
 
 def test_rules_are_read_only():
-    base = plane_relations(4)
+    base = plane_relations(GroupShape(4))
     with pytest.raises(TypeError):
         base.pair_rules[(1, 2)] = NCPoly.word((2, 1))
     ext = RewriteSystem(4, base.pair_rules, {3: NCPoly({(2,): one})})
@@ -191,7 +200,7 @@ def test_rules_are_read_only():
 
 def test_rule_terms_are_read_only():
     # a rule changed after certification could rewrite forever: x1x2 -> x1x2x3
-    rs = plane_relations(3)
+    rs = plane_relations(GroupShape(3))
     rule = rs.pair_rules[(1, 2)]
     with pytest.raises(TypeError):
         rule.terms[(1, 2, 3)] = Scalar.one()
@@ -203,7 +212,7 @@ def test_rule_terms_are_read_only():
 
 
 def test_rewrite_system_attributes_cannot_be_rebound():
-    rs = plane_relations(3)
+    rs = plane_relations(GroupShape(3))
     for name in ("N", "pair_rules", "letter_rules"):
         with pytest.raises(AttributeError):
             setattr(rs, name, {})
@@ -220,7 +229,7 @@ def test_rewrite_system_attributes_cannot_be_rebound():
 
 def minkowski_star_K():
     return plane_conjugation_matrix(
-        ConjugationSpec(STAR, [canonical_D(4)], REAL), 4)
+        ConjugationSpec(STAR, [canonical_D(4)], REAL), GroupShape(4))
 
 
 def test_conj_generator_fixture():
@@ -247,20 +256,20 @@ def test_conj_involutive_on_degree_two():
 
 
 def test_star_consistency_minkowski_real():
-    rs = plane_relations(4)
+    rs = plane_relations(GroupShape(4))
     assert check_star_consistency(rs, minkowski_star_K(), REAL)
 
 
 def test_star_consistency_minkowski_unit():
-    rs = plane_relations(4)
+    rs = plane_relations(GroupShape(4))
     K = plane_conjugation_matrix(
-        ConjugationSpec(CROSS, [canonical_D(4)], UNIT), 4)
+        ConjugationSpec(CROSS, [canonical_D(4)], UNIT), GroupShape(4))
     assert check_star_consistency(rs, K, UNIT)
 
 
 def test_star_consistency_three_plane():
-    rs = plane_relations(3)
-    K = plane_conjugation_matrix(ConjugationSpec(STAR, [], REAL), 3)
+    rs = plane_relations(GroupShape(3))
+    K = plane_conjugation_matrix(ConjugationSpec(STAR, [], REAL), GroupShape(3))
     assert K.get(1, 3) == s  # (y1)* = q^(1/2) y3 in this normalization
     assert check_star_consistency(rs, K, REAL)
     # the same conjugation with q-rescaled off-diagonal entries also closes
@@ -270,14 +279,14 @@ def test_star_consistency_three_plane():
 
 def test_star_consistency_so21_plane():
     # K built from raw matrices: the middle sign flip is not a family member
-    rs = plane_relations(3)
+    rs = plane_relations(GroupShape(3))
     K = build_metric(3).transpose() * SqMat.diag([one, -one, one])
     assert conj_poly(NCPoly.gen(2), K, REAL) == NCPoly({(2,): -one})
     assert check_star_consistency(rs, K, REAL)
 
 
 def test_star_consistency_identity_fails_for_real_q():
-    rs = plane_relations(4)
+    rs = plane_relations(GroupShape(4))
     assert not check_star_consistency(rs, SqMat.identity(4), REAL)
 
 
@@ -305,7 +314,7 @@ def test_quotient_argument_validation():
 
 
 def test_quotient_system_reduces_third_generator():
-    base = plane_relations(4)
+    base = plane_relations(GroupShape(4))
     ext = RewriteSystem(4, base.pair_rules,
                         {3: NCPoly({(2,): one})})
     nf = normal_form(NCPoly.word((1, 4)), ext)
@@ -316,7 +325,7 @@ def test_quotient_system_reduces_third_generator():
 
 
 def test_rules_json_shape():
-    dump = rules_json(plane_relations(4))
+    dump = rules_json(plane_relations(GroupShape(4)))
     assert dump[0] == {"lhs": [1, 2],
                        "rhs": [{"word": [2, 1], "coeff": "1*s^2"}]}
     entry = next(e for e in dump if e["lhs"] == [1, 4])

@@ -8,10 +8,11 @@ from qortho.linalg import SqMat, bar_mat, classical_mat, inverse
 from qortho.realforms import (
     CROSS, STAR, AutoMatrix, ConjugationSpec, RealFormLabel, auto_from_signs,
     build_mpp, canonical_D, check_auto_conditions, check_equivalence_witness,
-    check_reality, check_sostar, classify, count_real_forms, dsecond_canonical,
-    enumerate_autos, plane_conjugation_matrix, symplectic_j, _match_up_to_unit,
+    check_reality, check_sostar, check_sostar_basis, classify,
+    count_real_forms, dsecond_canonical, enumerate_autos,
+    plane_conjugation_matrix, symplectic_j, _match_up_to_unit,
 )
-from qortho.rmatrix import build_metric
+from qortho.rmatrix import GroupShape, build_metric
 from qortho.scalars import ConjRegime, Scalar
 
 REAL = ConjRegime.REAL_Q
@@ -108,15 +109,16 @@ def test_families_satisfy_auto_conditions(N):
     autos = [canonical_D(N)] + enumerate_autos(N, "dprime")
     if N % 2 == 0:
         autos += enumerate_autos(N, "dsecond")
+    shape = GroupShape(N)
     for a in autos:
-        cert = check_auto_conditions(a, N)
+        cert = check_auto_conditions(a, shape)
         assert cert["square_sign"] == a.square_sign
 
 
 def test_auto_conditions_reject_bad_diagonal():
     bad = SqMat.diag([one, one, one, Scalar.from_frac(2)])
     with pytest.raises(ConditionFailed) as err:
-        check_auto_conditions(bad, 4)
+        check_auto_conditions(bad, GroupShape(4))
     assert err.value.name == "DCD"
     assert err.value.witness is not None
 
@@ -134,36 +136,36 @@ def test_composed_sharp_dprime_squares_to_plus_one():
 
 def test_reality_all_families_star():
     for N in (4, 5, 6):
-        assert check_reality(canonical_D(N), STAR, N)
+        assert check_reality(canonical_D(N), STAR, GroupShape(N))
         for dp in enumerate_autos(N, "dprime"):
-            assert check_reality(dp, STAR, N)
+            assert check_reality(dp, STAR, GroupShape(N))
         if N % 2 == 0:
             for ds in enumerate_autos(N, "dsecond"):
-                assert check_reality(ds, STAR, N)
+                assert check_reality(ds, STAR, GroupShape(N))
 
 
 def test_reality_all_families_cross():
     for N in (4, 5, 6):
-        assert check_reality(canonical_D(N), CROSS, N)
+        assert check_reality(canonical_D(N), CROSS, GroupShape(N))
         for dp in enumerate_autos(N, "dprime"):
-            assert check_reality(dp, CROSS, N)
+            assert check_reality(dp, CROSS, GroupShape(N))
         if N % 2 == 0:
             for ds in enumerate_autos(N, "dsecond"):
-                assert check_reality(ds, CROSS, N)
+                assert check_reality(ds, CROSS, GroupShape(N))
 
 
 def test_reality_negatives():
     two = Scalar.from_frac(2)
-    assert not check_reality(two * SqMat.identity(4), CROSS, 4)
+    assert not check_reality(two * SqMat.identity(4), CROSS, GroupShape(4))
     skew = SqMat.diag([-one, one, one, one])  # not prime-symmetric
-    assert not check_reality(skew, STAR, 4)
+    assert not check_reality(skew, STAR, GroupShape(4))
 
 
 # -- plane conjugation matrix ----------------------------------------------
 
 
 def test_plane_matrix_star_sharp_N4():
-    K = plane_conjugation_matrix(star([canonical_D(4)]), 4)
+    K = plane_conjugation_matrix(star([canonical_D(4)]), GroupShape(4))
     q = Scalar.q_power(1)
     assert K == SqMat(4, {(1, 4): q, (2, 2): one, (3, 3): one,
                           (4, 1): Scalar.q_power(-1)})
@@ -171,18 +173,18 @@ def test_plane_matrix_star_sharp_N4():
 
 def test_plane_matrix_star_plain_is_metric_transpose():
     for N in (3, 4, 5):
-        K = plane_conjugation_matrix(star([]), N)
+        K = plane_conjugation_matrix(star([]), GroupShape(N))
         assert K == build_metric(N).transpose()
 
 
 def test_plane_matrix_cross_is_composed_auto():
     D = canonical_D(5)
-    assert plane_conjugation_matrix(cross([D]), 5) == D.mat
+    assert plane_conjugation_matrix(cross([D]), GroupShape(5)) == D.mat
 
 
 def test_plane_matrix_refused_for_imaginary_family():
     with pytest.raises(NoPlaneConjugation):
-        plane_conjugation_matrix(star([dsecond_canonical(4)]), 4)
+        plane_conjugation_matrix(star([dsecond_canonical(4)]), GroupShape(4))
 
 
 def test_spec_regime_consistency_enforced():
@@ -196,42 +198,43 @@ def test_spec_regime_consistency_enforced():
 
 
 def test_classify_star_plain_is_compact():
-    assert classify(star([]), 4) == RealFormLabel.so(4, 0, REAL)
-    assert str(classify(star([]), 5)) == "SO(5,0)"
+    assert classify(star([]), GroupShape(4)) == RealFormLabel.so(4, 0, REAL)
+    assert str(classify(star([]), GroupShape(5))) == "SO(5,0)"
 
 
 def test_classify_star_sharp_N4_is_lorentz():
-    assert str(classify(star([canonical_D(4)]), 4)) == "SO(3,1)"
+    assert str(classify(star([canonical_D(4)]), GroupShape(4))) == "SO(3,1)"
 
 
 def test_classify_cross_fixtures():
-    assert str(classify(cross([canonical_D(4)]), 4)) == "SO(3,1)"
-    assert str(classify(cross([]), 4)) == "SO(2,2)"
-    assert str(classify(cross([]), 5)) == "SO(3,2)"
+    assert str(classify(cross([canonical_D(4)]), GroupShape(4))) == "SO(3,1)"
+    assert str(classify(cross([]), GroupShape(4))) == "SO(2,2)"
+    assert str(classify(cross([]), GroupShape(5))) == "SO(3,2)"
 
 
 def test_classify_odd_dprime_gives_so21():
     dp = auto_from_signs(3, "dprime", "-+-")
-    assert str(classify(star([dp]), 3)) == "SO(2,1)"
+    assert str(classify(star([dp]), GroupShape(3))) == "SO(2,1)"
 
 
 def test_witness_pair_shares_label_odd_cross():
     # the sharp twist relabels the metric but not the real form
-    assert classify(cross([canonical_D(5)]), 5) == classify(cross([]), 5)
+    shape = GroupShape(5)
+    assert classify(cross([canonical_D(5)]), shape) == classify(cross([]), shape)
 
 
 def test_classify_sostar():
-    lab = classify(star([dsecond_canonical(4)]), 4)
+    lab = classify(star([dsecond_canonical(4)]), GroupShape(4))
     assert lab == RealFormLabel.sostar(4, REAL)
     assert str(lab) == "SO*(4)"
     for ds in enumerate_autos(6, "dsecond"):
-        assert str(classify(star([ds]), 6)) == "SO*(6)"
+        assert str(classify(star([ds]), GroupShape(6))) == "SO*(6)"
 
 
 def test_classify_rejects_cross_with_imaginary_family():
     spec = ConjugationSpec(CROSS, [dsecond_canonical(4)], UNIT)
     with pytest.raises(Unclassifiable):
-        classify(spec, 4)
+        classify(spec, GroupShape(4))
 
 
 def test_label_signature_normalized():
@@ -245,8 +248,9 @@ def test_label_signature_normalized():
 
 @pytest.mark.parametrize("N", [4, 6])
 def test_sostar_checks_pass(N):
+    shape = GroupShape(N)
     for ds in enumerate_autos(N, "dsecond"):
-        assert check_sostar(N, ds)
+        assert check_sostar(shape, ds)
 
 
 def test_sostar_metric_normalization():
@@ -279,7 +283,7 @@ def test_sostar_fails_on_corrupted_basis():
     entries = dict(Mpp.entries)
     for c in (1, 4):  # flip the sign of the first basis row
         entries[(1, c)] = -entries[(1, c)]
-    assert not check_sostar(N, dsecond_canonical(N), mpp=SqMat(N, entries))
+    assert not check_sostar_basis(SqMat(N, entries), GroupShape(N))
 
 
 # -- equivalence witnesses ----------------------------------------------------
@@ -293,12 +297,14 @@ def odd_cross_witness(N):
 @pytest.mark.parametrize("N", [3, 5, 7])
 def test_witness_odd_cross_sharp_vs_plain(N):
     A = odd_cross_witness(N)
-    assert check_equivalence_witness(A, cross([canonical_D(N)]), cross([]), N)
+    assert check_equivalence_witness(A, cross([canonical_D(N)]), cross([]),
+                                     GroupShape(N))
 
 
 @pytest.mark.parametrize("N", [4, 6, 8])
 def test_witness_even_star_sharp_dprime_pairs(N):
     n = N // 2
+    shape = GroupShape(N)
     A = SqMat.diag([-one] * n + [one] * n)
     D = canonical_D(N)
     for dp in enumerate_autos(N, "dprime"):
@@ -308,8 +314,9 @@ def test_witness_even_star_sharp_dprime_pairs(N):
             "-" if (e == 1) != (j in (n - 1, n)) else "+"
             for j, e in enumerate(dp.eps))
         dp2 = auto_from_signs(N, "dprime", partner_signs)
-        assert check_equivalence_witness(A, star([D, dp]), star([D, dp2]), N)
-        assert classify(star([D, dp]), N) == classify(star([D, dp2]), N)
+        assert check_equivalence_witness(A, star([D, dp]), star([D, dp2]),
+                                         shape)
+        assert classify(star([D, dp]), shape) == classify(star([D, dp2]), shape)
 
 
 @pytest.mark.parametrize("N", [4, 6, 8])
@@ -328,25 +335,26 @@ def test_witness_imaginary_reduction_at_q1(N):
                 entries[(j, j)] = one
                 entries[(jp, jp)] = one
         A = SqMat(N, entries)
-        assert check_equivalence_witness(A, star([ds]), star([target]), N,
-                                         at_q1=True)
+        assert check_equivalence_witness(A, star([ds]), star([target]),
+                                         GroupShape(N), at_q1=True)
 
 
 def test_witness_identity_fails_between_distinct_specs():
     with pytest.raises(IdentityFailed):
         check_equivalence_witness(SqMat.identity(5), cross([canonical_D(5)]),
-                                  cross([]), 5)
+                                  cross([]), GroupShape(5))
 
 
 def test_witness_requires_automorphism():
     A = SqMat.diag([one, Scalar.from_frac(2), one, one])
     with pytest.raises(WitnessNotAutomorphism):
-        check_equivalence_witness(A, cross([]), cross([]), 4)
+        check_equivalence_witness(A, cross([]), cross([]), GroupShape(4))
 
 
 def test_witness_requires_matching_base():
     with pytest.raises(ValueError):
-        check_equivalence_witness(SqMat.identity(4), star([]), cross([]), 4)
+        check_equivalence_witness(SqMat.identity(4), star([]), cross([]),
+                                  GroupShape(4))
 
 
 # -- counting -----------------------------------------------------------------

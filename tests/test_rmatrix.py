@@ -7,8 +7,8 @@ import pytest
 from qortho.errors import BadN
 from qortho.linalg import SqMat, classical_mat, pack, rank
 from qortho.rmatrix import (
-    GroupShape, build_metric, build_projectors, build_R, build_rhat,
-    build_rho, check_char_eq, check_r_reality, check_ybe,
+    GroupShape, build_metric, build_R, build_rhat, build_rho, check_char_eq,
+    check_r_reality, check_ybe,
 )
 from qortho.scalars import ConjRegime, Scalar
 
@@ -40,6 +40,20 @@ def test_bad_n():
         build_R(0)
     with pytest.raises(BadN):
         GroupShape(3.0)
+
+
+def test_group_shape_keeps_each_value_and_is_frozen():
+    shape = GroupShape(4)
+    assert shape.C is shape.C and shape.C == build_metric(4)
+    assert shape.R is shape.R and shape.R == build_R(4)
+    assert shape.projectors is shape.projectors
+    assert shape.projectors[3] == build_rhat(shape.R, 4)
+    for name in ("N", "n", "odd", "n2", "_kept", "C", "R", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(shape, name, None)
+    with pytest.raises(AttributeError):
+        del shape.N
+    assert shape.N == 4 and shape.R == build_R(4)
 
 
 def test_metric_entries():
@@ -97,7 +111,7 @@ def test_ybe_negative():
 
 def test_projector_algebra():
     for N in (3, 4, 5):
-        P0, PA, PS, Rhat = build_projectors(N)
+        P0, PA, PS, Rhat = GroupShape(N).projectors
         I = SqMat.identity(N * N)
         assert PA * PA == PA
         assert P0 * P0 == P0
@@ -126,9 +140,9 @@ def test_char_eq_negative():
 
 def test_r_reality():
     for N in (3, 4, 5):
-        R = build_R(N)
-        assert check_r_reality(R, ConjRegime.REAL_Q)
-        assert check_r_reality(R, ConjRegime.UNIT_MODULUS_Q)
+        shape = GroupShape(N)
+        assert check_r_reality(shape.R, shape, ConjRegime.REAL_Q)
+        assert check_r_reality(shape.R, shape, ConjRegime.UNIT_MODULUS_Q)
 
 
 def test_r_reality_negative():
@@ -137,7 +151,8 @@ def test_r_reality_negative():
     bad = dict(R.entries)
     key = (pack((1, 1), N), pack((1, 1), N))
     bad[key] = bad[key] * Scalar.i_unit()
-    assert not check_r_reality(SqMat(N * N, bad), ConjRegime.REAL_Q)
+    assert not check_r_reality(SqMat(N * N, bad), GroupShape(N),
+                               ConjRegime.REAL_Q)
 
 
 def test_rhat_flip():
