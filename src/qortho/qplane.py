@@ -323,15 +323,13 @@ def check_star_consistency(rs, K, regime):
     return True
 
 
-def quotient_check(sign, n_from=4, include_scaling=True):
+def quotient_check(sign, include_scaling=True):
     """Embed the three-generator plane into the N=4 plane modulo x3 = (+-)x2.
 
     The substitution is y1 -> x1, y2 -> t*x2 (i*t*x2 for the minus sign,
     with t*t = s + 1/s), y3 -> x4; every three-generator relation must
     normalize to zero in the quotient system.  With include_scaling False
     the t factor is dropped, which is the documented failure mode."""
-    if n_from != 4:
-        raise BadN("the quotient embedding is defined from the N=4 plane")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     base = plane_relations(GroupShape(4))

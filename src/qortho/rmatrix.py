@@ -165,24 +165,35 @@ def build_projectors(R, N):
     flipped R matrix Rhat of R, the R matrix of SO_q(N).
 
     PA = (q + q^-1)^-1 (-Rhat + q I - (q - q^(1-N)) P0); q is the unique
-    coefficient of I making PA a projector orthogonal to P0.
+    coefficient of I making PA a projector orthogonal to P0.  Likewise
+    PS = (q + q^-1)^-1 (Rhat + q^-1 I - (q^-1 + q^(1-N)) P0).  An entry of
+    P0 is a power of q over D = sum_e q^(-2 rho_e), so an entry of PA or PS
+    is a Laurent polynomial over q + q^-1 plus, on P0's support, a power of
+    q times one constant: at most two gcds per entry.
     """
     q = Scalar.q_power(1)
     qi = Scalar.q_power(-1)
     rho = build_rho(N)
     shape = GroupShape(N)
-    coef = sum((Scalar.q_power(-2 * r) for r in rho), Scalar.zero()).inv()
-    p0 = {}
-    for a in range(1, N + 1):
-        for c in range(1, N + 1):
-            row = pack((a, shape.prime(a)), N)
-            col = pack((c, shape.prime(c)), N)
-            p0[(row, col)] = coef * Scalar.q_power(-rho[a - 1] - rho[c - 1])
-    P0 = SqMat(N * N, p0)
+    Dinv = sum((Scalar.q_power(-2 * r) for r in rho), Scalar.zero()).inv()
+    Einv = (q + qi).inv()
+    mono = {(pack((a, shape.prime(a)), N), pack((c, shape.prime(c)), N)):
+            Scalar.q_power(-rho[a - 1] - rho[c - 1])
+            for a in range(1, N + 1) for c in range(1, N + 1)}
+    P0 = SqMat(N * N, {k: Dinv * m for k, m in mono.items()})
     Rhat = build_rhat(R, N)
     I = SqMat.identity(N * N)
-    PA = ((q + qi).inv()) * (-Rhat + q * I - (q - Scalar.q_power(1 - N)) * P0)
-    PS = I - PA - P0
+
+    def over_e(num, c):
+        # (num - c P0) / (q + q^-1), entry by entry
+        K = -c * Einv * Dinv
+        out = {k: v * Einv for k, v in num.entries.items()}
+        for k, m in mono.items():
+            out[k] = out[k] + K * m if k in out else K * m
+        return SqMat(N * N, out)
+
+    PA = over_e(q * I - Rhat, q - Scalar.q_power(1 - N))
+    PS = over_e(Rhat + qi * I, qi + Scalar.q_power(1 - N))
     return P0, PA, PS, Rhat
 
 

@@ -281,6 +281,7 @@ def _lp_divexact(a, g):
 
 
 _ONE_POLY = {0: GaussRat(1)}
+_ONE_KEY = ((0, 1, 0, 1),)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +325,14 @@ class Scalar:
                 n0, n1, d = _lp_scale(n0, ci), _lp_scale(n1, ci), _lp_scale(d, ci)
         self.n0, self.n1, self.d = n0, n1, d
         self._key = (_freeze(n0), _freeze(n1), _freeze(d))
+
+    @staticmethod
+    def _of(n0, n1, d, key):
+        """Trusted constructor: (n0 + t*n1)/d is already canonical, key is
+        its frozen form, and no caller mutates the dicts afterwards."""
+        x = Scalar.__new__(Scalar)
+        x.n0, x.n1, x.d, x._key = n0, n1, d, key
+        return x
 
     # -- constructors -------------------------------------------------------
 
@@ -388,12 +397,15 @@ class Scalar:
         return _as_scalar(other) + (-self)
 
     def __neg__(self):
-        return Scalar(_lp_neg(self.n0), _lp_neg(self.n1), self.d)
+        return _unit_product(self, _MINUS_ONE)
 
     def __mul__(self, other):
         other = _try_scalar(other)
         if other is None:
             return NotImplemented
+        x = _unit_product(self, other)
+        if x is not None:
+            return x
         n0, n1 = {}, {}
         _add_product(self, other, n0, n1)
         return Scalar(n0, n1, _lp_mul(self.d, other.d))
@@ -402,13 +414,28 @@ class Scalar:
 
     @staticmethod
     def sum_of_products(pairs):
-        """The sum of v*w over an iterable of (v, w) Scalar pairs.
+        """The sum of v*w over a list of (v, w) Scalar pairs.
 
-        Numerators are multiplied raw and summed in one bucket per distinct
+        Two branches build the canonical result directly, with no gcd:
+        a single pair with a unit monomial factor c*s^k (the other factor
+        with its exponents shifted and coefficients scaled), and pairs whose
+        denominators are all 1 (one summed numerator over 1).  Otherwise
+        numerators are multiplied raw and summed in one bucket per distinct
         pair of denominators; each bucket becomes one canonical Scalar and
-        the few buckets are then added.  A sum of k products thus costs one
+        the few buckets are then added, so a sum of k products costs one
         canonicalisation per bucket instead of two per term.
         """
+        if len(pairs) == 1:
+            x = _unit_product(*pairs[0])
+            if x is not None:
+                return x
+        if all(len(v.d) == 1 and len(w.d) == 1 for v, w in pairs):
+            n0, n1 = {}, {}
+            for v, w in pairs:
+                _add_product(v, w, n0, n1)
+            n0 = {k: c for k, c in n0.items() if not c.is_zero()}
+            n1 = {k: c for k, c in n1.items() if not c.is_zero()}
+            return Scalar._of(n0, n1, _ONE_POLY, (_freeze(n0), _freeze(n1), _ONE_KEY))
         buckets = {}
         for v, w in pairs:
             key = (v._key[2], w._key[2])
@@ -495,6 +522,28 @@ def _freeze(p):
     return tuple(sorted((k, v.a, v.b, v.d) for k, v in p.items()))
 
 
+def _unit_product(v, w):
+    # v*w when one factor is a unit monomial c*s^k, else None.  A unit
+    # times a canonical Scalar is canonical: only its numerator changes.
+    if len(v.n0) == 1 and not v.n1 and len(v.d) == 1:
+        v, w = w, v
+    elif len(w.n0) != 1 or w.n1 or len(w.d) != 1:
+        return None
+    (k, c), = w.n0.items()  # w is now the unit
+    n0, n1, key = v.n0, v.n1, v._key
+    if c.is_one():
+        if not k:
+            return v
+        # shifting keeps the frozen terms sorted
+        return Scalar._of({e + k: a for e, a in n0.items()},
+                          {e + k: a for e, a in n1.items()}, v.d,
+                          (tuple((e + k, a, b, d) for e, a, b, d in key[0]),
+                           tuple((e + k, a, b, d) for e, a, b, d in key[1]), key[2]))
+    n0 = {e + k: a * c for e, a in n0.items()}
+    n1 = {e + k: a * c for e, a in n1.items()}
+    return Scalar._of(n0, n1, v.d, (_freeze(n0), _freeze(n1), key[2]))
+
+
 def _add_product(v, w, n0, n1):
     # n0 + t*n1 += numerator of v*w, in place, zero coefficients kept:
     # (a0 + t a1)(b0 + t b1) = a0 b0 + (s + s^-1) a1 b1 + t (a0 b1 + a1 b0)
@@ -534,4 +583,5 @@ def _as_scalar(x):
 
 _ZERO = Scalar()
 _ONE = Scalar({0: GaussRat(1)})
+_MINUS_ONE = Scalar({0: GaussRat(-1)})
 

@@ -1,6 +1,7 @@
 """Sparse exact matrices: products, embeddings, inverse, signature,
 antilinear fixed bases."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,31 @@ def test_product_kernel_matches_entrywise_reference():
     assert PA * PA == PA
     # P_A P_0 = 0: every entry cancels and none is stored
     assert not (PA * P0).entries
+
+
+def random_mixed_matrix(rng, dim):
+    # about half the slots filled, each with a unit monomial, a Laurent
+    # polynomial (sometimes with t) or a rational entry
+    T = Scalar.t_unit()
+    pools = (
+        [c * sp(k) for c in (ONE, -ONE, I_, Scalar.from_frac(Fraction(-1, 3)))
+         for k in (-2, 0, 3)],
+        [sp(1) + sp(-1), sp(2) - 2 * sp(-2), ONE + T * sp(1), T - I_],
+        [ONE / (ONE + sp(1)), (sp(1) - ONE) / (sp(2) + ONE), T / (sp(1) - I_)],
+    )
+    return SqMat(dim, {(r, c): rng.choice(rng.choice(pools))
+                       for r in range(1, dim + 1) for c in range(1, dim + 1)
+                       if rng.random() < 0.5})
+
+
+def test_product_of_mixed_entries_matches_entrywise_reference():
+    rng = random.Random(7)
+    for _ in range(20):
+        A, B = random_mixed_matrix(rng, 4), random_mixed_matrix(rng, 4)
+        product = A * B
+        assert dict(product.entries) == entrywise_product(A, B)
+        for v in product.entries.values():
+            assert Scalar(v.n0, v.n1, v.d)._key == v._key
 
 
 def test_dim_mismatch():

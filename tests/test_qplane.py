@@ -309,8 +309,6 @@ def test_quotient_fails_without_scaling():
 def test_quotient_argument_validation():
     with pytest.raises(ValueError):
         quotient_check(0)
-    with pytest.raises(BadN):
-        quotient_check(1, n_from=5)
 
 
 def test_quotient_system_reduces_third_generator():

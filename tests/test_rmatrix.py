@@ -1,5 +1,6 @@
 """R matrix, metric, and projector identities."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -156,8 +157,9 @@ def test_r_reality_negative():
 
 
 def test_rhat_flip():
-    N = 3
-    R = build_R(N)
-    Rhat = build_rhat(R, N)
-    assert Rhat.get(pack((1, 2), N), pack((1, 2), N)) == R_(R, N, (2, 1), (1, 2))
-    assert Rhat * Rhat.transpose() is not None  # structural smoke only
+    for N in (3, 4):
+        R = build_R(N)
+        Rhat = build_rhat(R, N)
+        assert len(Rhat.entries) == len(R.entries)
+        for a, b, c, d in itertools.product(range(1, N + 1), repeat=4):
+            assert R_(Rhat, N, (a, b), (c, d)) == R_(R, N, (b, a), (c, d))

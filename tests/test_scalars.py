@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import qortho
 from qortho.errors import DivisionByZero, PoleAtOne, ResidualT
-from qortho.scalars import ConjRegime, GaussRat, Scalar
+from qortho.scalars import ConjRegime, GaussRat, Scalar, _add_product, _lp_mul
 
 REAL = ConjRegime.REAL_Q
 UNIT = ConjRegime.UNIT_MODULUS_Q
@@ -205,6 +205,67 @@ def test_sum_of_products_matches_mul_and_add(pairs):
     total = Scalar.sum_of_products(pairs)
     assert total == expected
     assert str(total) == str(expected)
+
+
+# --- products that skip canonicalisation ------------------------------------
+
+def reference_product(v, w):
+    # v*w through the canonicalising constructor, bypassing both branches
+    n0, n1 = {}, {}
+    _add_product(v, w, n0, n1)
+    return Scalar(n0, n1, _lp_mul(v.d, w.d))
+
+
+def assert_same_canonical(got, expected):
+    assert got._key == expected._key and str(got) == str(expected)
+    assert Scalar(got.n0, got.n1, got.d)._key == got._key
+
+
+def assert_keys_kept(factors, keys):
+    # rebuilt from their dicts, the factors still have the keys they had
+    assert [Scalar(x.n0, x.n1, x.d)._key for x in factors] == keys
+
+
+# integer Gaussian coefficients keep example generation cheap
+int_polys = st.dictionaries(st.integers(-3, 3),
+                            st.builds(GaussRat, st.integers(-3, 3), st.integers(-3, 3)),
+                            max_size=3)
+int_laurent = st.builds(Scalar, int_polys, int_polys)
+int_rational = st.builds(Scalar, int_polys, int_polys,
+                         int_polys.filter(lambda p: any(not v.is_zero() for v in p.values())))
+unit_monomials = st.builds(
+    lambda c, k: Scalar({k: c}),
+    st.sampled_from([GaussRat(1), GaussRat(-1), GaussRat(0, 1), GaussRat(0, -1),
+                     GaussRat(2), GaussRat(Fraction(-1, 3))]),
+    st.integers(-3, 3))
+
+
+@given(unit_monomials, int_rational, st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_unit_monomial_product_is_canonical(u, x, swap):
+    pair = (x, u) if swap else (u, x)
+    keys = [u._key, x._key]
+    expected = reference_product(*pair)
+    assert_same_canonical(Scalar.sum_of_products([pair]), expected)
+    assert_same_canonical(pair[0] * pair[1], expected)
+    assert_same_canonical(-x, reference_product(x, -ONE))
+    if u == ONE:  # a factor object itself, not a copy
+        for product in (Scalar.sum_of_products([pair]), u * x):
+            assert any(product is f for f in pair)
+    assert_keys_kept([u, x], keys)
+
+
+@given(st.lists(st.tuples(int_laurent, int_laurent), max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_polynomial_sum_of_products_is_canonical(pairs):
+    keys = [x._key for pair in pairs for x in pair]
+    expected = ZERO
+    for v, w in pairs:
+        expected = expected + reference_product(v, w)
+    total = Scalar.sum_of_products(pairs)
+    assert_same_canonical(total, expected)
+    assert total.d == {0: GaussRat(1)}
+    assert_keys_kept([x for pair in pairs for x in pair], keys)
 
 
 @given(scalars(), scalars())
