@@ -73,88 +73,58 @@ def canonical_D(N):
     return AutoMatrix("canonical", N, None, SqMat(N, entries), +1)
 
 
-def _dprime(N, eps):
+# family -> (mirror sign m, unit u): the member is u diag(eps) with
+# eps_j' = m eps_j, and it squares to m
+_FAMILIES = {"dprime": (1, Scalar.one()), "dsecond": (-1, Scalar.i_unit())}
+
+
+def _family(shape, family):
+    if family not in _FAMILIES:
+        raise BadFamily(f"unknown family {family!r}")
+    mirror, unit = _FAMILIES[family]
+    if shape.odd and mirror < 0:
+        raise BadFamily(f"{family} exists only for even N")
+    return mirror, unit
+
+
+def _member(N, family, eps):
     shape = GroupShape(N)
+    mirror, unit = _family(shape, family)
     if len(eps) != N or any(e not in (1, -1) for e in eps):
         raise BadFamily(f"eps must be a length-{N} sign vector")
     for j in range(1, N + 1):
-        if eps[j - 1] != eps[shape.prime(j) - 1]:
-            raise BadFamily(f"dprime requires eps_j = eps_j' (j={j})")
-    if shape.odd:
-        if eps[shape.n2 - 1] != 1:
-            raise BadFamily("dprime middle entry must be +1")
-    elif eps[shape.n - 1] != 1 or eps[shape.n] != 1:
-        raise BadFamily("dprime entries n and n+1 must be +1")
-    mat = SqMat(N, {(a, a): Scalar.from_frac(eps[a - 1]) for a in range(1, N + 1)})
-    return AutoMatrix("dprime", N, tuple(eps), mat, +1)
-
-
-def _dsecond(N, eps):
-    shape = GroupShape(N)
-    if shape.odd:
-        raise BadFamily("dsecond exists only for even N")
-    if len(eps) != N or any(e not in (1, -1) for e in eps):
-        raise BadFamily(f"eps must be a length-{N} sign vector")
-    for j in range(1, N + 1):
-        if eps[j - 1] != -eps[shape.prime(j) - 1]:
-            raise BadFamily(f"dsecond requires eps_j = -eps_j' (j={j})")
-    if eps[shape.n - 1] != 1 or eps[shape.n] != -1:
-        raise BadFamily("dsecond must have eps_n = 1, eps_n+1 = -1")
-    i = Scalar.i_unit()
-    mat = SqMat(N, {(a, a): i * Scalar.from_frac(eps[a - 1]) for a in range(1, N + 1)})
-    return AutoMatrix("dsecond", N, tuple(eps), mat, -1)
+        if eps[shape.prime(j) - 1] != mirror * eps[j - 1]:
+            sign = "-" if mirror < 0 else ""
+            raise BadFamily(f"{family} requires eps_j' = {sign}eps_j (j={j})")
+    # the middle entry for odd N, entry n for even N (n+1 then mirrors it)
+    mid = shape.n2 or shape.n
+    if eps[mid - 1] != 1:
+        raise BadFamily(f"{family} requires eps_{mid} = +1")
+    mat = SqMat(N, {(a, a): unit * e for a, e in enumerate(eps, start=1)})
+    return AutoMatrix(family, N, tuple(eps), mat, mirror)
 
 
 def dsecond_canonical(N):
     """D''_1 = i diag(1, ..., 1, -1, ..., -1)."""
     n = GroupShape(N).n
-    return _dsecond(N, (1,) * n + (-1,) * n)
+    return _member(N, "dsecond", (1,) * n + (-1,) * n)
 
 
 def enumerate_autos(N, family):
     """Full family in lexicographic sign order (+ before -)."""
-    shape = GroupShape(N)
-    n = shape.n
     if family == "canonical":
         return [canonical_D(N)]
-    if family == "dprime":
-        free = n if shape.odd else n - 1
-        out = []
-        for signs in itertools.product((1, -1), repeat=free):
-            eps = [0] * N
-            for j, e in enumerate(signs, start=1):
-                eps[j - 1] = e
-                eps[shape.prime(j) - 1] = e
-            if shape.odd:
-                eps[shape.n2 - 1] = 1
-            else:
-                eps[n - 1] = eps[n] = 1
-            out.append(_dprime(N, tuple(eps)))
-        return out
-    if family == "dsecond":
-        if shape.odd:
-            raise BadFamily("dsecond exists only for even N")
-        out = []
-        for signs in itertools.product((1, -1), repeat=n - 1):
-            eps = [0] * N
-            for j, e in enumerate(signs, start=1):
-                eps[j - 1] = e
-                eps[shape.prime(j) - 1] = -e
-            eps[n - 1] = 1
-            eps[n] = -1
-            out.append(_dsecond(N, tuple(eps)))
-        return out
-    raise BadFamily(f"unknown family {family!r}")
+    shape = GroupShape(N)
+    mirror, _ = _family(shape, family)
+    middle = (1,) if shape.odd else (1, mirror)
+    free = itertools.product((1, -1), repeat=(N - len(middle)) // 2)
+    return [_member(N, family, signs + middle + tuple(mirror * e for e in signs[::-1]))
+            for signs in free]
 
 
 def auto_from_signs(N, family, signs):
     """Family member from a full-length +- sign string."""
-    eps = tuple(1 if ch == "+" else -1 for ch in signs)
-    if family == "dprime":
-        return _dprime(N, eps)
-    if family == "dsecond":
-        return _dsecond(N, eps)
-    raise BadFamily(f"unknown family {family!r}")
+    return _member(N, family, tuple(1 if ch == "+" else -1 for ch in signs))
 
 
 class ConjugationSpec:
@@ -328,7 +298,7 @@ def _dsecond_from(G, shape):
     if eps[shape.n - 1] == -1:
         eps = [-e for e in eps]
     try:
-        return _dsecond(N, tuple(eps))
+        return _member(N, "dsecond", tuple(eps))
     except BadFamily:
         return None
 

@@ -192,16 +192,23 @@ def _lp_scale(a, c):
 
 def _lp_mul(a, b):
     out = {}
+    _lp_addmul(out, a, b, (0,))
+    return _lp_nonzero(out)
+
+
+def _lp_addmul(out, a, b, shifts):
+    # out += (sum over shifts of s^shift) * a * b, in place, zeros kept
     for ka, va in a.items():
         for kb, vb in b.items():
-            k = ka + kb
-            w = out.get(k)
-            w = va * vb if w is None else w + va * vb
-            if w.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = w
-    return out
+            p = va * vb
+            for k in shifts:
+                k += ka + kb
+                w = out.get(k)
+                out[k] = p if w is None else w + p
+
+
+def _lp_nonzero(a):
+    return {k: v for k, v in a.items() if not v.is_zero()}
 
 
 def _lp_shift(a, k):
@@ -281,7 +288,6 @@ def _lp_divexact(a, g):
 
 
 _ONE_POLY = {0: GaussRat(1)}
-_ONE_KEY = ((0, 1, 0, 1),)
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +295,15 @@ _ONE_KEY = ((0, 1, 0, 1),)
 class Scalar:
     """Element (n0 + t*n1)/d of the extended Laurent ring, t^2 = s + s^-1.
 
-    Instances are immutable and kept in canonical form at all times.
+    Instances are immutable and kept in canonical form at all times; the
+    canonical dicts n0, n1 and d are the only stored form.
     """
 
-    __slots__ = ("n0", "n1", "d", "_key")
+    __slots__ = ("n0", "n1", "d")
 
     def __init__(self, n0=None, n1=None, d=None):
-        n0 = {k: v for k, v in (n0 or {}).items() if not v.is_zero()}
-        n1 = {k: v for k, v in (n1 or {}).items() if not v.is_zero()}
-        d = {k: v for k, v in (d if d is not None else _ONE_POLY).items() if not v.is_zero()}
+        n0, n1 = _lp_nonzero(n0 or {}), _lp_nonzero(n1 or {})
+        d = _lp_nonzero(_ONE_POLY if d is None else d)
         if not d:
             raise DivisionByZero("zero denominator")
         if not n0 and not n1:
@@ -324,14 +330,13 @@ class Scalar:
                 ci = lc.inv()
                 n0, n1, d = _lp_scale(n0, ci), _lp_scale(n1, ci), _lp_scale(d, ci)
         self.n0, self.n1, self.d = n0, n1, d
-        self._key = (_freeze(n0), _freeze(n1), _freeze(d))
 
     @staticmethod
-    def _of(n0, n1, d, key):
-        """Trusted constructor: (n0 + t*n1)/d is already canonical, key is
-        its frozen form, and no caller mutates the dicts afterwards."""
+    def _of(n0, n1, d):
+        """Trusted constructor: (n0 + t*n1)/d is already canonical, with no
+        zero coefficients, and no caller mutates the dicts afterwards."""
         x = Scalar.__new__(Scalar)
-        x.n0, x.n1, x.d, x._key = n0, n1, d, key
+        x.n0, x.n1, x.d = n0, n1, d
         return x
 
     # -- constructors -------------------------------------------------------
@@ -403,27 +408,24 @@ class Scalar:
         other = _try_scalar(other)
         if other is None:
             return NotImplemented
-        x = _unit_product(self, other)
-        if x is not None:
-            return x
-        n0, n1 = {}, {}
-        _add_product(self, other, n0, n1)
-        return Scalar(n0, n1, _lp_mul(self.d, other.d))
+        return Scalar.sum_of_products([(self, other)])
 
     __rmul__ = __mul__
 
     @staticmethod
     def sum_of_products(pairs):
-        """The sum of v*w over a list of (v, w) Scalar pairs.
+        """The sum of v*w over a list of (v, w) Scalar pairs; `v * w` is
+        this sum for the one pair (v, w).
 
         Two branches build the canonical result directly, with no gcd:
         a single pair with a unit monomial factor c*s^k (the other factor
         with its exponents shifted and coefficients scaled), and pairs whose
         denominators are all 1 (one summed numerator over 1).  Otherwise
         numerators are multiplied raw and summed in one bucket per distinct
-        pair of denominators; each bucket becomes one canonical Scalar and
-        the few buckets are then added, so a sum of k products costs one
-        canonicalisation per bucket instead of two per term.
+        pair of denominators, keyed by the frozen denominators; each bucket
+        becomes one canonical Scalar and the few buckets are then added, so
+        a sum of k products costs one canonicalisation per bucket instead
+        of two per term.
         """
         if len(pairs) == 1:
             x = _unit_product(*pairs[0])
@@ -433,12 +435,10 @@ class Scalar:
             n0, n1 = {}, {}
             for v, w in pairs:
                 _add_product(v, w, n0, n1)
-            n0 = {k: c for k, c in n0.items() if not c.is_zero()}
-            n1 = {k: c for k, c in n1.items() if not c.is_zero()}
-            return Scalar._of(n0, n1, _ONE_POLY, (_freeze(n0), _freeze(n1), _ONE_KEY))
+            return Scalar._of(_lp_nonzero(n0), _lp_nonzero(n1), _ONE_POLY)
         buckets = {}
         for v, w in pairs:
-            key = (v._key[2], w._key[2])
+            key = (_freeze(v.d), _freeze(w.d))
             bucket = buckets.get(key)
             if bucket is None:
                 bucket = buckets[key] = (v.d, w.d, {}, {})
@@ -496,14 +496,17 @@ class Scalar:
         return _lp_eval1(self.n0) / dv
 
     def __eq__(self, other):
+        """Equality of the canonical dicts, exact because canonical forms
+        are unique and hold no zero coefficients; the hash is taken from
+        the same dicts, frozen."""
         if isinstance(other, (int, Fraction, GaussRat)):
             other = Scalar({0: _as_gauss(other)})
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self._key == other._key
+        return self.n0 == other.n0 and self.n1 == other.n1 and self.d == other.d
 
     def __hash__(self):
-        return hash(self._key)
+        return hash((_freeze(self.n0), _freeze(self.n1), _freeze(self.d)))
 
     def __str__(self):
         terms = [f"{c}*s^{k}" for k, c in sorted(self.n0.items())]
@@ -530,18 +533,13 @@ def _unit_product(v, w):
     elif len(w.n0) != 1 or w.n1 or len(w.d) != 1:
         return None
     (k, c), = w.n0.items()  # w is now the unit
-    n0, n1, key = v.n0, v.n1, v._key
     if c.is_one():
         if not k:
             return v
-        # shifting keeps the frozen terms sorted
-        return Scalar._of({e + k: a for e, a in n0.items()},
-                          {e + k: a for e, a in n1.items()}, v.d,
-                          (tuple((e + k, a, b, d) for e, a, b, d in key[0]),
-                           tuple((e + k, a, b, d) for e, a, b, d in key[1]), key[2]))
-    n0 = {e + k: a * c for e, a in n0.items()}
-    n1 = {e + k: a * c for e, a in n1.items()}
-    return Scalar._of(n0, n1, v.d, (_freeze(n0), _freeze(n1), key[2]))
+        return Scalar._of({e + k: a for e, a in v.n0.items()},
+                          {e + k: a for e, a in v.n1.items()}, v.d)
+    return Scalar._of({e + k: a * c for e, a in v.n0.items()},
+                      {e + k: a * c for e, a in v.n1.items()}, v.d)
 
 
 def _add_product(v, w, n0, n1):
@@ -551,17 +549,6 @@ def _add_product(v, w, n0, n1):
     _lp_addmul(n0, v.n1, w.n1, (1, -1))
     _lp_addmul(n1, v.n0, w.n1, (0,))
     _lp_addmul(n1, v.n1, w.n0, (0,))
-
-
-def _lp_addmul(out, a, b, shifts):
-    # out += (sum over shifts of s^shift) * a * b, in place
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            p = va * vb
-            for k in shifts:
-                k += ka + kb
-                w = out.get(k)
-                out[k] = p if w is None else w + p
 
 
 def _try_scalar(x):

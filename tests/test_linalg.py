@@ -111,7 +111,8 @@ def test_product_of_mixed_entries_matches_entrywise_reference():
         product = A * B
         assert dict(product.entries) == entrywise_product(A, B)
         for v in product.entries.values():
-            assert Scalar(v.n0, v.n1, v.d)._key == v._key
+            w = Scalar(dict(v.n0), dict(v.n1), dict(v.d))
+            assert (w.n0, w.n1, w.d) == (v.n0, v.n1, v.d)
 
 
 def test_dim_mismatch():

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import qortho
 from qortho.errors import DivisionByZero, PoleAtOne, ResidualT
@@ -107,7 +107,7 @@ fracs = st.fractions(min_value=-40, max_value=40, max_denominator=48)
 
 
 def assert_canonical(g, re, im):
-    # lowest terms keep structural equality and Scalar._key canonical
+    # lowest terms give equal values equal fields, which Scalar equality needs
     assert all(type(x) is int for x in (g.a, g.b, g.d))
     assert g.d > 0 and math.gcd(g.a, g.b, g.d) == 1
     assert type(g.re) is Fraction and type(g.im) is Fraction
@@ -154,9 +154,12 @@ def test_bar_fixed_points():
     assert I.bar(REAL) == -I
 
 
-coefs = st.builds(GaussRat,
-                  st.fractions(min_value=-4, max_value=4, max_denominator=3),
-                  st.fractions(min_value=-4, max_value=4, max_denominator=3))
+# every fraction in [-4, 4] with denominator at most 3, simplest first so
+# that shrinking heads for 0; sampling them costs far less than drawing
+# st.fractions over the same range
+small_fracs = sorted({Fraction(p, q) for q in (1, 2, 3) for p in range(-4 * q, 4 * q + 1)},
+                     key=lambda x: (x.denominator, abs(x), x < 0))
+coefs = st.builds(GaussRat, st.sampled_from(small_fracs), st.sampled_from(small_fracs))
 polys = st.dictionaries(st.integers(-3, 3), coefs, max_size=3)
 nonzero_polys = polys.filter(lambda p: any(not v.is_zero() for v in p.values()))
 
@@ -194,21 +197,6 @@ def test_ring_axioms(a, b, c):
     assert a - a == ZERO
 
 
-# the right factors carry no denominator, which keeps the reference sum's
-# gcds small; products of two denominators are covered in test_linalg
-@given(st.lists(st.tuples(scalars(), scalars(with_den=False)), max_size=4))
-@settings(max_examples=50, deadline=None)
-def test_sum_of_products_matches_mul_and_add(pairs):
-    expected = ZERO
-    for v, w in pairs:
-        expected = expected + v * w
-    total = Scalar.sum_of_products(pairs)
-    assert total == expected
-    assert str(total) == str(expected)
-
-
-# --- products that skip canonicalisation ------------------------------------
-
 def reference_product(v, w):
     # v*w through the canonicalising constructor, bypassing both branches
     n0, n1 = {}, {}
@@ -216,14 +204,35 @@ def reference_product(v, w):
     return Scalar(n0, n1, _lp_mul(v.d, w.d))
 
 
+# the right factors carry no denominator, which keeps the reference sum's
+# gcds small; products of two denominators are covered in test_linalg
+@given(st.lists(st.tuples(scalars(), scalars(with_den=False)), max_size=4))
+@settings(max_examples=50, deadline=None)
+def test_sum_of_products_matches_mul_and_add(pairs):
+    expected = ZERO
+    for v, w in pairs:
+        expected = expected + reference_product(v, w)
+    total = Scalar.sum_of_products(pairs)
+    assert total == expected
+    assert str(total) == str(expected)
+
+
+# --- products that skip canonicalisation ------------------------------------
+
+def forms(x):
+    # copies of the canonical dicts, the only stored form of a Scalar
+    return dict(x.n0), dict(x.n1), dict(x.d)
+
+
 def assert_same_canonical(got, expected):
-    assert got._key == expected._key and str(got) == str(expected)
-    assert Scalar(got.n0, got.n1, got.d)._key == got._key
+    assert forms(got) == forms(expected) and str(got) == str(expected)
+    assert forms(Scalar(got.n0, got.n1, got.d)) == forms(got)
 
 
-def assert_keys_kept(factors, keys):
-    # rebuilt from their dicts, the factors still have the keys they had
-    assert [Scalar(x.n0, x.n1, x.d)._key for x in factors] == keys
+def assert_forms_kept(factors, before):
+    # the factors' dicts are unchanged, and rebuilding them changes nothing
+    assert [forms(x) for x in factors] == before
+    assert [forms(Scalar(x.n0, x.n1, x.d)) for x in factors] == before
 
 
 # integer Gaussian coefficients keep example generation cheap
@@ -244,7 +253,7 @@ unit_monomials = st.builds(
 @settings(max_examples=100, deadline=None)
 def test_unit_monomial_product_is_canonical(u, x, swap):
     pair = (x, u) if swap else (u, x)
-    keys = [u._key, x._key]
+    before = [forms(u), forms(x)]
     expected = reference_product(*pair)
     assert_same_canonical(Scalar.sum_of_products([pair]), expected)
     assert_same_canonical(pair[0] * pair[1], expected)
@@ -252,20 +261,40 @@ def test_unit_monomial_product_is_canonical(u, x, swap):
     if u == ONE:  # a factor object itself, not a copy
         for product in (Scalar.sum_of_products([pair]), u * x):
             assert any(product is f for f in pair)
-    assert_keys_kept([u, x], keys)
+    assert_forms_kept([u, x], before)
 
 
 @given(st.lists(st.tuples(int_laurent, int_laurent), max_size=4))
 @settings(max_examples=100, deadline=None)
 def test_polynomial_sum_of_products_is_canonical(pairs):
-    keys = [x._key for pair in pairs for x in pair]
+    before = [forms(x) for pair in pairs for x in pair]
     expected = ZERO
     for v, w in pairs:
         expected = expected + reference_product(v, w)
     total = Scalar.sum_of_products(pairs)
     assert_same_canonical(total, expected)
     assert total.d == {0: GaussRat(1)}
-    assert_keys_kept([x for pair in pairs for x in pair], keys)
+    assert_forms_kept([x for pair in pairs for x in pair], before)
+
+
+@given(unit_monomials, int_laurent, int_rational)
+@settings(max_examples=100, deadline=None)
+def test_equal_scalars_hash_equal_however_built(u, p, r):
+    # u*p built four ways: the canonicalising constructor, a unit product,
+    # the polynomial branch and the bucketed path, each of the last two
+    # with a pair of products that cancel
+    r = r / (ONE + S)
+    assume(len(r.d) > 1)
+    built = [reference_product(u, p),
+             Scalar.sum_of_products([(u, p)]),
+             Scalar.sum_of_products([(u, p), (p, p), (-p, p)]),
+             Scalar.sum_of_products([(u, p), (r, p), (-r, p)])]
+    assert all(a == built[0] for a in built)
+    for a in built + [u, p, r]:
+        assert a == Scalar(a.n0, a.n1, a.d)
+        for b in built + [u, p, r]:
+            if a == b:
+                assert hash(a) == hash(b)
 
 
 @given(scalars(), scalars())
