@@ -179,17 +179,17 @@ def cmd_ybe(args):
 
 
 def _projector_checks(shape):
+    # each projector is its numerator over den != 0, and
+    # (X/den)(Y/den) = Z/den exactly when X Y = den Z
     N = shape.N
-    P0, PA, PS, Rhat = shape.projectors
-    I = SqMat.identity(N * N)
-    zero = SqMat(N * N, {})
-    trace = P0.trace()
+    den, P0, PA, PS, Rhat = shape.projectors
+    trace = P0.trace() * den.inv()
     rank_pa = rank(PA)
     return [
-        _check("p0_idempotent", P0 * P0 == P0),
-        _check("pa_idempotent", PA * PA == PA),
-        _check("pa_p0_orthogonal", PA * P0 == zero and P0 * PA == zero),
-        _check("sum_is_identity", P0 + PA + PS == I),
+        _check("p0_idempotent", P0 * P0 == P0.scale(den)),
+        _check("pa_idempotent", PA * PA == PA.scale(den)),
+        _check("pa_p0_orthogonal", (PA * P0).is_zero() and (P0 * PA).is_zero()),
+        _check("sum_is_identity", P0 + PA + PS == SqMat.identity(N * N).scale(den)),
         _check("trace_p0", trace == Scalar.one(),
                data={"trace": str(trace)}),
         _check("rank_pa", rank_pa == N * (N - 1) // 2,

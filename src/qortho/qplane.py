@@ -236,8 +236,8 @@ def normal_form(p, rs):
 
 def plane_relations(shape):
     """Rewrite rules of the N-generator quantum orthogonal plane, one per
-    increasing pair, derived from the rows of the P_A of shape."""
-    N, PA = shape.N, shape.projectors[1]
+    increasing pair, from the reduced rows of P_A's numerator (P_A's row space)."""
+    N, PA = shape.N, shape.projectors[2]
     inc = [(a, b) for a in range(1, N + 1) for b in range(a + 1, N + 1)]
     rest = [(a, b) for a in range(1, N + 1) for b in range(1, a + 1)]
     cols = inc + rest

@@ -1,4 +1,5 @@
-"""Construction of the SO_q(N) R matrix, metric, and tensor projectors.
+"""Construction of the SO_q(N) R matrix, metric, and tensor projectors,
+the last as Laurent polynomial matrices over one common denominator.
 
 The builders take N.  The per-N `GroupShape` builds the metric, R and the
 projectors at most once each; `check_r_reality` and the checks in realforms,
@@ -14,7 +15,7 @@ from .scalars import ConjRegime, Scalar
 class GroupShape:
     """SO_q(N) for one N, and the only place N is validated: n = floor(N/2),
     parity, for odd N the self-prime middle index n2 = (N+1)/2, and the
-    N-only values C (the metric), R and projectors (P0, PA, PS, Rhat), each
+    N-only values C (the metric), R and projectors (den, P0, PA, PS, Rhat), each
     built by its builder on first use and then kept.  `once` keeps any
     other N-only value the same way.  Attributes cannot be rebound and kept
     values are immutable, so one shape serves every check of a run."""
@@ -161,40 +162,30 @@ def build_rhat(R, N):
 
 
 def build_projectors(R, N):
-    """Trace projector P0, q-antisymmetrizer PA, PS = I - PA - P0, and the
-    flipped R matrix Rhat of R, the R matrix of SO_q(N).
+    """(den, P0, PA, PS, Rhat) for the R matrix R of SO_q(N): the trace
+    projector P0, the q-antisymmetrizer PA and PS = I - PA - P0, each the
+    Laurent polynomial matrix that is its numerator over den, and Rhat.
 
-    PA = (q + q^-1)^-1 (-Rhat + q I - (q - q^(1-N)) P0); q is the unique
-    coefficient of I making PA a projector orthogonal to P0.  Likewise
-    PS = (q + q^-1)^-1 (Rhat + q^-1 I - (q^-1 + q^(1-N)) P0).  An entry of
-    P0 is a power of q over D = sum_e q^(-2 rho_e), so an entry of PA or PS
-    is a Laurent polynomial over q + q^-1 plus, on P0's support, a power of
-    q times one constant: at most two gcds per entry.
+    With E = q + q^-1, D = sum_e q^(-2 rho_e) and M[(a,a'),(c,c')] =
+    q^(-rho_a - rho_c): den = E D, P0 = E M (P0 = M / D over den),
+    PA = D (q I - Rhat) - (q - q^(1-N)) M, where q is the unique coefficient
+    of I making PA a projector orthogonal to P0, and
+    PS = D (Rhat + q^-1 I) - (q^-1 + q^(1-N)) M.
     """
     q = Scalar.q_power(1)
     qi = Scalar.q_power(-1)
     rho = build_rho(N)
     shape = GroupShape(N)
-    Dinv = sum((Scalar.q_power(-2 * r) for r in rho), Scalar.zero()).inv()
-    Einv = (q + qi).inv()
-    mono = {(pack((a, shape.prime(a)), N), pack((c, shape.prime(c)), N)):
-            Scalar.q_power(-rho[a - 1] - rho[c - 1])
-            for a in range(1, N + 1) for c in range(1, N + 1)}
-    P0 = SqMat(N * N, {k: Dinv * m for k, m in mono.items()})
+    D = sum((Scalar.q_power(-2 * r) for r in rho), Scalar.zero())
+    E = q + qi
+    M = SqMat(N * N, {(pack((a, shape.prime(a)), N), pack((c, shape.prime(c)), N)):
+                      Scalar.q_power(-rho[a - 1] - rho[c - 1])
+                      for a in range(1, N + 1) for c in range(1, N + 1)})
     Rhat = build_rhat(R, N)
     I = SqMat.identity(N * N)
-
-    def over_e(num, c):
-        # (num - c P0) / (q + q^-1), entry by entry
-        K = -c * Einv * Dinv
-        out = {k: v * Einv for k, v in num.entries.items()}
-        for k, m in mono.items():
-            out[k] = out[k] + K * m if k in out else K * m
-        return SqMat(N * N, out)
-
-    PA = over_e(q * I - Rhat, q - Scalar.q_power(1 - N))
-    PS = over_e(Rhat + qi * I, qi + Scalar.q_power(1 - N))
-    return P0, PA, PS, Rhat
+    PA = (q * I - Rhat).scale(D) - M.scale(q - Scalar.q_power(1 - N))
+    PS = (Rhat + qi * I).scale(D) - M.scale(qi + Scalar.q_power(1 - N))
+    return E * D, M.scale(E), PA, PS, Rhat
 
 
 def check_char_eq(Rhat, N):

@@ -191,20 +191,33 @@ def _lp_scale(a, c):
 
 
 def _lp_mul(a, b):
-    out = {}
-    _lp_addmul(out, a, b, (0,))
-    return _lp_nonzero(out)
+    return _lp_settle(_lp_addmul({}, a, b, (0,)))
 
 
 def _lp_addmul(out, a, b, shifts):
-    # out += (sum over shifts of s^shift) * a * b, in place, zeros kept
+    # out += (sum over shifts of s^shift) * a * b, in place, as raw [re, im,
+    # den] int lists (zeros kept) that `_lp_settle` reduces once; returns out
     for ka, va in a.items():
+        xa, xb, xd = va.a, va.b, va.d
         for kb, vb in b.items():
-            p = va * vb
+            ya, yb, d = vb.a, vb.b, xd * vb.d
+            pa, pb = xa * ya - xb * yb, xa * yb + xb * ya
             for k in shifts:
                 k += ka + kb
                 w = out.get(k)
-                out[k] = p if w is None else w + p
+                if w is None:
+                    out[k] = [pa, pb, d]
+                elif w[2] == d:
+                    w[0] += pa
+                    w[1] += pb
+                else:  # over the product of the two dens
+                    w[:] = w[0] * d + pa * w[2], w[1] * d + pb * w[2], w[2] * d
+    return out
+
+
+def _lp_settle(raw):
+    # reduce each raw `_lp_addmul` coefficient, dropping zeros
+    return {k: _gauss(a, b, d) for k, (a, b, d) in raw.items() if a or b}
 
 
 def _lp_nonzero(a):
@@ -417,15 +430,11 @@ class Scalar:
         """The sum of v*w over a list of (v, w) Scalar pairs; `v * w` is
         this sum for the one pair (v, w).
 
-        Two branches build the canonical result directly, with no gcd:
-        a single pair with a unit monomial factor c*s^k (the other factor
-        with its exponents shifted and coefficients scaled), and pairs whose
-        denominators are all 1 (one summed numerator over 1).  Otherwise
-        numerators are multiplied raw and summed in one bucket per distinct
-        pair of denominators, keyed by the frozen denominators; each bucket
-        becomes one canonical Scalar and the few buckets are then added, so
-        a sum of k products costs one canonicalisation per bucket instead
-        of two per term.
+        A single pair with a unit monomial factor c*s^k, and pairs whose
+        denominators are all 1, give the canonical result directly, with no
+        gcd.  Otherwise the raw numerator products are summed in one bucket
+        per distinct pair of denominators, each bucket is canonicalised
+        once, and the few buckets are added.
         """
         if len(pairs) == 1:
             x = _unit_product(*pairs[0])
@@ -435,7 +444,7 @@ class Scalar:
             n0, n1 = {}, {}
             for v, w in pairs:
                 _add_product(v, w, n0, n1)
-            return Scalar._of(_lp_nonzero(n0), _lp_nonzero(n1), _ONE_POLY)
+            return Scalar._of(_lp_settle(n0), _lp_settle(n1), _ONE_POLY)
         buckets = {}
         for v, w in pairs:
             key = (_freeze(v.d), _freeze(w.d))
@@ -445,7 +454,7 @@ class Scalar:
             _add_product(v, w, bucket[2], bucket[3])
         total = None
         for dv, dw, n0, n1 in buckets.values():
-            term = Scalar(n0, n1, _lp_mul(dv, dw))
+            term = Scalar(_lp_settle(n0), _lp_settle(n1), _lp_mul(dv, dw))
             total = term if total is None else total + term
         return _ZERO if total is None else total
 
@@ -462,12 +471,11 @@ class Scalar:
         if self.is_zero():
             raise DivisionByZero("inverse of zero scalar")
         # 1/(n0 + t n1) rationalized with the conjugate n0 - t n1
-        norm = {}
-        _lp_addmul(norm, self.n0, self.n0, (0,))
+        norm = _lp_addmul({}, self.n0, self.n0, (0,))
         _lp_addmul(norm, _lp_neg(self.n1), self.n1, (1, -1))
         return Scalar(_lp_mul(self.d, self.n0),
                       _lp_neg(_lp_mul(self.d, self.n1)),
-                      norm)
+                      _lp_settle(norm))
 
     # -- structure -----------------------------------------------------------
 
@@ -543,12 +551,13 @@ def _unit_product(v, w):
 
 
 def _add_product(v, w, n0, n1):
-    # n0 + t*n1 += numerator of v*w, in place, zero coefficients kept:
+    # n0 + t*n1 += numerator of v*w, in place, as raw `_lp_addmul` sums:
     # (a0 + t a1)(b0 + t b1) = a0 b0 + (s + s^-1) a1 b1 + t (a0 b1 + a1 b0)
     _lp_addmul(n0, v.n0, w.n0, (0,))
-    _lp_addmul(n0, v.n1, w.n1, (1, -1))
-    _lp_addmul(n1, v.n0, w.n1, (0,))
-    _lp_addmul(n1, v.n1, w.n0, (0,))
+    if v.n1 or w.n1:
+        _lp_addmul(n0, v.n1, w.n1, (1, -1))
+        _lp_addmul(n1, v.n0, w.n1, (0,))
+        _lp_addmul(n1, v.n1, w.n0, (0,))
 
 
 def _try_scalar(x):

@@ -86,7 +86,8 @@ def test_03_projector_algebra_and_characteristic_equation():
     with acceptance("03 projector idempotence, orthogonality, completeness, "
                     "trace, rank, cubic identity for N=3..6"):
         for N in range(3, 7):
-            P0, PA, PS, Rhat = GroupShape(N).projectors
+            den, P0, PA, PS, Rhat = GroupShape(N).projectors
+            P0, PA, PS = (X.scale(den.inv()) for X in (P0, PA, PS))
             I = SqMat.identity(N * N)
             zero = SqMat(N * N, {})
             assert PA * PA == PA, N

@@ -74,7 +74,8 @@ def entrywise_product(A, B):
 
 
 def test_product_kernel_matches_entrywise_reference():
-    P0, PA, _, _ = GroupShape(4).projectors
+    den, P0, PA, _, _ = GroupShape(4).projectors
+    P0, PA = P0.scale(den.inv()), PA.scale(den.inv())
     # PA's entries mix the denominators q + q^-1 and sum_e q^(-2 rho_e)
     assert len({tuple(sorted(v.d.items())) for v in PA.entries.values()}) >= 2
     T = Scalar.t_unit()

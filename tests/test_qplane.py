@@ -75,7 +75,7 @@ def test_rank_mismatch_when_pivots_leave_increasing_pairs(monkeypatch):
     # with P_A = I every column opens a pivot, the decreasing pairs too
     import qortho.rmatrix as rmatrix
     monkeypatch.setattr(rmatrix, "build_projectors", lambda R, N: (
-        None, SqMat.identity(N * N), None, None))
+        Scalar.one(), None, SqMat.identity(N * N), None, None))
     with pytest.raises(RankMismatch, match="not the increasing pairs"):
         plane_relations(GroupShape(3))
 

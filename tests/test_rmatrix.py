@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qortho.cli import _projector_checks
 from qortho.errors import BadN
 from qortho.linalg import SqMat, classical_mat, pack, rank
 from qortho.rmatrix import (
@@ -48,7 +49,7 @@ def test_group_shape_keeps_each_value_and_is_frozen():
     assert shape.C is shape.C and shape.C == build_metric(4)
     assert shape.R is shape.R and shape.R == build_R(4)
     assert shape.projectors is shape.projectors
-    assert shape.projectors[3] == build_rhat(shape.R, 4)
+    assert shape.projectors[4] == build_rhat(shape.R, 4)
     for name in ("N", "n", "odd", "n2", "_kept", "C", "R", "extra"):
         with pytest.raises(AttributeError):
             setattr(shape, name, None)
@@ -112,7 +113,8 @@ def test_ybe_negative():
 
 def test_projector_algebra():
     for N in (3, 4, 5):
-        P0, PA, PS, Rhat = GroupShape(N).projectors
+        den, P0, PA, PS, Rhat = GroupShape(N).projectors
+        P0, PA, PS = (X.scale(den.inv()) for X in (P0, PA, PS))
         I = SqMat.identity(N * N)
         assert PA * PA == PA
         assert P0 * P0 == P0
@@ -123,6 +125,49 @@ def test_projector_algebra():
         assert rank(PA) == N * (N - 1) // 2
         # spectral decomposition of the flipped R matrix
         assert Rhat == Q * PS - QI * PA + Scalar.q_power(1 - N) * P0
+
+
+def rational_projectors(N):
+    # P0, PA, PS from the rational formulas, over q + q^-1 and D
+    rho = build_rho(N)
+    D = sum((Scalar.q_power(-2 * r) for r in rho), Scalar.zero())
+    P0 = SqMat(N * N, {(pack((a, N + 1 - a), N), pack((c, N + 1 - c), N)):
+                       Scalar.q_power(-rho[a - 1] - rho[c - 1]) / D
+                       for a in range(1, N + 1) for c in range(1, N + 1)})
+    Rhat = build_rhat(build_R(N), N)
+    I = SqMat.identity(N * N)
+    Einv = (Q + QI).inv()
+    PA = (Q * I - Rhat - P0.scale(Q - Scalar.q_power(1 - N))).scale(Einv)
+    PS = (Rhat + QI * I - P0.scale(QI + Scalar.q_power(1 - N))).scale(Einv)
+    return P0, PA, PS
+
+
+@pytest.mark.parametrize("N", range(3, 9))
+def test_projectors_are_numerators_over_one_denominator(N):
+    den, *numerators, _ = GroupShape(N).projectors
+    assert not den.is_zero()
+    for X, P in zip(numerators, rational_projectors(N)):
+        assert all(v.d == {0: 1} for v in X.entries.values())
+        assert X.scale(den.inv()) == P
+
+
+def failing_projector_checks(N, den, P0, PA, PS, Rhat):
+    shape = GroupShape(N)
+    shape.once("projectors", lambda: (den, P0, PA, PS, Rhat))
+    return {c["name"] for c in _projector_checks(shape) if not c["pass"]}
+
+
+def test_cleared_projector_checks_fail_on_corrupted_numerators():
+    N = 4
+    den, P0, PA, PS, Rhat = GroupShape(N).projectors
+    assert not failing_projector_checks(N, den, P0, PA, PS, Rhat)
+    key = next(iter(PA.entries))
+    bad = dict(PA.entries)
+    bad[key] = bad[key] + ONE
+    failed = failing_projector_checks(N, den, P0, SqMat(N * N, bad), PS, Rhat)
+    assert {"pa_idempotent", "sum_is_identity"} <= failed
+    failed = failing_projector_checks(N, den * (ONE + Q), P0, PA, PS, Rhat)
+    assert {"pa_idempotent", "sum_is_identity"} <= failed
 
 
 def test_char_eq():

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import qortho
 from qortho.errors import DivisionByZero, PoleAtOne, ResidualT
-from qortho.scalars import ConjRegime, GaussRat, Scalar, _add_product, _lp_mul
+from qortho.scalars import ConjRegime, GaussRat, Scalar
 
 REAL = ConjRegime.REAL_Q
 UNIT = ConjRegime.UNIT_MODULUS_Q
@@ -197,11 +197,43 @@ def test_ring_axioms(a, b, c):
     assert a - a == ZERO
 
 
+def naive_mul(a, b):
+    # Laurent product term by term, with GaussRat * and + only
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            out[ka + kb] = out.get(ka + kb, GaussRat(0)) + ca * cb
+    return out
+
+
+def naive_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, GaussRat(0)) + c
+    return out
+
+
+T_SQUARED = {1: GaussRat(1), -1: GaussRat(1)}  # t^2 = s + s^-1
+
+
+def reference_sum(pairs):
+    # the sum of v*w over pairs, term by term over one common denominator,
+    # then the canonicalising constructor: no code shared with the
+    # product kernel, and zero coefficients left for the constructor to drop
+    n0, n1, d = {}, {}, {0: GaussRat(1)}
+    for v, w in pairs:
+        # (a0 + t a1)(b0 + t b1) = a0 b0 + t^2 a1 b1 + t (a0 b1 + a1 b0)
+        p0 = naive_add(naive_mul(v.n0, w.n0), naive_mul(naive_mul(v.n1, w.n1), T_SQUARED))
+        p1 = naive_add(naive_mul(v.n0, w.n1), naive_mul(v.n1, w.n0))
+        e = naive_mul(v.d, w.d)
+        n0 = naive_add(naive_mul(n0, e), naive_mul(p0, d))
+        n1 = naive_add(naive_mul(n1, e), naive_mul(p1, d))
+        d = naive_mul(d, e)
+    return Scalar(n0, n1, d)
+
+
 def reference_product(v, w):
-    # v*w through the canonicalising constructor, bypassing both branches
-    n0, n1 = {}, {}
-    _add_product(v, w, n0, n1)
-    return Scalar(n0, n1, _lp_mul(v.d, w.d))
+    return reference_sum([(v, w)])
 
 
 # the right factors carry no denominator, which keeps the reference sum's
@@ -209,12 +241,11 @@ def reference_product(v, w):
 @given(st.lists(st.tuples(scalars(), scalars(with_den=False)), max_size=4))
 @settings(max_examples=50, deadline=None)
 def test_sum_of_products_matches_mul_and_add(pairs):
-    expected = ZERO
-    for v, w in pairs:
-        expected = expected + reference_product(v, w)
     total = Scalar.sum_of_products(pairs)
+    expected = reference_sum(pairs)
     assert total == expected
     assert str(total) == str(expected)
+    assert total == sum((v * w for v, w in pairs), ZERO)
 
 
 # --- products that skip canonicalisation ------------------------------------
@@ -264,17 +295,32 @@ def test_unit_monomial_product_is_canonical(u, x, swap):
     assert_forms_kept([u, x], before)
 
 
-@given(st.lists(st.tuples(int_laurent, int_laurent), max_size=4))
+# coefficients over 1, 2 and 3 sum over different denominators in the
+# product kernel; one factor of a pair may carry t while the other does not
+laurent = st.one_of(int_laurent, scalars(with_den=False))
+
+
+@given(st.lists(st.tuples(laurent, laurent), max_size=4))
 @settings(max_examples=100, deadline=None)
 def test_polynomial_sum_of_products_is_canonical(pairs):
     before = [forms(x) for pair in pairs for x in pair]
-    expected = ZERO
-    for v, w in pairs:
-        expected = expected + reference_product(v, w)
+    expected = reference_sum(pairs)
     total = Scalar.sum_of_products(pairs)
     assert_same_canonical(total, expected)
     assert total.d == {0: GaussRat(1)}
     assert_forms_kept([x for pair in pairs for x in pair], before)
+
+
+@given(st.builds(Scalar, polys, nonzero_polys),
+       st.builds(Scalar, nonzero_polys, st.none(), st.none() | nonzero_polys),
+       st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_product_with_t_in_one_factor(x, y, swap):
+    # x carries t and y does not, so only the t cross-terms make t*y
+    pair = (y, x) if swap else (x, y)
+    expected = reference_product(*pair)
+    assert expected.has_t()
+    assert_same_canonical(pair[0] * pair[1], expected)
 
 
 @given(unit_monomials, int_laurent, int_rational)
