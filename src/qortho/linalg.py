@@ -23,7 +23,7 @@ from types import MappingProxyType
 from .errors import (
     Degenerate, DimMismatch, NotInvolution, NotReal, NotSymmetric, Singular,
 )
-from .scalars import ConjRegime, GaussRat, Scalar
+from .scalars import ConjRegime, GaussRat, Scalar, _accumulate
 
 
 def pack(parts, width):
@@ -99,12 +99,7 @@ class SqMat:
             raise DimMismatch(f"{self.dim} vs {other.dim}")
         out = self.entries.copy()
         for k, v in other.entries.items():
-            w = out.get(k)
-            w = v if w is None else w + v
-            if w.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = w
+            _accumulate(out, k, v)
         return SqMat._of(self.dim, out)
 
     def __sub__(self, other):
@@ -119,7 +114,9 @@ class SqMat:
         if self.dim != other.dim:
             raise DimMismatch(f"{self.dim} vs {other.dim}")
         # one output row at a time: gather each entry's (v, w) pairs, then
-        # sum them with one canonicalisation per denominator pair
+        # sum them with `Scalar.sum_of_products`, one canonicalisation per
+        # entry when the factors are polynomial, as in every product the
+        # subcommands take
         left, right = {}, {}
         for (r, c), v in self.entries.items():
             left.setdefault(r, []).append((c, v))
@@ -256,13 +253,9 @@ def row_reduce(rows):
 
 def _subtract_multiple(vec, f, row):
     # vec -= f * row in place, dropping entries that cancel
+    f = -f
     for k, v in row.items():
-        w = vec.get(k)
-        w = -(f * v) if w is None else w - f * v
-        if w.is_zero():
-            vec.pop(k, None)
-        else:
-            vec[k] = w
+        _accumulate(vec, k, f * v)
 
 
 def _rows(A):

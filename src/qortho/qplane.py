@@ -16,7 +16,7 @@ from types import MappingProxyType
 from .errors import BadN, QorthoError, RankMismatch
 from .linalg import row_reduce, unpack
 from .rmatrix import GroupShape
-from .scalars import Scalar
+from .scalars import Scalar, _accumulate
 
 
 class NCPoly:
@@ -63,12 +63,7 @@ class NCPoly:
     def __add__(self, other):
         out = dict(self.terms)
         for w, v in other.terms.items():
-            s = out.get(w)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+            _accumulate(out, w, v)
         return NCPoly(out)
 
     def __neg__(self):
@@ -82,14 +77,7 @@ class NCPoly:
             out = {}
             for w1, c1 in self.terms.items():
                 for w2, c2 in other.terms.items():
-                    w = w1 + w2
-                    c = c1 * c2
-                    s = out.get(w)
-                    s = c if s is None else s + c
-                    if s.is_zero():
-                        out.pop(w, None)
-                    else:
-                        out[w] = s
+                    _accumulate(out, w1 + w2, c1 * c2)
             return NCPoly(out)
         return NCPoly({w: v * other for w, v in self.terms.items()})
 
@@ -143,32 +131,19 @@ def _reduce_spot(word, pair_rules, letter_rules):
 
 
 def _normalize_terms(terms, pair_rules, letter_rules):
+    # `terms` holds no zero coefficients, and `_accumulate` stores none
     out = {}
     work = dict(terms)
     while work:
         w = min(work)
         c = work.pop(w)
-        if c.is_zero():
-            continue
         spot = _reduce_spot(w, pair_rules, letter_rules)
         if spot is None:
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+            _accumulate(out, w, c)
             continue
         i, span, rep = spot
         for w2, c2 in rep.terms.items():
-            nw = w[:i] + w2 + w[i + span:]
-            nc = c * c2
-            s = work.get(nw)
-            s = nc if s is None else s + nc
-            if s.is_zero():
-                work.pop(nw, None)
-            else:
-                work[nw] = s
+            _accumulate(work, w[:i] + w2 + w[i + span:], c * c2)
     return out
 
 
@@ -180,11 +155,9 @@ class RewriteSystem:
     after letter substitution, lowers the termination measure.  One pass
     then normalizes every right-hand side; a second could change nothing,
     as irreducibility depends only on the rule keys.  Rules are read-only
-    and `N`, `pair_rules` and `letter_rules` cannot be rebound; `confluent`
-    records the result of `check_confluence`."""
+    and no attribute can be rebound."""
 
-    __slots__ = ("N", "pair_rules", "letter_rules", "confluent")
-    _FROZEN = frozenset(("N", "pair_rules", "letter_rules"))
+    __slots__ = ("N", "pair_rules", "letter_rules")
 
     def __init__(self, N, pair_rules, letter_rules=None):
         if not isinstance(N, int) or N < 1:
@@ -207,21 +180,16 @@ class RewriteSystem:
                                                      letter_rules))
         object.__setattr__(self, "pair_rules", MappingProxyType(pair_rules))
         object.__setattr__(self, "letter_rules", MappingProxyType(letter_rules))
-        self.confluent = "unchecked"
 
     def __setattr__(self, name, value):
-        if name in self._FROZEN:
-            raise AttributeError(f"RewriteSystem cannot rebind {name!r}")
-        object.__setattr__(self, name, value)
+        raise AttributeError(f"RewriteSystem is immutable: cannot set {name!r}")
 
     def __delattr__(self, name):
-        if name in self._FROZEN:
-            raise AttributeError(f"RewriteSystem cannot delete {name!r}")
-        object.__delattr__(self, name)
+        raise AttributeError(f"RewriteSystem is immutable: cannot delete {name!r}")
 
     def __repr__(self):
         return (f"<RewriteSystem N={self.N} rules={len(self.pair_rules)}"
-                f"+{len(self.letter_rules)} confluent={self.confluent!r}>")
+                f"+{len(self.letter_rules)}>")
 
 
 def normal_form(p, rs):
@@ -281,32 +249,33 @@ def check_confluence(rs):
     """Diamond lemma on overlaps.  For words x^a x^b x^c with both (a,b)
     and (b,c) rules, the two one-step reducts must share a normal form;
     generator substitutions overlapping a pair rule are checked the same
-    way.  Returns (True, None) or (False, witness) and records the status."""
+    way.  Returns (True, None) or (False, witness)."""
     for stub, left, right in _ambiguities(rs):
         left = normal_form(left, rs)
         right = normal_form(right, rs)
         if left != right:
-            witness = dict(stub, left=str(left), right=str(right))
-            rs.confluent = ("no", witness)
-            return False, witness
-    rs.confluent = "yes"
+            return False, dict(stub, left=str(left), right=str(right))
     return True, None
+
+
+def _substitute(terms, images):
+    """The sum of c * images[w1] ... images[wk] over the (w, c) of `terms`."""
+    out = NCPoly.zero()
+    for w, c in terms.items():
+        term = NCPoly.const(c)
+        for l in w:
+            term = term * images[l]
+        out = out + term
+    return out
 
 
 def conj_poly(p, K, regime):
     """Antilinear anti-multiplicative extension of x* = K x: coefficients
     are conjugated, generators mapped through K, word order reversed."""
-    images = {}
-    for a in range(1, K.dim + 1):
-        images[a] = NCPoly({(b,): K.get(a, b) for b in range(1, K.dim + 1)
-                            if not K.get(a, b).is_zero()})
-    out = NCPoly.zero()
-    for w, c in p.terms.items():
-        term = NCPoly.const(c.bar(regime))
-        for l in reversed(w):
-            term = term * images[l]
-        out = out + term
-    return out
+    images = {a: NCPoly({(b,): K.get(a, b) for b in range(1, K.dim + 1)})
+              for a in range(1, K.dim + 1)}
+    return _substitute({w[::-1]: c.bar(regime) for w, c in p.terms.items()},
+                       images)
 
 
 def check_star_consistency(rs, K, regime):
@@ -344,13 +313,7 @@ def quotient_check(sign, include_scaling=True):
     images = {1: NCPoly.gen(1), 2: NCPoly({(2,): scale}), 3: NCPoly.gen(4)}
     for (a, b), rhs in plane_relations(GroupShape(3)).pair_rules.items():
         rel = NCPoly.word((a, b)) - rhs
-        mapped = NCPoly.zero()
-        for w, c in rel.terms.items():
-            term = NCPoly.const(c)
-            for l in w:
-                term = term * images[l]
-            mapped = mapped + term
-        if not normal_form(mapped, ext).is_zero():
+        if not normal_form(_substitute(rel.terms, images), ext).is_zero():
             return False
     return True
 

@@ -446,12 +446,15 @@ def check_equivalence_witness(A, spec1, spec2, shape, at_q1=False):
 
 class CountResult:
 
-    __slots__ = ("count", "rows", "caveat")
+    __slots__ = ("rows", "caveat")
 
-    def __init__(self, count, rows, caveat=None):
-        self.count = count
+    def __init__(self, rows, caveat=None):
         self.rows = rows
         self.caveat = caveat
+
+    @property
+    def count(self):
+        return len(self.rows)
 
     def __repr__(self):
         return f"<CountResult {self.count} forms>"
@@ -487,4 +490,4 @@ def count_real_forms(N, regime):
             for spec in specs]
     caveat = ("N=8 admits outer triality automorphisms beyond these families; "
               "the table lists only the D-matrix classes" if N == 8 else None)
-    return CountResult(len(rows), rows, caveat)
+    return CountResult(rows, caveat)

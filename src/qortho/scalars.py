@@ -168,15 +168,22 @@ def _as_gauss(x):
 # ---------------------------------------------------------------------------
 # Laurent polynomial helpers: dict {exponent: GaussRat}, zero coeffs absent.
 
+def _accumulate(out, key, value):
+    # out[key] += value in place, dropping the key when the sum is zero: the
+    # one sparse sum behind every term map (Laurent, matrix, word)
+    w = out.get(key)
+    if w is not None:
+        value = w + value
+    if value.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = value
+
+
 def _lp_add(a, b):
     out = dict(a)
     for k, v in b.items():
-        w = out.get(k)
-        w = v if w is None else w + v
-        if w.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = w
+        _accumulate(out, k, v)
     return out
 
 
@@ -255,14 +262,9 @@ def _lp_divmod(a, b):
             break
         c = r[dr] / lb
         q[dr - db] = c
+        c = -c  # r += (-c) * s^(dr - db) * b
         for k, v in b.items():
-            e = k + dr - db
-            w = r.get(e)
-            w = -(c * v) if w is None else w - c * v
-            if w.is_zero():
-                r.pop(e, None)
-            else:
-                r[e] = w
+            _accumulate(r, k + dr - db, c * v)
     return q, r
 
 
@@ -432,9 +434,11 @@ class Scalar:
 
         A single pair with a unit monomial factor c*s^k, and pairs whose
         denominators are all 1, give the canonical result directly, with no
-        gcd.  Otherwise the raw numerator products are summed in one bucket
-        per distinct pair of denominators, each bucket is canonicalised
-        once, and the few buckets are added.
+        gcd.  Otherwise each product is canonicalised once over dv*dw and
+        the products are added with `+`.  The subcommands multiply only
+        matrices with polynomial entries, so a pair with a denominator
+        comes alone (`v * w`, row reduction); the sum starts from the first
+        product, not from zero, so such a pair costs one canonicalisation.
         """
         if len(pairs) == 1:
             x = _unit_product(*pairs[0])
@@ -445,18 +449,13 @@ class Scalar:
             for v, w in pairs:
                 _add_product(v, w, n0, n1)
             return Scalar._of(_lp_settle(n0), _lp_settle(n1), _ONE_POLY)
-        buckets = {}
-        for v, w in pairs:
-            key = (_freeze(v.d), _freeze(w.d))
-            bucket = buckets.get(key)
-            if bucket is None:
-                bucket = buckets[key] = (v.d, w.d, {}, {})
-            _add_product(v, w, bucket[2], bucket[3])
         total = None
-        for dv, dw, n0, n1 in buckets.values():
-            term = Scalar(_lp_settle(n0), _lp_settle(n1), _lp_mul(dv, dw))
+        for v, w in pairs:
+            n0, n1 = {}, {}
+            _add_product(v, w, n0, n1)
+            term = Scalar(_lp_settle(n0), _lp_settle(n1), _lp_mul(v.d, w.d))
             total = term if total is None else total + term
-        return _ZERO if total is None else total
+        return total
 
     def __truediv__(self, other):
         other = _try_scalar(other)

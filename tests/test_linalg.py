@@ -64,7 +64,7 @@ def test_entries_are_read_only():
 
 
 def entrywise_product(A, B):
-    # reference: one Scalar * and + per term, no bucketing
+    # reference: one Scalar * and + per term, never a multi-pair sum
     out = {}
     for (i, k), v in A.entries.items():
         for (k2, j), w in B.entries.items():

@@ -11,7 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import qortho
 from qortho.errors import DivisionByZero, PoleAtOne, ResidualT
-from qortho.scalars import ConjRegime, GaussRat, Scalar
+from qortho.linalg import SqMat, row_reduce
+from qortho.qplane import NCPoly, RewriteSystem, _normalize_terms, normal_form
+from qortho.scalars import ConjRegime, GaussRat, Scalar, _lp_add, _lp_divmod, _lp_mul
 
 REAL = ConjRegime.REAL_Q
 UNIT = ConjRegime.UNIT_MODULUS_Q
@@ -327,8 +329,8 @@ def test_product_with_t_in_one_factor(x, y, swap):
 @settings(max_examples=100, deadline=None)
 def test_equal_scalars_hash_equal_however_built(u, p, r):
     # u*p built four ways: the canonicalising constructor, a unit product,
-    # the polynomial branch and the bucketed path, each of the last two
-    # with a pair of products that cancel
+    # the polynomial branch and the per-pair rational branch, each of the
+    # last two with a pair of products that cancel
     r = r / (ONE + S)
     assume(len(r.d) > 1)
     built = [reference_product(u, p),
@@ -396,3 +398,63 @@ def test_text_format():
 def test_q_power_rejects_non_half_integers():
     with pytest.raises(ValueError):
         Scalar.q_power(Fraction(1, 3))
+
+
+# --- sparse sums store no key whose sum cancels ------------------------------
+# Each case returns the term map one user of `scalars._accumulate` built, and
+# the keys it must hold.
+
+def cancel_scalar_add():
+    x, y = ONE + S * T, Q - S * T
+    assert x + y == ONE + Q
+    return _lp_add(x.n1, y.n1), set()
+
+
+def cancel_lp_divmod():
+    a = {0: GaussRat(1), 1: GaussRat(1)}
+    b = {0: GaussRat(-1), 2: GaussRat(1)}
+    quo, rem = _lp_divmod(_lp_mul(a, b), b)
+    assert quo == a
+    return rem, set()
+
+
+def cancel_sqmat_add():
+    A = SqMat(2, {(1, 1): ONE + S, (1, 2): T, (2, 2): Q})
+    return (A + (-A)).entries, set()
+
+
+def cancel_row_reduce():
+    row = {0: S, 2: ONE + S, 3: T}
+    basis = row_reduce([row, dict(row)])
+    assert len(basis) == 1
+    return basis[0][1], set(row)
+
+
+def cancel_ncpoly_add():
+    p = NCPoly({(1, 2): S, (2,): T, (): ONE})
+    return (p + (-p)).terms, set()
+
+
+def cancel_ncpoly_mul():
+    # x1 x2 x3 comes from x1 * x2x3 and from -x1x2 * x3
+    p = NCPoly({(1,): ONE, (1, 2): ONE})
+    r = NCPoly({(2, 3): ONE, (3,): -ONE})
+    return (p * r).terms, {(1, 3), (1, 2, 2, 3)}
+
+
+def cancel_normal_form():
+    # the quantum plane x1 x2 = q x2 x1: its relation rewrites to zero
+    rs = RewriteSystem(2, {(1, 2): NCPoly.word((2, 1), Q)})
+    rel = NCPoly.word((1, 2)) - NCPoly.word((2, 1), Q)
+    assert normal_form(rel, rs).is_zero()
+    return _normalize_terms(rel.terms, rs.pair_rules, rs.letter_rules), set()
+
+
+@pytest.mark.parametrize("case", [
+    cancel_scalar_add, cancel_lp_divmod, cancel_sqmat_add, cancel_row_reduce,
+    cancel_ncpoly_add, cancel_ncpoly_mul, cancel_normal_form,
+], ids=lambda case: case.__name__[len("cancel_"):])
+def test_cancelling_sum_stores_no_key(case):
+    terms, keys = case()
+    assert set(terms) == keys
+    assert not any(v.is_zero() for v in terms.values())
