@@ -5,7 +5,6 @@ import argparse
 import json
 import os
 import sys
-import traceback
 
 from . import __version__
 from .errors import (
@@ -364,7 +363,9 @@ def main(argv=None, out=None, err=None):
         err.write(f"error: {exc}\n")
         return 1
     except Exception as exc:
-        # a bug, not a failed check: keep it apart from exit code 1
+        # a bug, not a failed check: keep it apart from exit code 1;
+        # traceback is imported here only, as it slows every start-up
+        import traceback
         traceback.print_exc(file=err)
         err.write(f"error: internal: {type(exc).__name__}: {exc}\n")
         return 3

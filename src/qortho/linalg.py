@@ -16,7 +16,6 @@ package: a list of `Fraction` rows, because the sign of a pivot needs an
 ordered field and the scalar ring is not one.
 """
 
-import itertools
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -183,8 +182,8 @@ def kron_embed(A, slot, width, arity):
 
     A of dim `width` acts on tensor slot `slot`; A of dim `width`**2 acts
     on the adjacent pair (slot, slot+1).  Identity on the other slots.
+    The embedded entries are A's own Scalars, not copies.
     """
-    total = width ** arity
     if A.dim == width:
         span = 1
     elif A.dim == width ** 2:
@@ -193,21 +192,25 @@ def kron_embed(A, slot, width, arity):
         raise DimMismatch(f"dim {A.dim} does not fit width {width}")
     if slot < 1 or slot + span - 1 > arity:
         raise DimMismatch(f"slot {slot} (span {span}) outside arity {arity}")
-    rest = [i for i in range(arity) if not (slot - 1 <= i < slot - 1 + span)]
+    # 0-based composite index = (before * A.dim + i) * after_size + after,
+    # with i A's index and before, after the slots left and right of it
+    after_size = width ** (arity - slot - span + 1)
+    block = A.dim * after_size
+    offsets = [before * block + after for before in range(width ** (slot - 1))
+               for after in range(after_size)]
+    return _spread(A, width ** arity, lambda i: i * after_size, offsets)
+
+
+def _spread(A, dim, place, offsets):
+    """The dim x dim matrix with A's entry (r, c) at (place(r-1) + o + 1,
+    place(c-1) + o + 1) for every offset o: an embedding of A into a tensor
+    space as index arithmetic, holding A's own entry objects."""
     out = {}
     for (r, c), v in A.entries.items():
-        rp = unpack(r, width, span)
-        cp = unpack(c, width, span)
-        for combo in itertools.product(range(1, width + 1), repeat=len(rest)):
-            row = [0] * arity
-            col = [0] * arity
-            for i, x in zip(rest, combo):
-                row[i] = col[i] = x
-            for i, (x, y) in enumerate(zip(rp, cp)):
-                row[slot - 1 + i] = x
-                col[slot - 1 + i] = y
-            out[(pack(row, width), pack(col, width))] = v
-    return SqMat._of(total, out)
+        r, c = place(r - 1) + 1, place(c - 1) + 1
+        for o in offsets:
+            out[(r + o, c + o)] = v
+    return SqMat._of(dim, out)
 
 
 def first_diff(X, Y):

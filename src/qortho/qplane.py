@@ -30,6 +30,14 @@ class NCPoly:
         object.__setattr__(self, "terms", MappingProxyType(
             {tuple(w): v for w, v in (terms or {}).items() if not v.is_zero()}))
 
+    @staticmethod
+    def _of(terms):
+        """Trusted constructor: `terms` is a fresh dict from tuple words to
+        nonzero Scalars that no caller keeps a reference to."""
+        p = NCPoly.__new__(NCPoly)
+        object.__setattr__(p, "terms", MappingProxyType(terms))
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError(f"NCPoly is immutable: cannot set {name!r}")
 
@@ -64,7 +72,7 @@ class NCPoly:
         out = dict(self.terms)
         for w, v in other.terms.items():
             _accumulate(out, w, v)
-        return NCPoly(out)
+        return NCPoly._of(out)
 
     def __neg__(self):
         return NCPoly({w: -v for w, v in self.terms.items()})
@@ -78,7 +86,7 @@ class NCPoly:
             for w1, c1 in self.terms.items():
                 for w2, c2 in other.terms.items():
                     _accumulate(out, w1 + w2, c1 * c2)
-            return NCPoly(out)
+            return NCPoly._of(out)
         return NCPoly({w: v * other for w, v in self.terms.items()})
 
     def __rmul__(self, other):
@@ -171,13 +179,13 @@ class RewriteSystem:
             if not (1 <= a <= N):
                 raise ValueError(f"letter rule key out of range: {a}")
         _certify({(a,): rhs for a, rhs in letter_rules.items()}, letter_rules)
-        pair_rules = {key: NCPoly(_normalize_terms(rhs.terms, {}, letter_rules))
+        pair_rules = {key: NCPoly._of(_normalize_terms(rhs.terms, {}, letter_rules))
                       for key, rhs in pair_rules.items()}
         _certify(pair_rules, letter_rules)
         for rules in (pair_rules, letter_rules):
             for key, rhs in rules.items():
-                rules[key] = NCPoly(_normalize_terms(rhs.terms, pair_rules,
-                                                     letter_rules))
+                rules[key] = NCPoly._of(_normalize_terms(rhs.terms, pair_rules,
+                                                         letter_rules))
         object.__setattr__(self, "pair_rules", MappingProxyType(pair_rules))
         object.__setattr__(self, "letter_rules", MappingProxyType(letter_rules))
 
@@ -199,7 +207,7 @@ def normal_form(p, rs):
     for w in p.terms:
         if any(l < 1 or l > rs.N for l in w):
             raise ValueError(f"word {w} uses letters outside 1..{rs.N}")
-    return NCPoly(_normalize_terms(p.terms, rs.pair_rules, rs.letter_rules))
+    return NCPoly._of(_normalize_terms(p.terms, rs.pair_rules, rs.letter_rules))
 
 
 def plane_relations(shape):

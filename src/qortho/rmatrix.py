@@ -8,7 +8,9 @@ qplane and cli take it instead of N."""
 from fractions import Fraction
 
 from .errors import BadN
-from .linalg import SqMat, bar_mat, first_diff, inverse, kron_embed, pack, unpack
+from .linalg import (
+    SqMat, _spread, bar_mat, first_diff, inverse, kron_embed, pack, unpack,
+)
 from .scalars import ConjRegime, Scalar
 
 
@@ -125,31 +127,96 @@ def build_R(N):
 
 def embed_13(R, N):
     """R acting on tensor slots 1 and 3 of the N^3 space, identity on 2."""
-    out = {}
-    for (r, c), v in R.entries.items():
-        a, e = unpack(r, N, 2)
-        d, f = unpack(c, N, 2)
-        for b in range(1, N + 1):
-            out[(pack((a, b, e), N), pack((d, b, f), N))] = v
-    return SqMat._of(N ** 3, out)
+    # R's 0-based index a*N + e goes to (a*N + b)*N + e for every slot-2 b
+    return _spread(R, N ** 3, lambda i: (i // N) * N * N + i % N,
+                   range(0, N * N, N))
 
 
 def check_ybe(R, N):
     """Yang-Baxter R12 R13 R23 = R23 R13 R12 in the N^3 space.
 
     Returns (True, None) or (False, witness) with the first differing
-    composite entry."""
+    composite entry.  When every entry of R lies in Z[s, s^-1], the
+    equation is first decided over the integers (`_integer_ybe`); only a
+    verdict of "holds" is taken from there.  Otherwise, and whenever the
+    integer images differ, the two sides are formed as Scalar matrix
+    products, and those alone give the verdict and the witness."""
     if R.dim != N * N:
         raise BadN(f"R has dim {R.dim}, expected {N * N}")
     R12 = kron_embed(R, 1, N, 3)
     R23 = kron_embed(R, 2, N, 3)
     R13 = embed_13(R, N)
+    if _integer_ybe(R, R12, R13, R23):
+        return True, None
     diff = first_diff(R12 * R13 * R23, R23 * R13 * R12)
     if diff is None:
         return True, None
     r, c, lv, rv = diff
     return False, {"row": list(unpack(r, N, 3)), "col": list(unpack(c, N, 3)),
                    "lhs": str(lv), "rhs": str(rv)}
+
+
+def _integer_ybe(R, R12, R13, R23):
+    """Whether R12 R13 R23 = R23 R13 R12, decided exactly over the integers
+    by the substitution s -> 2^k; None if an entry of R is outside
+    Z[s, s^-1].  R12, R13 and R23 are R's embeddings, holding R's own
+    entry objects.
+
+    Let rho be the largest l1 norm of a row of R (the sum of the absolute
+    values of its entries' coefficients).  Each embedding has the same row
+    norms, so every coefficient of every entry of either triple product is
+    at most beta = rho^3 in absolute value, and every coefficient of their
+    difference at most 2 beta.  With 2^k > 8 beta that is below 2^k / 4,
+    and an integer has at most one base-2^k expansion with digits in
+    (-2^k / 2, 2^k / 2), so an entry of the difference vanishes exactly
+    when its image does.  Entries are encoded shifted by R's lowest
+    s-exponent lo, sum c_e 2^(k (e - lo)); both sides carry the shift 3 lo.
+    """
+    found = _kronecker_images(R)
+    if found is None:
+        return None
+    _, images = found
+    A, B, C = (_int_rows(M, images) for M in (R12, R13, R23))
+    # one row of each side at a time, so no full intermediate product is held
+    return all(_row_times(_row_times(A.get(i, {}), B), C)
+               == _row_times(_row_times(C.get(i, {}), B), A)
+               for i in A.keys() | C.keys())
+
+
+def _kronecker_images(R):
+    """(k, images): the smallest k with 2^k > 8 rho^3 (see `_integer_ybe`)
+    and, under id(v) for each entry v of R, the integer
+    sum c_e 2^(k (e - lo)) with lo R's lowest s-exponent; None if an entry
+    of R is outside Z[s, s^-1]."""
+    polys, norms = [], {}
+    for (r, _), v in R.entries.items():
+        # a canonical denominator with one term is 1
+        if v.n1 or len(v.d) != 1 or any(x.b or x.d != 1 for x in v.n0.values()):
+            return None
+        poly = {e: x.a for e, x in v.n0.items()}
+        polys.append((v, poly))
+        norms[r] = norms.get(r, 0) + sum(abs(c) for c in poly.values())
+    k = (8 * max(norms.values(), default=0) ** 3).bit_length()
+    lo = min((e for _, poly in polys for e in poly), default=0)
+    return k, {id(v): sum(c << (k * (e - lo)) for e, c in poly.items())
+               for v, poly in polys}
+
+
+def _int_rows(M, images):
+    # M's entries as {row: {col: images[id(entry)]}}
+    rows = {}
+    for (r, c), v in M.entries.items():
+        rows.setdefault(r, {})[c] = images[id(v)]
+    return rows
+
+
+def _row_times(row, M):
+    # a {col: int} row times a {row: {col: int}} matrix, zero entries dropped
+    acc = {}
+    for k, v in row.items():
+        for j, w in M.get(k, {}).items():
+            acc[j] = acc.get(j, 0) + v * w
+    return {j: x for j, x in acc.items() if x}
 
 
 def build_rhat(R, N):

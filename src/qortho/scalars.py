@@ -481,9 +481,6 @@ class Scalar:
     def is_zero(self):
         return not self.n0 and not self.n1
 
-    def has_t(self):
-        return bool(self.n1)
-
     def as_gauss(self):
         """The value of a constant scalar; None if not constant."""
         if self.n1 or self.d != _ONE_POLY or len(self.n0) > (1 if 0 in self.n0 else 0):

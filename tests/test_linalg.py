@@ -1,6 +1,7 @@
 """Sparse exact matrices: products, embeddings, inverse, signature,
 antilinear fixed bases."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from qortho.linalg import (
     SqMat, antilinear_fixed_basis, bar_mat, classical_mat, inverse,
     kron_embed, pack, rank, signature, unpack,
 )
-from qortho.rmatrix import GroupShape
+from qortho.rmatrix import GroupShape, build_R, embed_13
 from qortho.scalars import ConjRegime, GaussRat, Scalar
 
 ONE = Scalar.one()
@@ -80,7 +81,7 @@ def test_product_kernel_matches_entrywise_reference():
     assert len({tuple(sorted(v.d.items())) for v in PA.entries.values()}) >= 2
     T = Scalar.t_unit()
     X = PA.scale(ONE + T) + SqMat.diag([T * sp(k) for k in range(16)])
-    assert any(v.has_t() for v in X.entries.values())
+    assert any(v.n1 for v in X.entries.values())
     for A, B in ((PA, PA), (P0, PA), (X, PA), (PA, X)):
         product = A * B
         assert dict(product.entries) == entrywise_product(A, B)
@@ -147,6 +148,51 @@ def test_kron_embed_adjacent_pair():
     assert A23.get(pack((3, 2, 1), 3), pack((3, 1, 2), 3)) == ONE
     with pytest.raises(DimMismatch):
         kron_embed(A, 3, 3, 3)
+
+
+def distinct_entries(dim):
+    # a full matrix whose entries all differ, so a misplaced one shows
+    return SqMat(dim, {(r, c): sp(dim * r + c) for r in range(1, dim + 1)
+                       for c in range(1, dim + 1)})
+
+
+def delta_embed(A, slot, width, arity):
+    # reference: entry (row, col) is A's entry on the slots A acts on, times
+    # a Kronecker delta on every other slot
+    span = 1 if A.dim == width else 2
+    acted = range(slot - 1, slot - 1 + span)
+    out = {}
+    for row in itertools.product(range(1, width + 1), repeat=arity):
+        for col in itertools.product(range(1, width + 1), repeat=arity):
+            if all(row[i] == col[i] for i in range(arity) if i not in acted):
+                out[(pack(row, width), pack(col, width))] = A.get(
+                    pack([row[i] for i in acted], width),
+                    pack([col[i] for i in acted], width))
+    return SqMat(width ** arity, out)
+
+
+@pytest.mark.parametrize("span, slot", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)])
+def test_kron_embed_matches_delta_construction(span, slot):
+    A = distinct_entries(3 ** span)
+    assert kron_embed(A, slot, 3, 3) == delta_embed(A, slot, 3, 3)
+
+
+@pytest.mark.parametrize("R", [build_R(3), distinct_entries(9)],
+                         ids=["so3", "distinct"])
+def test_embed_13_conjugates_r12_by_the_23_flip(R):
+    flip = SqMat(9, {(pack((a, b), 3), pack((b, a), 3)): 1
+                     for a in range(1, 4) for b in range(1, 4)})
+    P23 = kron_embed(flip, 2, 3, 3)
+    assert embed_13(R, 3) == P23 * kron_embed(R, 1, 3, 3) * P23
+
+
+@pytest.mark.parametrize("dim, slot, arity", [
+    (2, 1, 3), (27, 1, 3), (3, 0, 3), (3, 4, 3), (9, 0, 3), (9, 3, 3),
+    (9, 1, 1),
+])
+def test_kron_embed_rejects_what_does_not_fit(dim, slot, arity):
+    with pytest.raises(DimMismatch):
+        kron_embed(SqMat.identity(dim), slot, 3, arity)
 
 
 def test_inverse_metric_and_random():

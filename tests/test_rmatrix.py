@@ -4,15 +4,17 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qortho.cli import _projector_checks
 from qortho.errors import BadN
-from qortho.linalg import SqMat, classical_mat, pack, rank
+from qortho.linalg import SqMat, classical_mat, kron_embed, pack, rank
 from qortho.rmatrix import (
-    GroupShape, build_metric, build_R, build_rhat, build_rho, check_char_eq,
-    check_r_reality, check_ybe,
+    GroupShape, _integer_ybe, _kronecker_images, build_metric, build_R,
+    build_rhat, build_rho, check_char_eq, check_r_reality, check_ybe,
+    embed_13,
 )
-from qortho.scalars import ConjRegime, Scalar
+from qortho.scalars import ConjRegime, GaussRat, Scalar
 
 ONE = Scalar.one()
 Q = Scalar.q_power(1)
@@ -107,8 +109,125 @@ def test_ybe_negative():
     bad[(pack((1, 1), N), pack((1, 1), N))] = Q + ONE
     ok, witness = check_ybe(SqMat(N * N, bad), N)
     assert not ok
-    assert set(witness) == {"row", "col", "lhs", "rhs"}
-    assert witness["lhs"] != witness["rhs"]
+    assert witness == {"row": [1, 2, 3], "col": [1, 1, 4],
+                       "lhs": "1*s^-4 + -1*s^0",
+                       "rhs": "1*s^-6 + 1*s^-4 + -1*s^-2 + -1*s^0"}
+
+
+def embeddings(R, N):
+    return kron_embed(R, 1, N, 3), embed_13(R, N), kron_embed(R, 2, N, 3)
+
+
+def product_verdict(R, N):
+    R12, R13, R23 = embeddings(R, N)
+    return R12 * R13 * R23 == R23 * R13 * R12
+
+
+def integer_verdict(R, N):
+    R12, R13, R23 = embeddings(R, N)
+    return _integer_ybe(R, R12, R13, R23)
+
+
+def flip(N):
+    return SqMat(N * N, {(pack((a, b), N), pack((b, a), N)): ONE
+                         for a in range(1, N + 1) for b in range(1, N + 1)})
+
+
+int_laurent = st.dictionaries(
+    st.integers(-3, 3), st.integers(-3, 3).filter(bool), min_size=1, max_size=3,
+).map(lambda p: Scalar({e: GaussRat(c) for e, c in p.items()}))
+# c s^j (s - 2^m) vanishes at s = 2^m: an entry that a too small k
+# cannot tell from zero
+vanishing_at_power_of_two = st.builds(
+    lambda c, j, m: Scalar.from_frac(c) * Scalar.s_power(j)
+    * (Scalar.s_power(1) - Scalar.from_frac(2 ** m)),
+    st.integers(-2, 2).filter(bool), st.integers(-2, 2), st.integers(1, 24))
+
+
+@st.composite
+def ybe_solutions(draw):
+    """(R, N): a known solution of the YBE scaled by c s^j, optionally with
+    one entry perturbed by an integer Laurent polynomial."""
+    N = draw(st.sampled_from((2, 3)))
+    kinds = ["identity", "flip", "diagonal"] + (["so3"] if N == 3 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "identity":
+        R = SqMat.identity(N * N)
+    elif kind == "flip":
+        R = flip(N)
+    elif kind == "diagonal":
+        R = SqMat.diag(draw(st.lists(int_laurent, min_size=N * N,
+                                     max_size=N * N)))
+    else:
+        R = build_R(3)
+    unit = Scalar.from_frac(draw(st.integers(-3, 3).filter(bool)))
+    R = R.scale(unit * Scalar.s_power(draw(st.integers(-3, 3))))
+    if draw(st.booleans()):
+        key = (draw(st.integers(1, N * N)), draw(st.integers(1, N * N)))
+        entries = dict(R.entries)
+        entries[key] = R.get(*key) + draw(int_laurent | vanishing_at_power_of_two)
+        R = SqMat(N * N, entries)
+    return R, N
+
+
+@given(ybe_solutions())
+@settings(max_examples=300, deadline=None)
+def test_integer_verdict_equals_product_verdict(case):
+    R, N = case
+    assert integer_verdict(R, N) == product_verdict(R, N)
+
+
+def row_norm(R):
+    # largest sum of |coefficient| over the entries of one row
+    norms = {}
+    for (r, _), v in R.entries.items():
+        norms[r] = norms.get(r, 0) + sum(abs(c.a) for c in v.n0.values())
+    return max(norms.values())
+
+
+@pytest.mark.parametrize("N", (3, 4))
+def test_ybe_sides_obey_the_coefficient_bound(N):
+    R = build_R(N)
+    rho = row_norm(R)
+    assert rho == 2 * N + 1
+    R12, R13, R23 = embeddings(R, N)
+    for side in (R12 * R13 * R23, R23 * R13 * R12):
+        for v in side.entries.values():
+            assert not v.n1 and v.d == {0: 1}
+            assert all(c.d == 1 and not c.b and abs(c.a) <= rho ** 3
+                       for c in v.n0.values())
+    k, _ = _kronecker_images(R)
+    assert 2 ** k > 8 * rho ** 3
+
+
+def count_products(monkeypatch):
+    calls = []
+    product = SqMat.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(SqMat, "__mul__", counted)
+    return calls
+
+
+def test_integer_r_takes_no_scalar_product(monkeypatch):
+    R = build_R(3)
+    calls = count_products(monkeypatch)
+    assert check_ybe(R, 3) == (True, None)
+    assert not calls
+
+
+@pytest.mark.parametrize("c", [
+    Scalar.i_unit(), Scalar.from_frac(Fraction(1, 2)), Scalar.t_unit(),
+], ids=["i", "half", "t"])
+def test_non_integer_r_takes_the_product_path(monkeypatch, c):
+    R = build_R(3).scale(c)
+    assert _kronecker_images(R) is None
+    calls = count_products(monkeypatch)
+    assert check_ybe(R, 3) == (True, None)
+    assert len(calls) == 4
 
 
 def test_projector_algebra():
