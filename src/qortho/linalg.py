@@ -22,7 +22,7 @@ from types import MappingProxyType
 from .errors import (
     Degenerate, DimMismatch, NotInvolution, NotReal, NotSymmetric, Singular,
 )
-from .scalars import ConjRegime, GaussRat, Scalar, _accumulate
+from .scalars import ConjRegime, Scalar, _accumulate
 
 
 def pack(parts, width):
@@ -47,13 +47,7 @@ class SqMat:
     __slots__ = ("dim", "entries")
 
     def __init__(self, dim, entries=None):
-        out = {}
-        for (r, c), v in (entries or {}).items():
-            if not isinstance(v, Scalar):
-                v = Scalar.from_gauss(v) if isinstance(v, GaussRat) else Scalar.from_frac(v)
-            if not v.is_zero():
-                out[(r, c)] = v
-        self._set(dim, out)
+        self._set(dim, {k: v for k, v in (entries or {}).items() if not v.is_zero()})
 
     @staticmethod
     def _of(dim, entries):

@@ -100,7 +100,7 @@ def _member(N, family, eps):
     mid = shape.n2 or shape.n
     if eps[mid - 1] != 1:
         raise BadFamily(f"{family} requires eps_{mid} = +1")
-    mat = SqMat(N, {(a, a): unit * e for a, e in enumerate(eps, start=1)})
+    mat = SqMat.diag([unit if e == 1 else -unit for e in eps])
     return AutoMatrix(family, N, tuple(eps), mat, mirror)
 
 

@@ -9,6 +9,10 @@ polynomial.  Canonical form is unique: num and den are coprime, den has
 lowest s-power 0 and leading coefficient 1.  All arithmetic is exact and
 equality is structural equality of canonical forms.
 
+`GaussRat` and `Scalar` operators take their own type only: mixing types
+raises TypeError and `==` across types is False.  Constructors take int or
+Fraction values, never floats or strings.
+
 Conjugation (bar) comes in two regimes: q real fixes s, |q| = 1 sends
 s to s^-1; both conjugate the Gaussian-rational coefficients and fix t.
 """
@@ -36,7 +40,7 @@ class GaussRat:
         if type(re) is int and type(im) is int:
             self.a, self.b, self.d = re, im, 1
             return
-        re, im = Fraction(re), Fraction(im)
+        re, im = _exact_rational(re), _exact_rational(im)
         p, r = re.denominator, im.denominator
         d = p * r // math.gcd(p, r)  # lcm of lowest-terms denominators is lowest
         self.a, self.b, self.d = re.numerator * (d // p), im.numerator * (d // r), d
@@ -51,47 +55,33 @@ class GaussRat:
 
     def __add__(self, other):
         if type(other) is not GaussRat:
-            other = _try_gauss(other)
-            if other is None:
-                return NotImplemented
+            return NotImplemented
         d, e = self.d, other.d
         if d == e:
             return _gauss(self.a + other.a, self.b + other.b, d)
         return _gauss(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         if type(other) is not GaussRat:
-            other = _try_gauss(other)
-            if other is None:
-                return NotImplemented
+            return NotImplemented
         d, e = self.d, other.d
         if d == e:
             return _gauss(self.a - other.a, self.b - other.b, d)
         return _gauss(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
-
-    def __rsub__(self, other):
-        return _as_gauss(other) - self
 
     def __neg__(self):
         return _exact(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
         if type(other) is not GaussRat:
-            other = _try_gauss(other)
-            if other is None:
-                return NotImplemented
+            return NotImplemented
         a, b, c, e = self.a, self.b, other.a, other.b
         return _gauss(a * c - b * e, a * e + b * c, self.d * other.d)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        return self * _as_gauss(other).inv()
-
-    def __rtruediv__(self, other):
-        return _as_gauss(other) * self.inv()
+        if type(other) is not GaussRat:
+            return NotImplemented
+        return self * other.inv()
 
     def inv(self):
         # d / (a + b i) = d (a - b i) / (a^2 + b^2)
@@ -112,10 +102,7 @@ class GaussRat:
 
     def __eq__(self, other):
         if type(other) is not GaussRat:
-            if isinstance(other, (int, Fraction)):
-                other = GaussRat(other)
-            elif not isinstance(other, GaussRat):
-                return NotImplemented
+            return NotImplemented
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
@@ -150,19 +137,11 @@ def _gauss(a, b, d):
     return _exact(a, b, d)
 
 
-def _try_gauss(x):
-    if isinstance(x, GaussRat):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussRat(x)
-    return None
-
-
-def _as_gauss(x):
-    g = _try_gauss(x)
-    if g is None:
-        raise TypeError(f"cannot coerce {type(x).__name__} to GaussRat")
-    return g
+def _exact_rational(x):
+    # a float would be rounded and a string parsed: neither is exact input
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"expected int or Fraction, not {type(x).__name__}")
+    return Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +345,7 @@ class Scalar:
 
     @staticmethod
     def from_gauss(g):
-        return Scalar({0: _as_gauss(g)})
+        return Scalar({0: g})
 
     @staticmethod
     def from_frac(x):
@@ -377,13 +356,9 @@ class Scalar:
         return Scalar({0: GaussRat(0, 1)})
 
     @staticmethod
-    def s_power(k):
-        return Scalar({int(k): GaussRat(1)})
-
-    @staticmethod
     def q_power(p):
         # q = s^2; p may be a half-integer
-        e = Fraction(p) * 2
+        e = _exact_rational(p) * 2
         if e.denominator != 1:
             raise ValueError(f"q^{p} is not an integer power of s")
         return Scalar({int(e): GaussRat(1)})
@@ -395,8 +370,7 @@ class Scalar:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        other = _try_scalar(other)
-        if other is None:
+        if type(other) is not Scalar:
             return NotImplemented
         if self.d == other.d:
             return Scalar(_lp_add(self.n0, other.n0), _lp_add(self.n1, other.n1), self.d)
@@ -405,27 +379,18 @@ class Scalar:
             _lp_add(_lp_mul(self.n1, other.d), _lp_mul(other.n1, self.d)),
             _lp_mul(self.d, other.d))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        other = _try_scalar(other)
-        if other is None:
+        if type(other) is not Scalar:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return _as_scalar(other) + (-self)
 
     def __neg__(self):
         return _unit_product(self, _MINUS_ONE)
 
     def __mul__(self, other):
-        other = _try_scalar(other)
-        if other is None:
+        if type(other) is not Scalar:
             return NotImplemented
         return Scalar.sum_of_products([(self, other)])
-
-    __rmul__ = __mul__
 
     @staticmethod
     def sum_of_products(pairs):
@@ -458,13 +423,9 @@ class Scalar:
         return total
 
     def __truediv__(self, other):
-        other = _try_scalar(other)
-        if other is None:
+        if type(other) is not Scalar:
             return NotImplemented
         return self * other.inv()
-
-    def __rtruediv__(self, other):
-        return _as_scalar(other) * self.inv()
 
     def inv(self):
         if self.is_zero():
@@ -503,9 +464,7 @@ class Scalar:
         """Equality of the canonical dicts, exact because canonical forms
         are unique and hold no zero coefficients; the hash is taken from
         the same dicts, frozen."""
-        if isinstance(other, (int, Fraction, GaussRat)):
-            other = Scalar({0: _as_gauss(other)})
-        if not isinstance(other, Scalar):
+        if type(other) is not Scalar:
             return NotImplemented
         return self.n0 == other.n0 and self.n1 == other.n1 and self.d == other.d
 
@@ -532,7 +491,9 @@ def _freeze(p):
 def _unit_product(v, w):
     # v*w when one factor is a unit monomial c*s^k, else None.  A unit
     # times a canonical Scalar is canonical: only its numerator changes.
-    if len(v.n0) == 1 and not v.n1 and len(v.d) == 1:
+    # Of two units, a factor 1 is taken as the unit, so the other comes back.
+    if len(v.n0) == 1 and not v.n1 and len(v.d) == 1 and (
+            len(w.n0) != 1 or w.n1 or len(w.d) != 1 or v.n0 == _ONE_POLY):
         v, w = w, v
     elif len(w.n0) != 1 or w.n1 or len(w.d) != 1:
         return None
@@ -554,23 +515,6 @@ def _add_product(v, w, n0, n1):
         _lp_addmul(n0, v.n1, w.n1, (1, -1))
         _lp_addmul(n1, v.n0, w.n1, (0,))
         _lp_addmul(n1, v.n1, w.n0, (0,))
-
-
-def _try_scalar(x):
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Scalar({0: GaussRat(x)})
-    if isinstance(x, GaussRat):
-        return Scalar({0: x})
-    return None
-
-
-def _as_scalar(x):
-    v = _try_scalar(x)
-    if v is None:
-        raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
-    return v
 
 
 _ZERO = Scalar()

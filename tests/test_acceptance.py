@@ -7,6 +7,7 @@ are exact; there are no numerical tolerances anywhere.
 
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 
@@ -34,7 +35,7 @@ UNIT = ConjRegime.UNIT_MODULUS_Q
 one = Scalar.one()
 iu = Scalar.i_unit()
 q = Scalar.q_power(1)
-s = Scalar.s_power(1)
+s = Scalar.q_power(Fraction(1, 2))
 lam = q - Scalar.q_power(-1)
 
 
@@ -156,7 +157,7 @@ def test_06_plane_relations_match_canonical_rule_sets():
             (1, 2): NCPoly({(2, 1): q}),
             (2, 3): NCPoly({(3, 2): q}),
             (1, 3): NCPoly({(3, 1): one,
-                            (2, 2): -(s - Scalar.s_power(-1))}),
+                            (2, 2): -(s - Scalar.q_power(Fraction(-1, 2)))}),
         }
         assert plane_relations(GroupShape(4)).pair_rules == four
         assert plane_relations(GroupShape(3)).pair_rules == three

@@ -305,7 +305,8 @@ def test_schema_rejects_malformed_report():
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qortho", "ybe", "--n", "3"],
-        capture_output=True, text=True, cwd=HERE)
+        capture_output=True, text=True, cwd=HERE,
+        env=dict(os.environ, PYTHONPATH=os.path.join(HERE, "src")))
     assert proc.returncode == 0
     assert "overall: pass" in proc.stdout
 

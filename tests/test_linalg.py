@@ -15,14 +15,21 @@ from qortho.linalg import (
     kron_embed, pack, rank, signature, unpack,
 )
 from qortho.rmatrix import GroupShape, build_R, embed_13
-from qortho.scalars import ConjRegime, GaussRat, Scalar
+from qortho.scalars import ConjRegime, Scalar
 
 ONE = Scalar.one()
 I_ = Scalar.i_unit()
 
 
 def sp(k):
-    return Scalar.s_power(k)
+    """s^k, with s = q^(1/2)."""
+    return Scalar.q_power(Fraction(k, 2))
+
+
+def mat(dim, entries):
+    """SqMat whose entries may also be ints or Fractions."""
+    return SqMat(dim, {k: v if isinstance(v, Scalar) else Scalar.from_frac(v)
+                       for k, v in entries.items()})
 
 
 def metric(n, rho):
@@ -33,7 +40,7 @@ def metric(n, rho):
 
 C3 = metric(3, [Fraction(1, 2), 0, Fraction(-1, 2)])
 C4 = metric(4, [1, 0, 0, -1])
-D4 = SqMat(4, {(1, 1): 1, (2, 3): 1, (3, 2): 1, (4, 4): 1})
+D4 = mat(4, {(1, 1): 1, (2, 3): 1, (3, 2): 1, (4, 4): 1})
 
 
 def test_pack_unpack():
@@ -98,7 +105,8 @@ def random_mixed_matrix(rng, dim):
     pools = (
         [c * sp(k) for c in (ONE, -ONE, I_, Scalar.from_frac(Fraction(-1, 3)))
          for k in (-2, 0, 3)],
-        [sp(1) + sp(-1), sp(2) - 2 * sp(-2), ONE + T * sp(1), T - I_],
+        [sp(1) + sp(-1), sp(2) - Scalar.from_frac(2) * sp(-2), ONE + T * sp(1),
+         T - I_],
         [ONE / (ONE + sp(1)), (sp(1) - ONE) / (sp(2) + ONE), T / (sp(1) - I_)],
     )
     return SqMat(dim, {(r, c): rng.choice(rng.choice(pools))
@@ -140,8 +148,8 @@ def test_kron_embed_slot_expansion():
 
 
 def test_kron_embed_adjacent_pair():
-    A = SqMat(9, {(pack((a, b), 3), pack((b, a), 3)): 1
-                  for a in range(1, 4) for b in range(1, 4)})  # flip on 2 slots
+    A = mat(9, {(pack((a, b), 3), pack((b, a), 3)): 1
+                for a in range(1, 4) for b in range(1, 4)})  # flip on 2 slots
     A12 = kron_embed(A, 1, 3, 3)
     assert A12.get(pack((2, 1, 3), 3), pack((1, 2, 3), 3)) == ONE
     A23 = kron_embed(A, 2, 3, 3)
@@ -180,8 +188,8 @@ def test_kron_embed_matches_delta_construction(span, slot):
 @pytest.mark.parametrize("R", [build_R(3), distinct_entries(9)],
                          ids=["so3", "distinct"])
 def test_embed_13_conjugates_r12_by_the_23_flip(R):
-    flip = SqMat(9, {(pack((a, b), 3), pack((b, a), 3)): 1
-                     for a in range(1, 4) for b in range(1, 4)})
+    flip = mat(9, {(pack((a, b), 3), pack((b, a), 3)): 1
+                   for a in range(1, 4) for b in range(1, 4)})
     P23 = kron_embed(flip, 2, 3, 3)
     assert embed_13(R, 3) == P23 * kron_embed(R, 1, 3, 3) * P23
 
@@ -206,12 +214,12 @@ def test_inverse_metric_and_random():
 
 def test_inverse_singular():
     with pytest.raises(Singular):
-        inverse(SqMat(3, {(1, 1): 1, (2, 1): 1}))
+        inverse(mat(3, {(1, 1): 1, (2, 1): 1}))
 
 
 def test_rank():
     assert rank(SqMat.identity(4)) == 4
-    assert rank(SqMat(3, {(1, 1): 1, (2, 2): 1})) == 2
+    assert rank(mat(3, {(1, 1): 1, (2, 2): 1})) == 2
     assert rank(SqMat(3, {(1, 1): ONE, (2, 1): sp(3)})) == 1
     # row 3 = row 1 + q*row 2, a multiple of neither: it must be reduced
     # against two basis rows before it vanishes
@@ -231,7 +239,7 @@ def test_transpose_trace():
 def test_bar_and_classical_maps():
     A = SqMat(2, {(1, 1): sp(2), (1, 2): I_})
     assert bar_mat(A, ConjRegime.UNIT_MODULUS_Q) == SqMat(2, {(1, 1): sp(-2), (1, 2): -I_})
-    assert classical_mat(A) == SqMat(2, {(1, 1): 1, (1, 2): GaussRat(0, 1)})
+    assert classical_mat(A) == mat(2, {(1, 1): 1, (1, 2): I_})
 
 
 # --- signature ---------------------------------------------------------------
@@ -249,25 +257,25 @@ def test_signature_diagonal():
 def test_signature_antidiagonal():
     # independent oracle: x1*x4 + x2*x3 doubled splits into two hyperbolic
     # planes, each contributing (+1, -1)
-    J = SqMat(4, {(a, 5 - a): 1 for a in range(1, 5)})
+    J = mat(4, {(a, 5 - a): 1 for a in range(1, 5)})
     assert signature(J) == (2, 2)
 
 
 def test_signature_congruence_invariant():
     S = diag_mat(1, -1, 3)
-    P = SqMat(3, {(1, 1): 1, (1, 2): 2, (2, 2): 1, (3, 1): 5, (3, 3): 1})
+    P = mat(3, {(1, 1): 1, (1, 2): 2, (2, 2): 1, (3, 1): 5, (3, 3): 1})
     assert signature(P.transpose() * S * P) == (2, 1)
 
 
 def test_signature_errors():
     with pytest.raises(NotSymmetric):
-        signature(SqMat(2, {(1, 2): 1}))
+        signature(mat(2, {(1, 2): 1}))
     with pytest.raises(Degenerate):
-        signature(SqMat(2, {(1, 1): 1}))
+        signature(mat(2, {(1, 1): 1}))
     with pytest.raises(NotReal):
-        signature(SqMat(2, {(1, 1): I_, (2, 2): 1}).map_entries(lambda v: v))
+        signature(mat(2, {(1, 1): I_, (2, 2): 1}).map_entries(lambda v: v))
     with pytest.raises(NotReal):
-        signature(SqMat(2, {(1, 1): sp(1), (2, 2): 1}))
+        signature(mat(2, {(1, 1): sp(1), (2, 2): 1}))
 
 
 # --- antilinear fixed basis --------------------------------------------------
@@ -285,14 +293,14 @@ def check_fixed(K):
 
 
 def test_fixed_basis_compact_so3():
-    K = SqMat(3, {(1, 3): 1, (2, 2): 1, (3, 1): 1})  # metric at q=1, transposed
+    K = mat(3, {(1, 3): 1, (2, 2): 1, (3, 1): 1})  # metric at q=1, transposed
     Minv = check_fixed(K)
     S = Minv.transpose() * K * Minv  # here C^t = C = K at q=1
     assert signature(S) == (3, 0)
 
 
 def test_fixed_basis_minkowski():
-    C1 = SqMat(4, {(a, 5 - a): 1 for a in range(1, 5)})
+    C1 = mat(4, {(a, 5 - a): 1 for a in range(1, 5)})
     K = C1.transpose() * D4
     Minv = check_fixed(K)
     S = Minv.transpose() * C1 * Minv
@@ -306,9 +314,9 @@ def test_fixed_basis_complex_k():
 
 def test_fixed_basis_not_involution():
     with pytest.raises(NotInvolution):
-        antilinear_fixed_basis(SqMat(2, {(1, 1): 2, (2, 2): 1}))
+        antilinear_fixed_basis(mat(2, {(1, 1): 2, (2, 2): 1}))
     with pytest.raises(NotReal):
-        antilinear_fixed_basis(SqMat(2, {(1, 1): sp(1), (2, 2): 1}))
+        antilinear_fixed_basis(mat(2, {(1, 1): sp(1), (2, 2): 1}))
 
 
 def test_json_dump():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from qortho.errors import BadN, QorthoError, RankMismatch
@@ -17,7 +19,7 @@ UNIT = ConjRegime.UNIT_MODULUS_Q
 one = Scalar.one()
 q = Scalar.q_power(1)
 qi = Scalar.q_power(-1)
-s = Scalar.s_power(1)
+s = Scalar.q_power(Fraction(1, 2))
 lam = q - qi
 
 
@@ -36,7 +38,7 @@ def threeplane_rules():
     return {
         (1, 2): NCPoly({(2, 1): q}),
         (2, 3): NCPoly({(3, 2): q}),
-        (1, 3): NCPoly({(3, 1): one, (2, 2): -(s - Scalar.s_power(-1))}),
+        (1, 3): NCPoly({(3, 1): one, (2, 2): -(s - Scalar.q_power(Fraction(-1, 2)))}),
     }
 
 

@@ -16,6 +16,12 @@ from qortho.rmatrix import (
 )
 from qortho.scalars import ConjRegime, GaussRat, Scalar
 
+
+def sp(k):
+    """s^k, with s = q^(1/2)."""
+    return Scalar.q_power(Fraction(k, 2))
+
+
 ONE = Scalar.one()
 Q = Scalar.q_power(1)
 QI = Scalar.q_power(-1)
@@ -62,9 +68,9 @@ def test_group_shape_keeps_each_value_and_is_frozen():
 
 def test_metric_entries():
     C3 = build_metric(3)
-    assert C3.get(1, 3) == Scalar.s_power(-1)
+    assert C3.get(1, 3) == sp(-1)
     assert C3.get(2, 2) == ONE
-    assert C3.get(3, 1) == Scalar.s_power(1)
+    assert C3.get(3, 1) == sp(1)
     C4 = build_metric(4)
     assert C4.get(1, 4) == QI
     assert C4.get(2, 3) == ONE
@@ -87,7 +93,7 @@ def test_r_entries_n3():
     assert R_(R, 3, (1, 3), (1, 3)) == QI
     assert R_(R, 3, (3, 1), (1, 3)) == LAM * (ONE - QI)
     assert R_(R, 3, (2, 1), (1, 2)) == LAM
-    assert R_(R, 3, (2, 2), (1, 3)) == -LAM * Scalar.s_power(-1)
+    assert R_(R, 3, (2, 2), (1, 3)) == -LAM * sp(-1)
     assert R_(R, 3, (1, 2), (2, 1)).is_zero()
 
 
@@ -139,8 +145,8 @@ int_laurent = st.dictionaries(
 # c s^j (s - 2^m) vanishes at s = 2^m: an entry that a too small k
 # cannot tell from zero
 vanishing_at_power_of_two = st.builds(
-    lambda c, j, m: Scalar.from_frac(c) * Scalar.s_power(j)
-    * (Scalar.s_power(1) - Scalar.from_frac(2 ** m)),
+    lambda c, j, m: Scalar.from_frac(c) * sp(j)
+    * (sp(1) - Scalar.from_frac(2 ** m)),
     st.integers(-2, 2).filter(bool), st.integers(-2, 2), st.integers(1, 24))
 
 
@@ -161,7 +167,7 @@ def ybe_solutions(draw):
     else:
         R = build_R(3)
     unit = Scalar.from_frac(draw(st.integers(-3, 3).filter(bool)))
-    R = R.scale(unit * Scalar.s_power(draw(st.integers(-3, 3))))
+    R = R.scale(unit * sp(draw(st.integers(-3, 3))))
     if draw(st.booleans()):
         key = (draw(st.integers(1, N * N)), draw(st.integers(1, N * N)))
         entries = dict(R.entries)
@@ -193,7 +199,7 @@ def test_ybe_sides_obey_the_coefficient_bound(N):
     R12, R13, R23 = embeddings(R, N)
     for side in (R12 * R13 * R23, R23 * R13 * R12):
         for v in side.entries.values():
-            assert not v.n1 and v.d == {0: 1}
+            assert not v.n1 and v.d == {0: GaussRat(1)}
             assert all(c.d == 1 and not c.b and abs(c.a) <= rho ** 3
                        for c in v.n0.values())
     k, _ = _kronecker_images(R)
@@ -266,7 +272,7 @@ def test_projectors_are_numerators_over_one_denominator(N):
     den, *numerators, _ = GroupShape(N).projectors
     assert not den.is_zero()
     for X, P in zip(numerators, rational_projectors(N)):
-        assert all(v.d == {0: 1} for v in X.entries.values())
+        assert all(v.d == {0: GaussRat(1)} for v in X.entries.values())
         assert X.scale(den.inv()) == P
 
 

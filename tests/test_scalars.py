@@ -1,19 +1,26 @@
 """Coefficient ring: canonical forms, bar conjugation, classical limit."""
 
 import math
+import operator
 import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import qortho
 from qortho.errors import DivisionByZero, PoleAtOne, ResidualT
 from qortho.linalg import SqMat, row_reduce
 from qortho.qplane import NCPoly, RewriteSystem, _normalize_terms, normal_form
 from qortho.scalars import ConjRegime, GaussRat, Scalar, _lp_add, _lp_divmod, _lp_mul
+
+
+def sp(k):
+    """s^k, with s = q^(1/2)."""
+    return Scalar.q_power(Fraction(k, 2))
+
 
 REAL = ConjRegime.REAL_Q
 UNIT = ConjRegime.UNIT_MODULUS_Q
@@ -22,7 +29,7 @@ ONE = Scalar.one()
 ZERO = Scalar.zero()
 I = Scalar.i_unit()
 T = Scalar.t_unit()
-S = Scalar.s_power(1)
+S = sp(1)
 Q = Scalar.q_power(1)
 
 
@@ -53,7 +60,7 @@ def test_division_oracle():
 def test_identity_factor():
     v = Q - ONE / Q
     assert v * ONE == v
-    assert v == Scalar.s_power(2) - Scalar.s_power(-2)
+    assert v == sp(2) - sp(-2)
 
 
 def test_t_square():
@@ -127,14 +134,14 @@ def test_gaussrat_matches_fraction_pairs(a, b, c, d):
     assert_canonical(x * y, a * c - b * d, a * d + b * c)
     assert_canonical(-x, -a, -b)
     assert_canonical(x.conj(), a, -b)
-    assert_canonical(x + 1, a + 1, b)
-    assert_canonical(1 - x, 1 - a, -b)
-    assert_canonical(c * x, c * a, c * b)
+    assert_canonical(x + GaussRat(1), a + 1, b)
+    assert_canonical(GaussRat(1) - x, 1 - a, -b)
+    assert_canonical(GaussRat(c) * x, c * a, c * b)
     n = c * c + d * d
     if n:
         assert_canonical(y.inv(), c / n, -d / n)
         assert_canonical(x / y, (a * c + b * d) / n, (b * c - a * d) / n)
-        assert_canonical(1 / y, c / n, -d / n)
+        assert_canonical(GaussRat(1) / y, c / n, -d / n)
     else:
         with pytest.raises(DivisionByZero):
             y.inv()
@@ -142,7 +149,7 @@ def test_gaussrat_matches_fraction_pairs(a, b, c, d):
             x / y
     assert (x == y) == ((a, b) == (c, d))
     assert (x + y) - y == x and hash((x + y) - y) == hash(x)
-    assert (x == a) == (b == 0)
+    assert (x == GaussRat(a)) == (b == 0)
 
 
 # --- bar -------------------------------------------------------------------
@@ -283,6 +290,7 @@ unit_monomials = st.builds(
 
 
 @given(unit_monomials, int_rational, st.booleans())
+@example(ONE, -ONE, True)  # two units: the factor 1 still returns the other
 @settings(max_examples=100, deadline=None)
 def test_unit_monomial_product_is_canonical(u, x, swap):
     pair = (x, u) if swap else (u, x)
@@ -360,7 +368,7 @@ def test_division_roundtrip(a, b):
 def test_classical_limit_values():
     assert (Q - ONE / Q).classical_limit() == GaussRat(0)
     assert Scalar.q_power(Fraction(-1, 2)).classical_limit() == GaussRat(1)
-    assert Scalar.s_power(-2).classical_limit() == GaussRat(1)
+    assert sp(-2).classical_limit() == GaussRat(1)
     assert ((Q - ONE / Q) / (S - ONE / S)).classical_limit() == GaussRat(2)
 
 
@@ -398,6 +406,50 @@ def test_text_format():
 def test_q_power_rejects_non_half_integers():
     with pytest.raises(ValueError):
         Scalar.q_power(Fraction(1, 3))
+
+
+# --- operator contract: one operand type, exact constructor input -----------
+
+@pytest.mark.parametrize("build", [
+    GaussRat, lambda x: GaussRat(0, x), Scalar.from_frac, Scalar.q_power,
+], ids=["gaussrat_re", "gaussrat_im", "from_frac", "q_power"])
+@pytest.mark.parametrize("value", [0.1, 0.5, "1/3"])
+def test_constructors_take_only_int_or_fraction(build, value):
+    # 0.1 would be stored as 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        build(value)
+
+
+def test_constructors_keep_int_and_fraction_input():
+    g = GaussRat(3, -2)
+    assert (g.a, g.b, g.d) == (3, -2, 1)
+    g = GaussRat(Fraction(1, 3), Fraction(-1, 2))
+    assert (g.a, g.b, g.d) == (2, -3, 6)
+    assert str(Scalar.from_frac(Fraction(-1, 3))) == "-1/3*s^0"
+    assert str(Scalar.q_power(Fraction(-1, 2))) == "1*s^-1"
+    assert str(Scalar.q_power(2)) == "1*s^4"
+
+
+@pytest.mark.parametrize("x, one, foreign", [
+    (Q, ONE, GaussRat(1)),
+    (GaussRat(Fraction(2, 3), 1), GaussRat(1), ONE),
+], ids=["Scalar", "GaussRat"])
+def test_ring_operators_take_one_operand_type(x, one, foreign):
+    for other in (2, Fraction(1, 2), foreign):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
+    # == across types is False, so equal values never need equal hashes
+    assert not one == 1 and not one == Fraction(1) and not one == foreign
+    assert one != 1 and len({one, 1}) == 2
+    # a Scalar declines a matrix or a polynomial, which multiply by it
+    I2, x1 = SqMat.identity(2), NCPoly.gen(1)
+    assert Scalar.__mul__(Q, I2) is NotImplemented
+    assert Q * I2 == I2.scale(Q)
+    assert Scalar.__mul__(Q, x1) is NotImplemented
+    assert Q * x1 == NCPoly({(1,): Q})
 
 
 # --- sparse sums store no key whose sum cancels ------------------------------
