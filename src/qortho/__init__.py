@@ -4,8 +4,7 @@ their real forms, and the associated quantum orthogonal planes."""
 from .errors import (
     QorthoError, DivisionByZero, PoleAtOne, ResidualT, DimMismatch,
     Singular, NotSymmetric, Degenerate, NotReal, NotInvolution,
-    BadN, BadFamily, ConditionFailed, NoPlaneConjugation,
-    Unclassifiable, WitnessNotAutomorphism, IdentityFailed, RankMismatch,
+    BadN, BadFamily, NoPlaneConjugation, Unclassifiable, RankMismatch,
 )
 from .scalars import GaussRat, Scalar, ConjRegime
 from .linalg import (

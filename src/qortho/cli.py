@@ -8,8 +8,8 @@ import sys
 
 from . import __version__
 from .errors import (
-    BadFamily, BadN, ConditionFailed, NoPlaneConjugation, NotInvolution,
-    QorthoError, Unclassifiable,
+    BadFamily, BadN, NoPlaneConjugation, NotInvolution, QorthoError,
+    Unclassifiable,
 )
 from .linalg import SqMat, classical_mat, rank
 from .qplane import check_confluence, check_star_consistency, \
@@ -258,14 +258,12 @@ def _auto_suite_check(shape):
     if not shape.odd:
         members += enumerate_autos(N, "dsecond")
     for m in members:
-        try:
-            check_auto_conditions(m, shape)
-        except ConditionFailed as exc:
+        ok, witness = check_auto_conditions(m.mat, shape)
+        if not ok:
             return _check("automorphism_families", False,
-                          witness={"member": m.tag(), "condition": exc.name,
-                                   "detail": exc.witness})
+                          witness=dict(witness, member=m.tag()))
         for base in (STAR, CROSS):
-            if not check_reality(m, base, shape):
+            if not check_reality(m.mat, base, shape):
                 return _check("automorphism_families", False,
                               witness={"member": m.tag(),
                                        "condition": f"reality_{base}"})
@@ -353,10 +351,7 @@ def main(argv=None, out=None, err=None):
         return 2
     try:
         result = args.func(args)
-    except _UsageError as exc:
-        err.write(f"error: {exc}\n")
-        return 2
-    except (BadFamily, BadN) as exc:
+    except (_UsageError, BadFamily, BadN) as exc:
         err.write(f"error: {exc}\n")
         return 2
     except QorthoError as exc:

@@ -53,29 +53,12 @@ class BadFamily(QorthoError):
     pass
 
 
-class ConditionFailed(QorthoError):
-    def __init__(self, name, witness=None):
-        super().__init__(f"{name} failed" + (f" at {witness}" if witness is not None else ""))
-        self.name = name
-        self.witness = witness
-
-
 class NoPlaneConjugation(QorthoError):
     pass
 
 
 class Unclassifiable(QorthoError):
     pass
-
-
-class WitnessNotAutomorphism(QorthoError):
-    pass
-
-
-class IdentityFailed(QorthoError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 # rewriting

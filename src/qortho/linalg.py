@@ -47,7 +47,10 @@ class SqMat:
     __slots__ = ("dim", "entries")
 
     def __init__(self, dim, entries=None):
-        self._set(dim, {k: v for k, v in (entries or {}).items() if not v.is_zero()})
+        entries = entries or {}
+        if any(type(v) is not Scalar for v in entries.values()):
+            raise TypeError("SqMat entries must be Scalars")
+        self._set(dim, {k: v for k, v in entries.items() if not v.is_zero()})
 
     @staticmethod
     def _of(dim, entries):

@@ -14,8 +14,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import (
-    BadFamily, BadN, ConditionFailed, IdentityFailed, NoPlaneConjugation,
-    NotInvolution, Unclassifiable, WitnessNotAutomorphism,
+    BadFamily, BadN, NoPlaneConjugation, NotInvolution, Unclassifiable,
 )
 from .linalg import (
     SqMat, antilinear_fixed_basis, bar_mat, classical_mat, first_diff,
@@ -210,38 +209,44 @@ def _witness(X, Y):
     return {"row": r, "col": c, "lhs": str(xv), "rhs": str(yv)}
 
 
-def check_auto_conditions(Dm, shape):
-    """Verify R D1 D2 = D2 D1 R, D^t C D = C = D C D^t, and D^2 = +-1,
+def _r_commutation_witness(A, shape):
+    """First entry where R (A (x) A) and (A (x) A) R differ, or None.
+
+    A1 A2 = A2 A1 = A (x) A, so this decides R A1 A2 = A2 A1 R with the
+    same two matrices and one product fewer."""
+    N, R = shape.N, shape.R
+    AA = kron_embed(A, 1, N, 2) * kron_embed(A, 2, N, 2)
+    return _witness(R * AA, AA * R)
+
+
+def _failed(condition, detail):
+    return False, {"condition": condition, "detail": detail}
+
+
+def check_auto_conditions(mat, shape):
+    """Verify D^t C D = C = D C D^t, R D1 D2 = D2 D1 R, and D^2 = +-1,
     with the R and C of shape.
 
-    Returns a certificate dict recording the square sign; raises
-    ConditionFailed with the first offending entry otherwise."""
-    mat = Dm.mat if isinstance(Dm, AutoMatrix) else Dm
-    N, C, R = shape.N, shape.C, shape.R
+    Returns (True, None), or (False, witness) for the first condition that
+    fails: "DCD", "RDD" or "square", with its first offending entry."""
+    N, C = shape.N, shape.C
     for X in (mat.transpose() * C * mat, mat * C * mat.transpose()):
         if X != C:
-            raise ConditionFailed("DCD", _witness(X, C))
-    D1 = kron_embed(mat, 1, N, 2)
-    D2 = kron_embed(mat, 2, N, 2)
-    lhs = R * D1 * D2
-    rhs = D2 * D1 * R
-    if lhs != rhs:
-        raise ConditionFailed("RDD", _witness(lhs, rhs))
+            return _failed("DCD", _witness(X, C))
+    detail = _r_commutation_witness(mat, shape)
+    if detail is not None:
+        return _failed("RDD", detail)
+    I = SqMat.identity(N)
     sq = mat * mat
-    if sq == SqMat.identity(N):
-        sign = +1
-    elif sq == -SqMat.identity(N):
-        sign = -1
-    else:
-        raise ConditionFailed("square", _witness(sq, SqMat.identity(N)))
-    return {"RDD": True, "DCD": True, "square_sign": sign}
+    if sq != I and sq != -I:
+        return _failed("square", _witness(sq, I))
+    return True, None
 
 
-def check_reality(Dm, base, shape):
+def check_reality(mat, base, shape):
     """Reality condition matching the base conjugation: cross needs
     bar(D) = D with D^2 = 1 or bar(D) = -D with D^2 = -1; star needs
     bar(D) = C^t D C^t."""
-    mat = Dm.mat if isinstance(Dm, AutoMatrix) else Dm
     barD = bar_mat(mat, ConjRegime.REAL_Q)  # entries are constants
     sq = mat * mat
     if base == CROSS:
@@ -403,45 +408,37 @@ def check_sostar(shape, Dsec):
     return _match_up_to_unit(lhs, rhs) is not None
 
 
-def check_equivalence_witness(A, spec1, spec2, shape, at_q1=False):
+def check_equivalence_witness(A, spec1, spec2, shape):
     """Verify that the automorphism alpha(T) = A T A^-1 intertwines the two
     conjugations: G1 A = lam bar(A) G2 for cross, C^t G1 A = lam bar(A) C^t G2
     for star, with lam a unit scalar.  A itself must satisfy the automorphism
     conditions (up to an overall sign of the metric identity).
 
-    With at_q1 the identities are evaluated in the classical limit.  There
-    R = 1, and the commutation A1 A2 = A2 A1 holds for every A (both sides
-    are A (x) A), so it is not checked."""
+    Returns (True, None), or (False, witness) for the first condition that
+    fails: "RDD", "metric" or "transport"."""
     if spec1.base != spec2.base or spec1.regime is not spec2.regime:
         raise ValueError("witness requires specs with a common base and regime")
-    regime = spec1.regime
     N, C = shape.N, shape.C
-    if at_q1:
-        C = classical_mat(C)
-    else:
-        R = shape.R
-        A1 = kron_embed(A, 1, N, 2)
-        A2 = kron_embed(A, 2, N, 2)
-        if R * A1 * A2 != A2 * A1 * R:
-            raise WitnessNotAutomorphism("A fails the R commutation")
+    detail = _r_commutation_witness(A, shape)
+    if detail is not None:
+        return _failed("RDD", detail)
     X = A.transpose() * C * A
     Y = A * C * A.transpose()
     if not ((X == C and Y == C) or (X == -C and Y == -C)):
-        raise WitnessNotAutomorphism("A fails the metric condition up to sign")
+        # either X and Y differ, or they agree and are not +-C
+        return _failed("metric", _witness(Y, X) or _witness(X, C))
     G1 = spec1.composed(N)
     G2 = spec2.composed(N)
-    barA = bar_mat(A, regime)
+    barA = bar_mat(A, spec1.regime)
     if spec1.base == STAR:
         lhs = C.transpose() * G1 * A
         rhs = barA * C.transpose() * G2
     else:
         lhs = G1 * A
         rhs = barA * G2
-    lam = _match_up_to_unit(lhs, rhs)
-    if lam is None:
-        raise IdentityFailed("conjugation transport identity fails",
-                             _witness(lhs, rhs))
-    return True
+    if _match_up_to_unit(lhs, rhs) is None:
+        return _failed("transport", _witness(lhs, rhs))
+    return True, None
 
 
 class CountResult:

@@ -345,6 +345,8 @@ class Scalar:
 
     @staticmethod
     def from_gauss(g):
+        if type(g) is not GaussRat:
+            raise TypeError(f"from_gauss takes a GaussRat, not {type(g).__name__}")
         return Scalar({0: g})
 
     @staticmethod

@@ -9,9 +9,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-import pytest
-
-from qortho.errors import ConditionFailed
 from qortho.linalg import SqMat, classical_mat, rank
 from qortho.qplane import (
     NCPoly, RewriteSystem, check_confluence, check_star_consistency,
@@ -124,11 +121,14 @@ def test_05_automorphism_families_pass_and_corruptions_fail():
                     "square, reality for N=3..8; corrupted controls fail"):
         for N in range(3, 9):
             shape = GroupShape(N)
+            I = SqMat.identity(N)
             for m in _all_family_members(N):
-                cert = check_auto_conditions(m, shape)
-                assert cert["square_sign"] == m.square_sign, (N, m.tag())
-                assert check_reality(m, STAR, shape), (N, m.tag())
-                assert check_reality(m, CROSS, shape), (N, m.tag())
+                assert check_auto_conditions(m.mat, shape) == (True, None), \
+                    (N, m.tag())
+                assert m.mat * m.mat == (I if m.square_sign > 0 else -I), \
+                    (N, m.tag())
+                assert check_reality(m.mat, STAR, shape), (N, m.tag())
+                assert check_reality(m.mat, CROSS, shape), (N, m.tag())
         # one corrupted matrix per family, each must fail with a witness
         bad_entries = dict(canonical_D(4).mat.entries)
         bad_entries[(1, 1)] = Scalar.from_frac(2)
@@ -136,10 +136,15 @@ def test_05_automorphism_families_pass_and_corruptions_fail():
         bad_dprime = SqMat.diag([one, Scalar.from_frac(2),
                                  Scalar.from_frac(2), one])
         bad_dsecond = SqMat.diag([iu, iu, iu, -iu])  # breaks pair antisymmetry
-        for bad in (bad_canonical, bad_dprime, bad_dsecond):
-            with pytest.raises(ConditionFailed) as exc:
-                check_auto_conditions(bad, GroupShape(4))
-            assert exc.value.witness is not None
+        # keeps the metric and commutes with R; fails only D^2 = +-1
+        bad_torus = SqMat.diag([Scalar.from_frac(2), one, one,
+                                Scalar.from_frac(Fraction(1, 2))])
+        for bad, condition in ((bad_canonical, "DCD"), (bad_dprime, "DCD"),
+                               (bad_dsecond, "DCD"), (bad_torus, "square")):
+            ok, witness = check_auto_conditions(bad, GroupShape(4))
+            assert not ok
+            assert witness["condition"] == condition
+            assert witness["detail"] is not None
 
 
 def test_06_plane_relations_match_canonical_rule_sets():
@@ -219,7 +224,8 @@ def test_10_equivalence_witnesses_verify_exactly():
             n = (N - 1) // 2
             A = SqMat.diag([iu] * n + [one] + [-iu] * n)
             assert check_equivalence_witness(
-                A, cross([canonical_D(N)]), cross([]), GroupShape(N))
+                A, cross([canonical_D(N)]), cross([]), GroupShape(N)) \
+                == (True, None)
         for N in (4, 6, 8):
             n = N // 2
             shape = GroupShape(N)
@@ -233,25 +239,15 @@ def test_10_equivalence_witnesses_verify_exactly():
                     for j, e in enumerate(dp.eps))
                 dp2 = auto_from_signs(N, "dprime", partner)
                 assert check_equivalence_witness(
-                    A, star([D, dp]), star([D, dp2]), shape)
+                    A, star([D, dp]), star([D, dp2]), shape) == (True, None)
                 assert classify(star([D, dp]), shape) == \
                     classify(star([D, dp2]), shape)
+        # check_sostar step (iii): each D'' reduces to D''_1 through its
+        # pair-swap witness at q = 1
         for N in (4, 6, 8):
-            n = N // 2
-            target = dsecond_canonical(N)
+            shape = GroupShape(N)
             for ds in enumerate_autos(N, "dsecond"):
-                entries = {}
-                for j in range(1, n + 1):
-                    jp = N + 1 - j
-                    if ds.eps[j - 1] == -1:
-                        entries[(j, jp)] = one
-                        entries[(jp, j)] = one
-                    else:
-                        entries[(j, j)] = one
-                        entries[(jp, jp)] = one
-                assert check_equivalence_witness(
-                    SqMat(N, entries), star([ds]), star([target]),
-                    GroupShape(N), at_q1=True)
+                assert check_sostar(shape, ds), (N, ds.tag())
 
 
 def test_11_sostar_structure_for_n4_and_n6():

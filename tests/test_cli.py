@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,9 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 from qortho.cli import main, parse_conjugation
-from qortho.realforms import STAR
+from qortho.linalg import SqMat
+from qortho.realforms import STAR, AutoMatrix, enumerate_autos
+from qortho.scalars import Scalar
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMA_PATH = os.path.join(HERE, "report.schema.json")
@@ -244,6 +247,36 @@ def test_verify_all_runs_whole_suite():
                      "automorphism_families", "plane_confluent"):
         assert expected in names
     assert all(c["pass"] for c in report["checks"])
+
+
+def test_verify_all_reports_failing_family_member(monkeypatch):
+    import qortho.cli as cli
+
+    # diag(2, 1, 1, 1/2) keeps the metric and commutes with R, so it
+    # fails only D^2 = +-1
+    torus = SqMat.diag([Scalar.from_frac(2), Scalar.one(), Scalar.one(),
+                        Scalar.from_frac(Fraction(1, 2))])
+
+    def autos(N, family):
+        members = enumerate_autos(N, family)
+        if family == "dprime":
+            first = members[0]
+            members[0] = AutoMatrix(first.family, N, first.eps, torus,
+                                    first.square_sign)
+        return members
+
+    monkeypatch.setattr(cli, "enumerate_autos", autos)
+    code, report, _ = run_json(["verify-all", "--n", "4"])
+    assert code == 1
+    suite, = [c for c in report["checks"]
+              if c["name"] == "automorphism_families"]
+    assert suite["pass"] is False
+    assert suite["witness"] == {
+        "condition": "square",
+        "detail": {"col": 1, "lhs": "4*s^0", "rhs": "1*s^0", "row": 1},
+        "member": "dprime:++++"}
+    assert all(c["pass"] for c in report["checks"]
+               if c["name"] != "automorphism_families")
 
 
 # -- output formats ---------------------------------------------------------------

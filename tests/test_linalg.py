@@ -71,6 +71,14 @@ def test_entries_are_read_only():
             del A.dim
 
 
+@pytest.mark.parametrize("value", [1, Fraction(1, 2), ONE.as_gauss()])
+def test_entries_must_be_scalars(value):
+    with pytest.raises(TypeError, match="Scalar"):
+        SqMat(2, {(1, 1): value})
+    with pytest.raises(TypeError, match="Scalar"):
+        SqMat(2, {(1, 1): ONE, (2, 2): value})
+
+
 def entrywise_product(A, B):
     # reference: one Scalar * and + per term, never a multi-pair sum
     out = {}

@@ -430,6 +430,13 @@ def test_constructors_keep_int_and_fraction_input():
     assert str(Scalar.q_power(2)) == "1*s^4"
 
 
+@pytest.mark.parametrize("value", [1, Fraction(1, 2), ONE])
+def test_from_gauss_takes_only_gaussrat(value):
+    with pytest.raises(TypeError, match="GaussRat"):
+        Scalar.from_gauss(value)
+    assert Scalar.from_gauss(GaussRat(1)) == ONE
+
+
 @pytest.mark.parametrize("x, one, foreign", [
     (Q, ONE, GaussRat(1)),
     (GaussRat(Fraction(2, 3), 1), GaussRat(1), ONE),
