@@ -11,7 +11,7 @@ from .errors import (
     BadFamily, BadN, NoPlaneConjugation, NotInvolution, QorthoError,
     Unclassifiable,
 )
-from .linalg import SqMat, classical_mat, rank
+from .linalg import SqMat, classical_mat, products_equal, rank
 from .qplane import check_confluence, check_star_consistency, \
     plane_relations, quotient_check, rules_json
 from .realforms import (
@@ -179,16 +179,18 @@ def cmd_ybe(args):
 
 def _projector_checks(shape):
     # each projector is its numerator over den != 0, and
-    # (X/den)(Y/den) = Z/den exactly when X Y = den Z
+    # (X/den)(Y/den) = Z/den exactly when X Y = Z (den I)
     N = shape.N
     den, P0, PA, PS, Rhat = shape.projectors
+    den_I = SqMat.identity(N * N).scale(den)
     trace = P0.trace() * den.inv()
-    rank_pa = rank(PA)
+    rank_pa = rank(shape.pa_rows)
     return [
-        _check("p0_idempotent", P0 * P0 == P0.scale(den)),
-        _check("pa_idempotent", PA * PA == PA.scale(den)),
-        _check("pa_p0_orthogonal", (PA * P0).is_zero() and (P0 * PA).is_zero()),
-        _check("sum_is_identity", P0 + PA + PS == SqMat.identity(N * N).scale(den)),
+        _check("p0_idempotent", products_equal([P0, P0], [P0, den_I])),
+        _check("pa_idempotent", products_equal([PA, PA], [PA, den_I])),
+        _check("pa_p0_orthogonal",
+               products_equal([PA, P0]) and products_equal([P0, PA])),
+        _check("sum_is_identity", P0 + PA + PS == den_I),
         _check("trace_p0", trace == Scalar.one(),
                data={"trace": str(trace)}),
         _check("rank_pa", rank_pa == N * (N - 1) // 2,

@@ -16,7 +16,10 @@ package: a list of `Fraction` rows, because the sign of a pivot needs an
 ordered field and the scalar ring is not one.
 """
 
+import math
+import operator
 from fractions import Fraction
+from functools import reduce
 from types import MappingProxyType
 
 from .errors import (
@@ -218,6 +221,114 @@ def first_diff(X, Y):
         if xv != yv:
             return r, c, xv, yv
     return None
+
+
+def products_equal(left, right=()):
+    """Whether the product of the matrices in `left` equals the product of
+    those in `right`, or is zero when `right` is empty.  Only a verdict of
+    "holds" is taken from `_integer_products_equal`; otherwise the SqMat
+    products decide."""
+    if _integer_products_equal(left, right):
+        return True
+    lhs = reduce(operator.mul, left)
+    return lhs == reduce(operator.mul, right) if right else lhs.is_zero()
+
+
+def _integer_products_equal(left, right=()):
+    """Whether X1...Xm = Y1...Ym for the matrices Xi of `left` and Yi of
+    `right` (X1...Xm = 0 when `right` is empty), decided exactly over the
+    integers by the substitution s -> 2^k; None if an entry of a factor is
+    outside Z[s, s^-1].  A nonempty `right` has m factors too.
+
+    Let the l1 norm of a row be the sum of the absolute values of its
+    entries' coefficients, and rho(X) the largest over the rows of X.  Row
+    i of XY is a combination of the rows of Y with the entries of row i of
+    X as weights, and the l1 norm of a product of Laurent polynomials is at
+    most the product of their norms, so the norm of row i of XY is at most
+    that of row i of X times rho(Y).  Every coefficient of every entry of
+    either product is therefore at most
+    beta = max(rho(X1)...rho(Xm), rho(Y1)...rho(Ym)) in absolute value,
+    and every coefficient of their difference at most 2 beta.  With
+    2^k > 8 beta that is below 2^k / 4, and an integer has at most one
+    base-2^k expansion with digits in (-2^k / 2, 2^k / 2), so an entry of
+    the difference vanishes exactly when its image does.  Entries are
+    encoded shifted by the lowest s-exponent lo over all factors,
+    sum c_e 2^(k (e - lo)); both sides carry the shift m lo.
+    """
+    if right and len(right) != len(left):
+        raise ValueError(f"{len(left)} factors against {len(right)}")
+    found = _kronecker_images(left, right)
+    if found is None:
+        return None
+    _, images = found
+    rows = {}
+    for X in (*left, *right):
+        if id(X) not in rows:
+            rows[id(X)] = _int_rows(X, images)
+    (x1, *xs), (y1, *ys) = ([rows[id(X)] for X in left],
+                            [rows[id(Y)] for Y in right] or [{}])
+    # one row of each side at a time, so no full product is held
+    for i in x1.keys() | y1.keys():
+        x, y = x1.get(i, {}), y1.get(i, {})
+        for X in xs:
+            x = _row_times(x, X)
+        for Y in ys:
+            y = _row_times(y, Y)
+        if x != y:
+            return False
+    return True
+
+
+def _kronecker_images(left, right):
+    """(k, images): the smallest k with 2^k > 8 beta (see
+    `_integer_products_equal`) and, under id(v) for each entry v of a
+    factor, the integer sum c_e 2^(k (e - lo)) with lo the lowest
+    s-exponent of any factor; None if an entry is outside Z[s, s^-1].
+    Each distinct entry object is encoded once."""
+    polys, rho = {}, {}
+    for X in (*left, *right):
+        if id(X) in rho:
+            continue
+        norms = {}
+        for (r, _), v in X.entries.items():
+            found = polys.get(id(v))
+            if found is None:
+                # a canonical denominator with one term is 1
+                if v.n1 or len(v.d) != 1 or any(
+                        x.b or x.d != 1 for x in v.n0.values()):
+                    return None
+                poly = {e: x.a for e, x in v.n0.items()}
+                found = polys[id(v)] = poly, sum(map(abs, poly.values()))
+            norms[r] = norms.get(r, 0) + found[1]
+        rho[id(X)] = max(norms.values(), default=0)
+    beta = max(math.prod(rho[id(X)] for X in side)
+               for side in (left, right) if side)
+    k = (8 * beta).bit_length()
+    lo = min((e for poly, _ in polys.values() for e in poly), default=0)
+    return k, {i: sum(c << (k * (e - lo)) for e, c in poly.items())
+               for i, (poly, _) in polys.items()}
+
+
+def _int_rows(M, images):
+    # M's entries as {row: {col: images[id(entry)]}}
+    rows = {}
+    for (r, c), v in M.entries.items():
+        rows.setdefault(r, {})[c] = images[id(v)]
+    return rows
+
+
+def _row_times(row, M):
+    # a {col: int} row times a {row: {col: int}} matrix, zero entries dropped
+    acc = {}
+    for k, v in row.items():
+        Mk = M.get(k)
+        if Mk:
+            for j, w in Mk.items():
+                if j in acc:
+                    acc[j] += v * w
+                else:
+                    acc[j] = v * w
+    return {j: x for j, x in acc.items() if x}
 
 
 def row_reduce(rows):

@@ -212,15 +212,16 @@ def normal_form(p, rs):
 
 def plane_relations(shape):
     """Rewrite rules of the N-generator quantum orthogonal plane, one per
-    increasing pair, from the reduced rows of P_A's numerator (P_A's row space)."""
-    N, PA = shape.N, shape.projectors[2]
+    increasing pair, from the reduced rows of P_A's row space
+    (`shape.pa_rows`, the same reduced rows as P_A's numerator)."""
+    N, rowspace = shape.N, shape.pa_rows
     inc = [(a, b) for a in range(1, N + 1) for b in range(a + 1, N + 1)]
     rest = [(a, b) for a in range(1, N + 1) for b in range(1, a + 1)]
     cols = inc + rest
     colpos = {pair: k for k, pair in enumerate(cols)}
 
     rows = {}
-    for (r, c), v in PA.entries.items():
+    for (r, c), v in rowspace.entries.items():
         rows.setdefault(r, {})[colpos[unpack(c, N, 2)]] = v
     basis = row_reduce([rows[r] for r in sorted(rows)])
     pivots = {cols[piv] for piv, _, _ in basis}

@@ -1,15 +1,16 @@
 """Construction of the SO_q(N) R matrix, metric, and tensor projectors,
 the last as Laurent polynomial matrices over one common denominator.
 
-The builders take N.  The per-N `GroupShape` builds the metric, R and the
-projectors at most once each; `check_r_reality` and the checks in realforms,
-qplane and cli take it instead of N."""
+The builders take N.  The per-N `GroupShape` builds the metric, R, the
+projectors and P_A's row space at most once each; `check_r_reality` and the
+checks in realforms, qplane and cli take it instead of N."""
 
 from fractions import Fraction
 
 from .errors import BadN
 from .linalg import (
-    SqMat, _spread, bar_mat, first_diff, inverse, kron_embed, pack, unpack,
+    SqMat, _integer_products_equal, _spread, bar_mat, first_diff, inverse,
+    kron_embed, pack, products_equal, unpack,
 )
 from .scalars import ConjRegime, Scalar
 
@@ -17,7 +18,8 @@ from .scalars import ConjRegime, Scalar
 class GroupShape:
     """SO_q(N) for one N, and the only place N is validated: n = floor(N/2),
     parity, for odd N the self-prime middle index n2 = (N+1)/2, and the
-    N-only values C (the metric), R and projectors (den, P0, PA, PS, Rhat), each
+    N-only values C (the metric), R, projectors (den, P0, PA, PS, Rhat) and
+    pa_rows (P_A's row space without the factor D, `build_pa_rows`), each
     built by its builder on first use and then kept.  `once` keeps any
     other N-only value the same way.  Attributes cannot be rebound and kept
     values are immutable, so one shape serves every check of a run."""
@@ -51,6 +53,9 @@ class GroupShape:
     R = property(lambda self: self.once("R", lambda: build_R(self.N)))
     projectors = property(lambda self: self.once(
         "projectors", lambda: build_projectors(self.R, self.N)))
+    pa_rows = property(lambda self: self.once(
+        "pa_rows", lambda: build_pa_rows(self.projectors[2],
+                                         self.projectors[4], self.N)))
 
 
 def build_rho(N):
@@ -137,16 +142,17 @@ def check_ybe(R, N):
 
     Returns (True, None) or (False, witness) with the first differing
     composite entry.  When every entry of R lies in Z[s, s^-1], the
-    equation is first decided over the integers (`_integer_ybe`); only a
-    verdict of "holds" is taken from there.  Otherwise, and whenever the
-    integer images differ, the two sides are formed as Scalar matrix
-    products, and those alone give the verdict and the witness."""
+    equation is first decided over the integers
+    (`linalg._integer_products_equal`); only a verdict of "holds" is taken
+    from there.  Otherwise, and whenever the integer images differ, the two
+    sides are formed as Scalar matrix products, and those alone give the
+    verdict and the witness."""
     if R.dim != N * N:
         raise BadN(f"R has dim {R.dim}, expected {N * N}")
     R12 = kron_embed(R, 1, N, 3)
     R23 = kron_embed(R, 2, N, 3)
     R13 = embed_13(R, N)
-    if _integer_ybe(R, R12, R13, R23):
+    if _integer_products_equal([R12, R13, R23], [R23, R13, R12]):
         return True, None
     diff = first_diff(R12 * R13 * R23, R23 * R13 * R12)
     if diff is None:
@@ -154,69 +160,6 @@ def check_ybe(R, N):
     r, c, lv, rv = diff
     return False, {"row": list(unpack(r, N, 3)), "col": list(unpack(c, N, 3)),
                    "lhs": str(lv), "rhs": str(rv)}
-
-
-def _integer_ybe(R, R12, R13, R23):
-    """Whether R12 R13 R23 = R23 R13 R12, decided exactly over the integers
-    by the substitution s -> 2^k; None if an entry of R is outside
-    Z[s, s^-1].  R12, R13 and R23 are R's embeddings, holding R's own
-    entry objects.
-
-    Let rho be the largest l1 norm of a row of R (the sum of the absolute
-    values of its entries' coefficients).  Each embedding has the same row
-    norms, so every coefficient of every entry of either triple product is
-    at most beta = rho^3 in absolute value, and every coefficient of their
-    difference at most 2 beta.  With 2^k > 8 beta that is below 2^k / 4,
-    and an integer has at most one base-2^k expansion with digits in
-    (-2^k / 2, 2^k / 2), so an entry of the difference vanishes exactly
-    when its image does.  Entries are encoded shifted by R's lowest
-    s-exponent lo, sum c_e 2^(k (e - lo)); both sides carry the shift 3 lo.
-    """
-    found = _kronecker_images(R)
-    if found is None:
-        return None
-    _, images = found
-    A, B, C = (_int_rows(M, images) for M in (R12, R13, R23))
-    # one row of each side at a time, so no full intermediate product is held
-    return all(_row_times(_row_times(A.get(i, {}), B), C)
-               == _row_times(_row_times(C.get(i, {}), B), A)
-               for i in A.keys() | C.keys())
-
-
-def _kronecker_images(R):
-    """(k, images): the smallest k with 2^k > 8 rho^3 (see `_integer_ybe`)
-    and, under id(v) for each entry v of R, the integer
-    sum c_e 2^(k (e - lo)) with lo R's lowest s-exponent; None if an entry
-    of R is outside Z[s, s^-1]."""
-    polys, norms = [], {}
-    for (r, _), v in R.entries.items():
-        # a canonical denominator with one term is 1
-        if v.n1 or len(v.d) != 1 or any(x.b or x.d != 1 for x in v.n0.values()):
-            return None
-        poly = {e: x.a for e, x in v.n0.items()}
-        polys.append((v, poly))
-        norms[r] = norms.get(r, 0) + sum(abs(c) for c in poly.values())
-    k = (8 * max(norms.values(), default=0) ** 3).bit_length()
-    lo = min((e for _, poly in polys for e in poly), default=0)
-    return k, {id(v): sum(c << (k * (e - lo)) for e, c in poly.items())
-               for v, poly in polys}
-
-
-def _int_rows(M, images):
-    # M's entries as {row: {col: images[id(entry)]}}
-    rows = {}
-    for (r, c), v in M.entries.items():
-        rows.setdefault(r, {})[c] = images[id(v)]
-    return rows
-
-
-def _row_times(row, M):
-    # a {col: int} row times a {row: {col: int}} matrix, zero entries dropped
-    acc = {}
-    for k, v in row.items():
-        for j, w in M.get(k, {}).items():
-            acc[j] = acc.get(j, 0) + v * w
-    return {j: x for j, x in acc.items() if x}
 
 
 def build_rhat(R, N):
@@ -255,13 +198,26 @@ def build_projectors(R, N):
     return E * D, M.scale(E), PA, PS, Rhat
 
 
+def build_pa_rows(PA, Rhat, N):
+    """A matrix with P_A's row space and no common factor D: P_A's own rows
+    (a, a'), and the rows of q I - Rhat everywhere else.  M is zero off the
+    rows (a, a'), so there P_A = D (q I - Rhat) (see `build_projectors`).
+    Each row is P_A's row over a nonzero scalar, so `row_reduce` opens the
+    same pivots with the same reduced rows on either matrix, and the
+    entries here are free of D's span of about 4N s-exponents."""
+    support = {pack((a, N + 1 - a), N) for a in range(1, N + 1)}
+    cleared = Scalar.q_power(1) * SqMat.identity(N * N) - Rhat
+    return SqMat._of(N * N, {
+        (r, c): v for X, on_support in ((PA, True), (cleared, False))
+        for (r, c), v in X.entries.items() if (r in support) == on_support})
+
+
 def check_char_eq(Rhat, N):
     """Cubic characteristic equation of the flipped R matrix Rhat."""
     I = SqMat.identity(N * N)
-    prod = ((Rhat - Scalar.q_power(1) * I)
-            * (Rhat + Scalar.q_power(-1) * I)
-            * (Rhat - Scalar.q_power(1 - N) * I))
-    return prod.is_zero()
+    return products_equal([Rhat - Scalar.q_power(1) * I,
+                           Rhat + Scalar.q_power(-1) * I,
+                           Rhat - Scalar.q_power(1 - N) * I])
 
 
 def check_r_reality(R, shape, regime):

@@ -74,10 +74,12 @@ def test_plane_relations_rejects_small_N():
 
 
 def test_rank_mismatch_when_pivots_leave_increasing_pairs(monkeypatch):
-    # with P_A = I every column opens a pivot, the decreasing pairs too
+    # with P_A = I and Rhat = 0 the row space of P_A (I's rows on the
+    # support of M, q I's rows elsewhere) is everything: every column opens
+    # a pivot, the decreasing pairs too
     import qortho.rmatrix as rmatrix
     monkeypatch.setattr(rmatrix, "build_projectors", lambda R, N: (
-        Scalar.one(), None, SqMat.identity(N * N), None, None))
+        Scalar.one(), None, SqMat.identity(N * N), None, SqMat(N * N)))
     with pytest.raises(RankMismatch, match="not the increasing pairs"):
         plane_relations(GroupShape(3))
 

@@ -1,18 +1,22 @@
 """R matrix, metric, and projector identities."""
 
+import io
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qortho.cli import _projector_checks
+from qortho.cli import _projector_checks, main
 from qortho.errors import BadN
-from qortho.linalg import SqMat, classical_mat, kron_embed, pack, rank
+from qortho.linalg import (
+    SqMat, _integer_products_equal, _kronecker_images, classical_mat,
+    kron_embed, pack, products_equal, rank,
+)
 from qortho.rmatrix import (
-    GroupShape, _integer_ybe, _kronecker_images, build_metric, build_R,
-    build_rhat, build_rho, check_char_eq, check_r_reality, check_ybe,
-    embed_13,
+    GroupShape, build_metric, build_R, build_rhat, build_rho, check_char_eq,
+    check_r_reality, check_ybe, embed_13,
 )
 from qortho.scalars import ConjRegime, GaussRat, Scalar
 
@@ -129,9 +133,13 @@ def product_verdict(R, N):
     return R12 * R13 * R23 == R23 * R13 * R12
 
 
-def integer_verdict(R, N):
+def ybe_sides(R, N):
     R12, R13, R23 = embeddings(R, N)
-    return _integer_ybe(R, R12, R13, R23)
+    return [R12, R13, R23], [R23, R13, R12]
+
+
+def integer_verdict(R, N):
+    return _integer_products_equal(*ybe_sides(R, N))
 
 
 def flip(N):
@@ -202,7 +210,7 @@ def test_ybe_sides_obey_the_coefficient_bound(N):
             assert not v.n1 and v.d == {0: GaussRat(1)}
             assert all(c.d == 1 and not c.b and abs(c.a) <= rho ** 3
                        for c in v.n0.values())
-    k, _ = _kronecker_images(R)
+    k, _ = _kronecker_images(*ybe_sides(R, N))
     assert 2 ** k > 8 * rho ** 3
 
 
@@ -230,10 +238,141 @@ def test_integer_r_takes_no_scalar_product(monkeypatch):
 ], ids=["i", "half", "t"])
 def test_non_integer_r_takes_the_product_path(monkeypatch, c):
     R = build_R(3).scale(c)
-    assert _kronecker_images(R) is None
+    assert _kronecker_images(*ybe_sides(R, 3)) is None
     calls = count_products(monkeypatch)
     assert check_ybe(R, 3) == (True, None)
     assert len(calls) == 4
+
+
+@st.composite
+def chains(draw):
+    """(left, right): factor lists over one small dim.  right is empty
+    (the question is left's product = 0), a regrouping of left (the
+    products agree), or m other factors; one entry of right's first factor
+    (of left's for an empty right) may then be perturbed."""
+    dim = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    index = st.tuples(st.integers(1, dim), st.integers(1, dim))
+    factor = st.dictionaries(index, int_laurent, max_size=dim * dim).map(
+        lambda entries: SqMat(dim, entries))
+    left = [draw(factor) for _ in range(m)]
+    kind = draw(st.sampled_from(("zero", "regrouped", "other")))
+    if kind == "zero":
+        right = []
+    elif kind == "regrouped":
+        right = [left[0] * left[1]] + left[2:] + [SqMat.identity(dim)] \
+            if m > 1 else [left[0]]
+    else:
+        right = [draw(factor) for _ in range(m)]
+    if draw(st.booleans()):
+        side = right or left
+        key = draw(index)
+        entries = dict(side[0].entries)
+        entries[key] = side[0].get(*key) + draw(
+            int_laurent | vanishing_at_power_of_two)
+        side[0] = SqMat(dim, entries)
+    return left, right
+
+
+def chain_product_verdict(left, right):
+    lhs = left[0]
+    for X in left[1:]:
+        lhs = lhs * X
+    if not right:
+        return lhs.is_zero()
+    rhs = right[0]
+    for Y in right[1:]:
+        rhs = rhs * Y
+    return lhs == rhs
+
+
+@given(chains())
+@settings(max_examples=300, deadline=None)
+def test_integer_chain_verdict_equals_product_verdict(case):
+    left, right = case
+    assert _integer_products_equal(left, right) == \
+        chain_product_verdict(left, right)
+
+
+def test_integer_chains_have_equal_lengths():
+    I = SqMat.identity(2)
+    with pytest.raises(ValueError):
+        _integer_products_equal([I, I], [I])
+
+
+@pytest.mark.parametrize("c", [
+    Scalar.i_unit(), Scalar.from_frac(Fraction(1, 2)), Scalar.t_unit(),
+], ids=["i", "half", "t"])
+def test_non_integer_entries_take_the_product_path(monkeypatch, c):
+    den, P0, PA, _, _ = GroupShape(3).projectors
+    den_I = SqMat.identity(9).scale(den)
+    X = PA.scale(c)
+    assert _integer_products_equal([X, PA], [X, den_I]) is None
+    assert _integer_products_equal([X, P0]) is None
+    calls = count_products(monkeypatch)
+    assert products_equal([X, PA], [X, den_I])
+    assert products_equal([X, P0])
+    assert len(calls) == 3
+
+
+def char_eq_factors(N):
+    Rhat = GroupShape(N).projectors[4]
+    I = SqMat.identity(N * N)
+    return [Rhat - Q * I, Rhat + QI * I, Rhat - Scalar.q_power(1 - N) * I]
+
+
+@pytest.mark.parametrize("N", (3, 4))
+def test_projector_chains_obey_the_coefficient_bound(N):
+    # every prefix product of each chain, so every row the integer path
+    # holds, stays within the product of its factors' row norms
+    den, P0, PA, _, _ = GroupShape(N).projectors
+    den_I = SqMat.identity(N * N).scale(den)
+    for left, right in (([PA, PA], [PA, den_I]), ([P0, P0], [P0, den_I]),
+                        ([PA, P0], []), ([P0, PA], []),
+                        (char_eq_factors(N), [])):
+        beta = 1
+        for side in (left, right):
+            bound, prefix = 1, None
+            for X in side:
+                bound *= row_norm(X)
+                prefix = X if prefix is None else prefix * X
+                for v in prefix.entries.values():
+                    assert not v.n1 and v.d == {0: GaussRat(1)}
+                    assert all(c.d == 1 and not c.b and abs(c.a) <= bound
+                               for c in v.n0.values())
+            beta = max(beta, bound)
+        k, _ = _kronecker_images(left, right)
+        assert 2 ** k > 8 * beta
+        assert _integer_products_equal(left, right)
+
+
+def test_integer_projectors_take_no_scalar_product(monkeypatch):
+    calls = count_products(monkeypatch)
+    out = io.StringIO()
+    assert main(["projectors", "--n", "4", "--format", "json"], out=out) == 0
+    checks = {c["name"]: c["pass"] for c in json.loads(out.getvalue())["checks"]}
+    assert all(checks[name] for name in ("p0_idempotent", "pa_idempotent",
+                                         "pa_p0_orthogonal", "char_eq"))
+    assert not calls
+
+
+def test_corrupted_pa_fails_through_the_product_path(monkeypatch):
+    N = 4
+    den, P0, PA, PS, Rhat = GroupShape(N).projectors
+    # change one coefficient of one entry of PA
+    key, v = next(iter(PA.entries.items()))
+    e, c = next(iter(v.n0.items()))
+    n0 = dict(v.n0)
+    n0[e] = c + GaussRat(1)
+    bad = dict(PA.entries)
+    bad[key] = Scalar(n0, v.n1, v.d)
+    bad_PA = SqMat(N * N, bad)
+    den_I = SqMat.identity(N * N).scale(den)
+    assert _integer_products_equal([bad_PA, bad_PA], [bad_PA, den_I]) is False
+    calls = count_products(monkeypatch)
+    failed = failing_projector_checks(N, den, P0, bad_PA, PS, Rhat)
+    assert "pa_idempotent" in failed
+    assert calls
 
 
 def test_projector_algebra():
