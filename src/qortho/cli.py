@@ -1,10 +1,10 @@
 """Command-line front end: builds objects, runs check suites, and emits
 deterministic text or JSON reports with pass/fail exit codes."""
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import (
@@ -292,67 +292,114 @@ def cmd_verify_all(args):
 # -- driver ---------------------------------------------------------------------
 
 
-def _build_parser():
-    fmt_parent = argparse.ArgumentParser(add_help=False)
-    fmt_parent.add_argument("--format", choices=("json", "text"),
-                            default=argparse.SUPPRESS,
-                            help="output format (overrides QORTHO_FORMAT)")
-    p = argparse.ArgumentParser(
-        prog="qortho",
-        parents=[fmt_parent],
-        description="Exact checks for quantum orthogonal groups, their real "
-                    "forms, and quantum planes.",
-        epilog=f"Conjugation grammar: {CONJ_GRAMMAR}. Sign strings list all "
-               "N signs. Output format: --format or QORTHO_FORMAT "
-               "(json|text, default text).")
-    sub = p.add_subparsers(dest="command", required=True)
+# Each command's flags: an int, a free string, a tuple of choices, or a bool
+# switch.  Every flag that takes a value is required; a switch defaults to
+# off.  The commands run as the functions cmd_<name>, looked up by name when
+# they run, so a patched or wrapped cmd_* is the one called.
+COMMANDS = {
+    "rmat": {"--n": int},
+    "ybe": {"--n": int, "--force": bool},
+    "projectors": {"--n": int},
+    "classify": {"--n": int, "--spec": str},
+    "table": {"--n": int, "--regime": ("real", "unit")},
+    "plane": {"--n": int},
+    "plane-conj": {"--n": int, "--spec": str},
+    "quotient": {"--sign": ("plus", "minus"), "--no-scaling": bool},
+    "verify-all": {"--n": int, "--force": bool},
+}
+FORMATS = ("json", "text")
 
-    def add(name, func, **flags):
-        sp = sub.add_parser(name, parents=[fmt_parent])
-        for flag, opts in flags.items():
-            sp.add_argument(flag, **opts)
-        sp.set_defaults(func=func)
-        return sp
 
-    add("rmat", cmd_rmat, **{"--n": {"type": int, "required": True}})
-    add("ybe", cmd_ybe, **{"--n": {"type": int, "required": True},
-                           "--force": {"action": "store_true"}})
-    add("projectors", cmd_projectors,
-        **{"--n": {"type": int, "required": True}})
-    add("classify", cmd_classify,
-        **{"--n": {"type": int, "required": True},
-           "--spec": {"required": True, "help": CONJ_GRAMMAR}})
-    add("table", cmd_table,
-        **{"--n": {"type": int, "required": True},
-           "--regime": {"required": True, "choices": ("real", "unit")}})
-    add("plane", cmd_plane, **{"--n": {"type": int, "required": True}})
-    add("plane-conj", cmd_plane_conj,
-        **{"--n": {"type": int, "required": True},
-           "--spec": {"required": True, "help": CONJ_GRAMMAR}})
-    add("quotient", cmd_quotient,
-        **{"--sign": {"required": True, "choices": ("plus", "minus")},
-           "--no-scaling": {"action": "store_true"}})
-    add("verify-all", cmd_verify_all,
-        **{"--n": {"type": int, "required": True},
-           "--force": {"action": "store_true"}})
-    return p
+def _usage():
+    lines = ["usage: qortho [--format json|text] <command> [flags]", "",
+             "Exact checks for quantum orthogonal groups, their real forms, "
+             "and quantum planes.", "", "commands:"]
+    for command, flags in COMMANDS.items():
+        words = [command]
+        for name, kind in flags.items():
+            if kind is bool:
+                words.append(f"[{name}]")
+            elif isinstance(kind, tuple):
+                words.append(f"{name} {'|'.join(kind)}")
+            else:
+                words.append(f"{name} {name[2:].upper()}")
+        lines.append("  " + " ".join(words))
+    lines += ["", f"Conjugation grammar (SPEC): {CONJ_GRAMMAR}.",
+              "Sign strings list all N signs.  Output format: --format or "
+              "QORTHO_FORMAT (json|text, default text).", ""]
+    return "\n".join(lines)
+
+
+def _flag_value(name, kind, value):
+    if kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            raise _UsageError(f"{name} needs an integer, got {value!r}")
+    if isinstance(kind, tuple) and value not in kind:
+        raise _UsageError(
+            f"{name} must be one of {', '.join(kind)}, got {value!r}")
+    return value
+
+
+def _parse_argv(argv):
+    """The command and flag values of argv as a namespace, or None when
+    -h/--help asks for the usage text.  --format may come before or after
+    the command, and a flag's value may follow as the next word or after
+    '='; a repeated flag keeps its last value."""
+    command, values = None, {}
+    words = iter(argv)
+    for word in words:
+        if word in ("-h", "--help"):
+            return None
+        if not word.startswith("-"):
+            if command is not None:
+                raise _UsageError(f"unexpected argument {word!r}")
+            if word not in COMMANDS:
+                raise _UsageError(f"unknown command {word!r}; choose from "
+                                  + ", ".join(COMMANDS))
+            command = word
+            continue
+        name, eq, value = word.partition("=")
+        kind = (FORMATS if name == "--format"
+                else COMMANDS.get(command, {}).get(name))
+        if kind is None:
+            raise _UsageError(f"unknown flag {name!r}"
+                              + (f" for {command}" if command
+                                 else " before the command"))
+        if kind is bool:
+            if eq:
+                raise _UsageError(f"{name} takes no value")
+            values[name] = True
+            continue
+        if not eq:
+            value = next(words, None)
+            if value is None:
+                raise _UsageError(f"{name} needs a value")
+        values[name] = _flag_value(name, kind, value)
+    if command is None:
+        raise _UsageError("missing command; choose from " + ", ".join(COMMANDS))
+    args = SimpleNamespace(command=command, format=values.get("--format"))
+    for name, kind in COMMANDS[command].items():
+        if kind is not bool and name not in values:
+            raise _UsageError(f"{command} needs {name}")
+        setattr(args, name[2:].replace("-", "_"), values.get(name, False))
+    return args
 
 
 def main(argv=None, out=None, err=None):
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    fmt = getattr(args, "format", None) or os.environ.get("QORTHO_FORMAT",
-                                                          "text")
-    if fmt not in ("json", "text"):
-        err.write(f"error: QORTHO_FORMAT must be json or text, got {fmt!r}\n")
-        return 2
-    try:
-        result = args.func(args)
+        args = _parse_argv(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            out.write(_usage())
+            return 0
+        fmt = args.format or os.environ.get("QORTHO_FORMAT", "text")
+        if fmt not in FORMATS:
+            raise _UsageError(
+                f"QORTHO_FORMAT must be json or text, got {fmt!r}")
+        result = globals()["cmd_" + args.command.replace("-", "_")](args)
     except (_UsageError, BadFamily, BadN) as exc:
         err.write(f"error: {exc}\n")
         return 2

@@ -18,7 +18,6 @@ ordered field and the scalar ring is not one.
 
 import math
 import operator
-from fractions import Fraction
 from functools import reduce
 from types import MappingProxyType
 
@@ -400,7 +399,7 @@ def _rational_entry(v):
     g = v.as_gauss()
     if g is None:
         raise NotReal(f"entry {v} is not a constant")
-    if g.im != 0:
+    if g.b:
         raise NotReal(f"entry {v} has an imaginary part")
     return g.re
 
@@ -415,6 +414,7 @@ def signature(S):
     entry is zero, fold the first nonzero off-diagonal pair (i, j) by
     adding row/column j to row/column i, which makes S_ii = 2 S_ij.
     """
+    from fractions import Fraction  # off the start-up path
     n = S.dim
     for (r, c), v in S.entries.items():
         if S.get(c, r) != v:
@@ -472,7 +472,7 @@ def antilinear_fixed_basis(K):
     diff = first_diff(K * bar_mat(K, ConjRegime.REAL_Q), I)
     if diff is not None:
         raise NotInvolution(f"K*bar(K) differs from I at ({diff[0]},{diff[1]})")
-    half = Scalar.from_frac(Fraction(1, 2))
+    half = Scalar.from_frac(2).inv()
     candidates = (_rows((I + K).scale(half))
                   + _rows((I - K).scale(Scalar.i_unit() * half)))
     basis = row_reduce(candidates)

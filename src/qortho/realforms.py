@@ -11,7 +11,6 @@ metric, or the SO* criterion, labels each one.
 """
 
 import itertools
-from fractions import Fraction
 
 from .errors import (
     BadFamily, BadN, NoPlaneConjugation, NotInvolution, Unclassifiable,
@@ -339,7 +338,7 @@ def build_mpp(N):
     if shape.odd:
         raise BadN("M'' exists only for even N")
     n = shape.n
-    th = Scalar.t_unit() * Scalar.from_frac(Fraction(1, 2))
+    th = Scalar.t_unit() * Scalar.from_frac(2).inv()
     ith = Scalar.i_unit() * th
     entries = {}
     for j in range(1, n + 1):

@@ -5,14 +5,12 @@ The builders take N.  The per-N `GroupShape` builds the metric, R, the
 projectors and P_A's row space at most once each; `check_r_reality` and the
 checks in realforms, qplane and cli take it instead of N."""
 
-from fractions import Fraction
-
 from .errors import BadN
 from .linalg import (
     SqMat, _integer_products_equal, _spread, bar_mat, first_diff, inverse,
     kron_embed, pack, products_equal, unpack,
 )
-from .scalars import ConjRegime, Scalar
+from .scalars import ConjRegime, Scalar, _s_power
 
 
 class GroupShape:
@@ -58,35 +56,32 @@ class GroupShape:
                                          self.projectors[4], self.N)))
 
 
+def _rho2(N):
+    """2 rho_a for a = 1..N, as ints (rho is half-integral): N - 2a below
+    the middle, 0 at the middle index of odd N, N + 2 - 2a above it.  With
+    q = s^2, q^(c rho_a) is s^(c * 2 rho_a)."""
+    return [N - 2 * a if 2 * a < N + 1 else N + 2 - 2 * a if 2 * a > N + 1
+            else 0 for a in range(1, N + 1)]
+
+
 def build_rho(N):
     """Half-integer weight vector; antisymmetric under the prime map."""
-    shape = GroupShape(N)
-    n = shape.n
-    rho = []
-    for a in range(1, N + 1):
-        if shape.odd:
-            if a < shape.n2:
-                rho.append(Fraction(N, 2) - a)
-            elif a == shape.n2:
-                rho.append(Fraction(0))
-            else:
-                rho.append(Fraction(N, 2) + 1 - a)
-        else:
-            rho.append(Fraction(n - a) if a <= n else Fraction(n + 1 - a))
-    return rho
+    from fractions import Fraction  # off the start-up path
+    GroupShape(N)
+    return [Fraction(r, 2) for r in _rho2(N)]
 
 
 def build_metric(N):
     """Antidiagonal metric with C[a, a'] = q^(-rho_a); self-inverse."""
-    rho = build_rho(N)
     shape = GroupShape(N)
-    return SqMat(N, {(a, shape.prime(a)): Scalar.q_power(-rho[a - 1])
+    rho2 = _rho2(N)
+    return SqMat(N, {(a, shape.prime(a)): _s_power(-rho2[a - 1])
                      for a in range(1, N + 1)})
 
 
 def build_R(N):
     shape = GroupShape(N)
-    rho = build_rho(N)
+    rho2 = _rho2(N)
     q = Scalar.q_power(1)
     qi = Scalar.q_power(-1)
     one = Scalar.one()
@@ -120,13 +115,14 @@ def build_R(N):
     for a in range(1, N + 1):
         ap = shape.prime(a)
         if a > ap:
-            put((a, ap), (ap, a), lam * (one - Scalar.q_power(rho[a - 1] - rho[ap - 1])))
+            put((a, ap), (ap, a),
+                lam * (one - _s_power(rho2[a - 1] - rho2[ap - 1])))
     for a in range(1, N + 1):
         ap = shape.prime(a)
         for b in range(1, a):
             if b != ap:
                 put((a, ap), (b, shape.prime(b)),
-                    -lam * Scalar.q_power(rho[a - 1] - rho[b - 1]))
+                    -lam * _s_power(rho2[a - 1] - rho2[b - 1]))
     return SqMat(N * N, entries)
 
 
@@ -184,12 +180,12 @@ def build_projectors(R, N):
     """
     q = Scalar.q_power(1)
     qi = Scalar.q_power(-1)
-    rho = build_rho(N)
     shape = GroupShape(N)
-    D = sum((Scalar.q_power(-2 * r) for r in rho), Scalar.zero())
+    rho2 = _rho2(N)
+    D = sum((_s_power(-2 * r) for r in rho2), Scalar.zero())
     E = q + qi
     M = SqMat(N * N, {(pack((a, shape.prime(a)), N), pack((c, shape.prime(c)), N)):
-                      Scalar.q_power(-rho[a - 1] - rho[c - 1])
+                      _s_power(-rho2[a - 1] - rho2[c - 1])
                       for a in range(1, N + 1) for c in range(1, N + 1)})
     Rhat = build_rhat(R, N)
     I = SqMat.identity(N * N)

@@ -19,7 +19,6 @@ s to s^-1; both conjugate the Gaussian-rational coefficients and fix t.
 
 import enum
 import math
-from fractions import Fraction
 
 from .errors import DivisionByZero, PoleAtOne, ResidualT
 
@@ -47,10 +46,12 @@ class GaussRat:
 
     @property
     def re(self):
+        from fractions import Fraction  # off the start-up path
         return Fraction(self.a, self.d)
 
     @property
     def im(self):
+        from fractions import Fraction
         return Fraction(self.b, self.d)
 
     def __add__(self, other):
@@ -112,8 +113,8 @@ class GaussRat:
         # wire format: "a/b" when real, "a/b+c/d*i" otherwise; signs live
         # inside the fractions so the grammar stays concatenative
         if not self.b:
-            return str(self.re)
-        return f"{self.re}+{self.im}*i"
+            return _ratio_str(self.a, self.d)
+        return f"{_ratio_str(self.a, self.d)}+{_ratio_str(self.b, self.d)}*i"
 
     def __repr__(self):
         return f"GaussRat({self.re!r}, {self.im!r})"
@@ -137,11 +138,22 @@ def _gauss(a, b, d):
     return _exact(a, b, d)
 
 
+def _ratio_str(n, d):
+    # str(Fraction(n, d)) for d > 0: n/d in lowest terms, "n" when d is 1
+    g = math.gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
 def _exact_rational(x):
-    # a float would be rounded and a string parsed: neither is exact input
-    if not isinstance(x, (int, Fraction)):
+    # an int as it is (it has .numerator and .denominator), else a Fraction;
+    # a float would be rounded and a string parsed: neither is exact input.
+    # fractions is imported for non-int input only, off the start-up path.
+    if isinstance(x, int):
+        return x
+    from fractions import Fraction
+    if not isinstance(x, Fraction):
         raise TypeError(f"expected int or Fraction, not {type(x).__name__}")
-    return Fraction(x)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +293,8 @@ def _lp_divexact(a, g):
     return _lp_shift(q, lo)
 
 
-_ONE_POLY = {0: GaussRat(1)}
+_GAUSS_ONE = GaussRat(1)
+_ONE_POLY = {0: _GAUSS_ONE}
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +376,7 @@ class Scalar:
         e = _exact_rational(p) * 2
         if e.denominator != 1:
             raise ValueError(f"q^{p} is not an integer power of s")
-        return Scalar({int(e): GaussRat(1)})
+        return _s_power(int(e))
 
     @staticmethod
     def t_unit():
@@ -484,6 +497,11 @@ class Scalar:
 
     def __repr__(self):
         return f"<Scalar {self}>"
+
+
+def _s_power(e):
+    # s^e for an int e, canonical as built
+    return Scalar._of({e: _GAUSS_ONE}, {}, _ONE_POLY)
 
 
 def _freeze(p):

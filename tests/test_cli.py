@@ -57,6 +57,53 @@ def test_unknown_subcommand_is_usage_error():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    [],                                               # no command
+    ["bogus"],                                        # unknown command
+    ["rmat", "--n", "3", "--bogus"],                  # unknown flag
+    ["table", "--n", "4", "--reg", "real"],           # no prefix abbreviations
+    ["--n", "3", "rmat"],                             # command flag too early
+    ["rmat", "--n"],                                  # flag without a value
+    ["rmat", "--n", "x"],                             # non-integer --n
+    ["table", "--n", "4", "--regime", "bogus"],       # bad choice
+    ["rmat"],                                         # missing --n
+    ["classify", "--n", "4"],                         # missing --spec
+    ["quotient"],                                     # missing --sign
+    ["--format", "yaml", "rmat", "--n", "3"],         # bad --format
+    ["rmat", "--n", "3", "extra"],                    # extra argument
+    ["ybe", "--n", "3", "--force=yes"],               # value for a switch
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_malformed_argv_is_one_line_usage_error(argv):
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_format_flag_before_or_after_the_command():
+    before = run(["--format", "json", "rmat", "--n", "3"])
+    after = run(["rmat", "--n", "3", "--format", "json"])
+    assert before == after
+    assert before[0] == 0 and json.loads(before[1])["command"] == "rmat"
+
+
+def test_flag_value_after_equals_sign():
+    assert run(["verify-all", "--n=4"]) == run(["verify-all", "--n", "4"])
+    assert run(["--format=json", "table", "--n=5", "--regime=real"]) == \
+        run(["--format", "json", "table", "--n", "5", "--regime", "real"])
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["rmat", "-h"]])
+def test_help_lists_every_command(argv):
+    code, out, err = run(argv)
+    assert code == 0 and err == ""
+    listed = [line.split()[0] for line in out.splitlines()
+              if line.startswith("  ")]
+    assert listed == ["rmat", "ybe", "projectors", "classify", "table",
+                      "plane", "plane-conj", "quotient", "verify-all"]
+    assert "QORTHO_FORMAT" in out and "base:star|cross" in out
+
+
 def test_ybe_cap_requires_force():
     for command in ("ybe", "verify-all"):
         code, _, err = run([command, "--n", "13"])
@@ -342,6 +389,33 @@ def test_module_entry_point():
         env=dict(os.environ, PYTHONPATH=os.path.join(HERE, "src")))
     assert proc.returncode == 0
     assert "overall: pass" in proc.stdout
+
+
+STARTUP_PROBE = """
+import io, sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+from qortho.cli import main
+for argv in (["rmat", "--n", "3"], ["verify-all", "--n", "4"],
+             ["ybe", "--n", "4"]):
+    if main(argv, out=io.StringIO(), err=io.StringIO()) != 0:
+        sys.exit(f"{argv} failed")
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_startup_path_imports_no_argparse_or_fractions():
+    # a fresh interpreter without site (-I -S), so that only qortho's own
+    # imports are counted; pytest itself imports fractions
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", STARTUP_PROBE,
+         os.path.join(HERE, "src")],
+        capture_output=True, text=True, cwd=HERE)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "qortho.cli" in loaded
+    assert not loaded & {"argparse", "gettext", "locale", "fractions",
+                         "decimal", "numbers"}
 
 
 def test_console_function_raises_system_exit(monkeypatch):

@@ -83,6 +83,15 @@ def test_metric_entries():
     assert len(C4.entries) == 4
 
 
+@pytest.mark.parametrize("N", range(3, 10))
+def test_metric_is_q_to_the_minus_rho(N):
+    # the builders read the weights as the ints 2 rho; build_rho's
+    # Fractions must give the same powers of q
+    rho = build_rho(N)
+    assert build_metric(N) == SqMat(N, {
+        (a, N + 1 - a): Scalar.q_power(-rho[a - 1]) for a in range(1, N + 1)})
+
+
 def test_metric_self_inverse():
     for N in range(3, 8):
         C = build_metric(N)
@@ -150,8 +159,9 @@ def flip(N):
 int_laurent = st.dictionaries(
     st.integers(-3, 3), st.integers(-3, 3).filter(bool), min_size=1, max_size=3,
 ).map(lambda p: Scalar({e: GaussRat(c) for e, c in p.items()}))
-# c s^j (s - 2^m) vanishes at s = 2^m: an entry that a too small k
-# cannot tell from zero
+# c s^j (s - 2^m) vanishes at s = 2^m: an entry that a k fixed below 25
+# cannot tell from zero.  Its own norm exceeds 2^m, so a k taken from any
+# norm bound is never m; the "edge" chains test such a k.
 vanishing_at_power_of_two = st.builds(
     lambda c, j, m: Scalar.from_frac(c) * sp(j)
     * (sp(1) - Scalar.from_frac(2 ** m)),
@@ -248,22 +258,37 @@ def test_non_integer_r_takes_the_product_path(monkeypatch, c):
 def chains(draw):
     """(left, right): factor lists over one small dim.  right is empty
     (the question is left's product = 0), a regrouping of left (the
-    products agree), or m other factors; one entry of right's first factor
-    (of left's for an empty right) may then be perturbed."""
+    products agree), m other factors, or an edge case for k (below); one
+    entry of right's first factor (of left's for an empty right) may then
+    be perturbed."""
     dim = draw(st.integers(1, 3))
     m = draw(st.integers(1, 3))
     index = st.tuples(st.integers(1, dim), st.integers(1, dim))
     factor = st.dictionaries(index, int_laurent, max_size=dim * dim).map(
         lambda entries: SqMat(dim, entries))
     left = [draw(factor) for _ in range(m)]
-    kind = draw(st.sampled_from(("zero", "regrouped", "other")))
+    kind = draw(st.sampled_from(("zero", "regrouped", "other", "edge")))
     if kind == "zero":
         right = []
     elif kind == "regrouped":
         right = [left[0] * left[1]] + left[2:] + [SqMat.identity(dim)] \
             if m > 1 else [left[0]]
-    else:
+    elif kind == "other":
         right = [draw(factor) for _ in range(m)]
+    else:
+        # X and Y differ in one entry by s^j (s - 2^(h+1)), which vanishes
+        # at 2^(h+1).  The row holding it has norm 2^h + 1, and every other
+        # row at most 27, so for h >= 4 2^(h+1) is the least power of two
+        # above beta.  A k taken from 2^k > beta instead of 2^k > 8 beta,
+        # or fixed at 3 when h = 2, maps the two sides to equal integers.
+        h, j = draw(st.integers(2, 30)), draw(st.integers(-3, 3))
+        r, c = draw(index)
+        X = {key: v for key, v in left[0].entries.items() if key[0] != r}
+        Y = dict(X)
+        X[(r, c)] = sp(j + 1) - Scalar.from_frac(2 ** h) * sp(j)
+        Y[(r, c)] = Scalar.from_frac(2 ** h) * sp(j)
+        rest = [SqMat.identity(dim)] * (m - 1)
+        left, right = [SqMat(dim, X)] + rest, [SqMat(dim, Y)] + rest
     if draw(st.booleans()):
         side = right or left
         key = draw(index)

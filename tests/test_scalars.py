@@ -126,6 +126,8 @@ def assert_canonical(g, re, im):
 
 @given(fracs, fracs, fracs, fracs)
 @settings(max_examples=300, deadline=None)
+# (2 + i)/4 prints as 1/2+1/4*i: each part is reduced on its own
+@example(Fraction(1, 2), Fraction(1, 4), Fraction(0), Fraction(-5, 6))
 def test_gaussrat_matches_fraction_pairs(a, b, c, d):
     x, y = GaussRat(a, b), GaussRat(c, d)
     assert_canonical(x, a, b)
@@ -406,6 +408,12 @@ def test_text_format():
 def test_q_power_rejects_non_half_integers():
     with pytest.raises(ValueError):
         Scalar.q_power(Fraction(1, 3))
+
+
+@given(st.integers(-60, 60))
+def test_q_power_of_int_equals_q_power_of_fraction(k):
+    assert Scalar.q_power(k) == Scalar.q_power(Fraction(k))
+    assert str(Scalar.q_power(k)) == f"1*s^{2 * k}"
 
 
 # --- operator contract: one operand type, exact constructor input -----------
