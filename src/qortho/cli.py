@@ -1,6 +1,7 @@
 """Command-line front end: builds objects, runs check suites, and emits
 deterministic text or JSON reports with pass/fail exit codes."""
 
+import gc
 import json
 import os
 import sys
@@ -422,7 +423,16 @@ def main(argv=None, out=None, err=None):
 
 
 def console():
-    sys.exit(main())
+    """Entry point of `python -m qortho` and the `qortho` script: run main,
+    then exit with its code.  Just before the exit, `gc.freeze()` moves
+    every live object to the permanent generation, so the collections that
+    interpreter finalization runs skip the run's heap.  Streams are still
+    flushed and atexit handlers still run (os._exit would skip both).  Only
+    this process-level entry freezes; main() leaves the collector alone,
+    as the tests and in-process replays call it."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -20,10 +20,117 @@ from .linalg import (
     kron_embed, signature,
 )
 from .rmatrix import GroupShape
-from .scalars import ConjRegime, Scalar
+from .scalars import ConjRegime, GaussRat, Scalar
 
 STAR = "star"
 CROSS = "cross"
+
+# i^k for k = 0..3, and k for each unit (re, im)
+_I_POWERS = (GaussRat(1), GaussRat(0, 1), GaussRat(-1), GaussRat(0, -1))
+_I_EXPONENT = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
+
+
+def _unit(k, e):
+    # the Scalar i^k s^e, canonical as built
+    return Scalar._of({e: _I_POWERS[k % 4]}, {}, {0: _I_POWERS[0]})
+
+
+class _Monomial:
+    """An N x N matrix with one nonzero per row and per column, each a unit
+    monomial: row r holds i^k[r] s^e[r] in column perm[r] (0-based), k taken
+    mod 4.  The families D, D' and D'' and the metric C have this form, and
+    on it products, transposes, bar and equality are O(N) integer
+    operations.  `_monomial` recognizes the form in a SqMat; any other
+    matrix stays a SqMat."""
+
+    __slots__ = ("perm", "k", "e")
+
+    def __init__(self, perm, k, e):
+        self.perm = tuple(perm)
+        self.k = tuple(x % 4 for x in k)
+        self.e = tuple(e)
+
+    @staticmethod
+    def identity(N):
+        return _Monomial(range(N), (0,) * N, (0,) * N)
+
+    def __mul__(self, other):
+        # (XY)[r, pY(pX r)] = X[r, pX r] Y[pX r, pY(pX r)]
+        pr, k, e = other.perm, other.k, other.e
+        return _Monomial([pr[c] for c in self.perm],
+                         [a + k[c] for a, c in zip(self.k, self.perm)],
+                         [a + e[c] for a, c in zip(self.e, self.perm)])
+
+    def transpose(self):
+        perm, k, e = [0] * len(self.perm), list(self.k), list(self.e)
+        for r, c in enumerate(self.perm):
+            perm[c], k[c], e[c] = r, self.k[r], self.e[r]
+        return _Monomial(perm, k, e)
+
+    def __neg__(self):
+        return _Monomial(self.perm, [a + 2 for a in self.k], self.e)
+
+    def bar(self):
+        # for real q: i -> -i, s fixed
+        return _Monomial(self.perm, [-a for a in self.k], self.e)
+
+    def __eq__(self, other):
+        if not isinstance(other, _Monomial):
+            return NotImplemented
+        return (self.perm, self.k, self.e) == (other.perm, other.k, other.e)
+
+
+def _monomial(mat):
+    """mat as a _Monomial, or None when it is not of that form."""
+    N = mat.dim
+    if len(mat.entries) != N:
+        return None
+    perm, k, e = [None] * N, [0] * N, [0] * N
+    for (r, c), v in mat.entries.items():
+        if perm[r - 1] is not None or v.n1 or len(v.d) != 1 or len(v.n0) != 1:
+            return None
+        (x, g), = v.n0.items()  # v = g s^x; a one-term d is 1 in canonical form
+        unit = _I_EXPONENT.get((g.a, g.b)) if g.d == 1 else None
+        if unit is None:
+            return None
+        perm[r - 1], k[r - 1], e[r - 1] = c - 1, unit, x
+    if len(set(perm)) != N:
+        return None
+    return _Monomial(perm, k, e)
+
+
+def _relabels_R(A, shape):
+    """Whether R (A (x) A) = (A (x) A) R, for a _Monomial A, decided as a
+    relabeling of R's entries with no matrix product.
+
+    Write A[a, pi a] = w_a.  Then P = A (x) A is monomial on pairs:
+    P[p, pi p] = w_p with pi(a, b) = (pi a, pi b) and w_(a,b) = w_a w_b.
+    Entrywise, (R P)[r, pi c] = R[r, c] w_c and (P R)[r, pi c] =
+    w_r R[pi r, pi c], and pi is onto, so R P = P R exactly when
+    R[pi r, pi c] = R[r, c] w_c / w_r for every r, c.  It suffices to check
+    the nonzero R[r, c]: when each maps to a nonzero R[pi r, pi c], the
+    injective map (r, c) -> (pi r, pi c) sends R's finite support into
+    itself, hence onto itself, so it sends every zero of R to a zero, as
+    the condition asks there.  Each ratio w_c / w_r is a unit monomial, so
+    the multiply takes `Scalar`'s unit fast path, and none is needed where
+    both exponent differences are 0."""
+    N, entries = shape.N, shape.R.entries
+    perm, k, e = A.perm, A.k, A.e
+    # 1-based pair index (a, b) -> (pi(a, b), k and e of w_(a, b))
+    pairs = [(perm[a] * N + perm[b] + 1, k[a] + k[b], e[a] + e[b])
+             for a in range(N) for b in range(N)]
+    for (r, c), v in entries.items():
+        pr, kr, er = pairs[r - 1]
+        pc, kc, ec = pairs[c - 1]
+        w = entries.get((pr, pc))
+        if w is None:
+            return False
+        dk, de = (kc - kr) % 4, ec - er
+        if dk or de:
+            v = v * _unit(dk, de)
+        if w is not v and w != v:
+            return False
+    return True
 
 
 class AutoMatrix:
@@ -212,7 +319,11 @@ def _r_commutation_witness(A, shape):
     """First entry where R (A (x) A) and (A (x) A) R differ, or None.
 
     A1 A2 = A2 A1 = A (x) A, so this decides R A1 A2 = A2 A1 R with the
-    same two matrices and one product fewer."""
+    same two matrices and one product fewer.  A monomial A that commutes
+    is recognized by `_relabels_R`, with no product at all."""
+    mono = _monomial(A)
+    if mono is not None and _relabels_R(mono, shape):
+        return None
     N, R = shape.N, shape.R
     AA = kron_embed(A, 1, N, 2) * kron_embed(A, 2, N, 2)
     return _witness(R * AA, AA * R)
@@ -222,12 +333,31 @@ def _failed(condition, detail):
     return False, {"condition": condition, "detail": detail}
 
 
+def _monomial_C(shape):
+    # C is monomial for every N; parsed once per shape
+    return shape.once("monomial_C", lambda: _monomial(shape.C))
+
+
+def _is_automorphism(D, shape):
+    # the conditions of `check_auto_conditions` for a _Monomial D
+    C, I = _monomial_C(shape), _Monomial.identity(shape.N)
+    sq = D * D
+    return (D.transpose() * C * D == C and D * C * D.transpose() == C
+            and _relabels_R(D, shape) and (sq == I or sq == -I))
+
+
 def check_auto_conditions(mat, shape):
     """Verify D^t C D = C = D C D^t, R D1 D2 = D2 D1 R, and D^2 = +-1,
     with the R and C of shape.
 
     Returns (True, None), or (False, witness) for the first condition that
-    fails: "DCD", "RDD" or "square", with its first offending entry."""
+    fails: "DCD", "RDD" or "square", with its first offending entry.  A
+    monomial D is decided in O(N) integer operations and one relabeling of
+    R; a failure, or any other D, is decided by SqMat products, which
+    build the witness."""
+    D = _monomial(mat)
+    if D is not None and _is_automorphism(D, shape):
+        return True, None
     N, C = shape.N, shape.C
     for X in (mat.transpose() * C * mat, mat * C * mat.transpose()):
         if X != C:
@@ -245,14 +375,19 @@ def check_auto_conditions(mat, shape):
 def check_reality(mat, base, shape):
     """Reality condition matching the base conjugation: cross needs
     bar(D) = D with D^2 = 1 or bar(D) = -D with D^2 = -1; star needs
-    bar(D) = C^t D C^t."""
-    barD = bar_mat(mat, ConjRegime.REAL_Q)  # entries are constants
-    sq = mat * mat
+    bar(D) = C^t D C^t.  A monomial D is checked in its _Monomial form."""
+    D = _monomial(mat)
+    if D is None:
+        D, C, I = mat, shape.C, SqMat.identity(shape.N)
+        barD = bar_mat(mat, ConjRegime.REAL_Q)  # entries are constants
+    else:
+        C, I = _monomial_C(shape), _Monomial.identity(shape.N)
+        barD = D.bar()
+    sq = D * D
     if base == CROSS:
-        I = SqMat.identity(shape.N)
-        return (barD == mat and sq == I) or (barD == -mat and sq == -I)
+        return (barD == D and sq == I) or (barD == -D and sq == -I)
     if base == STAR:
-        return barD == shape.C.transpose() * mat * shape.C.transpose()
+        return barD == C.transpose() * D * C.transpose()
     raise ValueError(f"base must be star or cross, got {base!r}")
 
 
@@ -324,11 +459,22 @@ def classify(spec, shape):
         # a real symmetric matrix and its inverse share their signature
         p, m = signature(M * classical_mat(shape.C) * M.transpose())
         return RealFormLabel.so(p, m, spec.regime)
-    if G2 == -I and spec.base == STAR:
+    if G2 != -I:
+        # neither branch applies: name each one's first differing entry
+        fails = []
+        for name, target in (("I", I), ("-I", -I)):
+            r, c, x, y = first_diff(G2, target)
+            fails.append(f"G^2 = {name} fails at ({r},{c}): {x} != {y}")
+        why = "; ".join(fails)
+    elif spec.base != STAR:
+        why = "G^2 = -I, and the SO* branch needs base star"
+    else:
         dsec = _dsecond_from(G, shape)
         if dsec is not None and check_sostar(shape, dsec):
             return RealFormLabel.sostar(N, spec.regime)
-    raise Unclassifiable(f"no classification branch applies to {spec!r}")
+        why = "G^2 = -I, but G is no D'' member that passes the SO* checks"
+    raise Unclassifiable(f"no classification branch applies to {spec!r}: "
+                         f"{why}")
 
 
 def build_mpp(N):

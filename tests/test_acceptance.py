@@ -145,6 +145,24 @@ def test_05_automorphism_families_pass_and_corruptions_fail():
             assert not ok
             assert witness["condition"] == condition
             assert witness["detail"] is not None
+        # unit-weight monomials, which take the relabeling path.  None keeps
+        # the metric and fails RDD: D^t C D = C = D C D^t forces a diagonal
+        # with w_a w_a' = 1, times the canonical swap for even N, and each
+        # of those commutes with R.  So one fails after passing the
+        # relabeling, and a pair swap fails the relabeling itself through
+        # the equivalence witness, which checks RDD first; both witnesses
+        # are those of the SqMat products
+        unit_torus = SqMat.diag([iu, one, one, -iu])
+        assert check_auto_conditions(unit_torus, GroupShape(4)) == (False, {
+            "condition": "square", "detail": {
+                "row": 1, "col": 1, "lhs": "-1*s^0", "rhs": "1*s^0"}})
+        pair_swap = SqMat(4, {(1, 2): one, (2, 1): one, (3, 4): one,
+                              (4, 3): one})
+        assert check_equivalence_witness(
+            pair_swap, cross([]), cross([]), GroupShape(4)) == (False, {
+                "condition": "RDD", "detail": {
+                    "row": 2, "col": 2, "lhs": "0",
+                    "rhs": "-1*s^-2 + 1*s^2"}})
 
 
 def test_06_plane_relations_match_canonical_rule_sets():

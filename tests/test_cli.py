@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -421,6 +422,33 @@ def test_startup_path_imports_no_argparse_or_fractions():
 def test_console_function_raises_system_exit(monkeypatch):
     from qortho.cli import console
     monkeypatch.setattr(sys, "argv", ["qortho", "rmat", "--n", "2"])
-    with pytest.raises(SystemExit) as exc:
-        console()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            console()
+    finally:
+        gc.unfreeze()  # console() freezes the heap it exits with
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["rmat", "--n", "3"], 0),
+    (["--format", "json", "classify", "--n", "6",
+      "--spec", "base:star;autos:dsecond:+++---,canonical;regime:real"], 1),
+    (["rmat", "--n", "2"], 2),
+])
+def test_process_exit_matches_main(argv, code):
+    # the process entry freezes the heap before it exits; what it prints
+    # and its exit code are still exactly those of main()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qortho"] + argv,
+        capture_output=True, text=True, cwd=HERE,
+        env=dict(os.environ, PYTHONPATH=os.path.join(HERE, "src")))
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(argv)
+    assert proc.returncode == code
+
+
+def test_main_leaves_the_collector_alone():
+    before = gc.get_freeze_count()
+    for argv in (["rmat", "--n", "3"], ["rmat", "--n", "2"]):
+        run(argv)
+    assert gc.get_freeze_count() == before

@@ -1,13 +1,19 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qortho.errors import BadFamily, NoPlaneConjugation, Unclassifiable
-from qortho.linalg import SqMat, bar_mat, classical_mat, inverse
+from qortho.linalg import (
+    SqMat, bar_mat, classical_mat, first_diff, inverse, kron_embed,
+)
 from qortho.realforms import (
     CROSS, STAR, AutoMatrix, ConjugationSpec, RealFormLabel, auto_from_signs,
     build_mpp, canonical_D, check_auto_conditions, check_equivalence_witness,
     check_reality, check_sostar, check_sostar_basis, classify,
     count_real_forms, dsecond_canonical, enumerate_autos,
-    plane_conjugation_matrix, symplectic_j, _match_up_to_unit,
+    plane_conjugation_matrix, symplectic_j, _is_automorphism,
+    _match_up_to_unit, _monomial, _relabels_R,
 )
 from qortho.rmatrix import GroupShape, build_metric
 from qortho.scalars import ConjRegime, Scalar
@@ -120,6 +126,126 @@ def test_auto_conditions_reject_bad_diagonal():
         "detail": {"row": 1, "col": 4, "lhs": "2*s^-2", "rhs": "1*s^-2"}})
 
 
+# -- the monomial form against SqMat products -------------------------------
+
+UNITS = (one, iu, -one, -iu)  # i^k for k = 0..3
+
+
+def weight(k, e):
+    return UNITS[k % 4] * Scalar.q_power(Fraction(e, 2))
+
+
+@st.composite
+def monomials(draw, N, max_exponent):
+    """A monomial N x N matrix with weights i^k s^e, |e| <= max_exponent.
+    Half the draws keep the metric: a permutation fixing rho (the identity,
+    or the swap of n and n + 1 for even N) and w_a w_a' = 1, the matrices
+    that reach the R commutation and D^2 = +-1."""
+    k = draw(st.lists(st.integers(0, 3), min_size=N, max_size=N))
+    e = draw(st.lists(st.integers(-max_exponent, max_exponent),
+                      min_size=N, max_size=N))
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(N)))
+    else:
+        perm = list(range(N))
+        if N % 2 == 0 and draw(st.booleans()):
+            perm[N // 2 - 1], perm[N // 2] = N // 2, N // 2 - 1
+        for a in range((N + 1) // 2):
+            if a == N - 1 - a:
+                k[a], e[a] = 2 * (k[a] % 2), 0  # w_mid = +-1
+            else:
+                k[N - 1 - a], e[N - 1 - a] = -k[a], -e[a]
+    return SqMat(N, {(r + 1, perm[r] + 1): weight(k[r], e[r])
+                     for r in range(N)})
+
+
+@st.composite
+def monomial_cases(draw, max_exponent=0):
+    N = draw(st.integers(3, 6))
+    return N, draw(monomials(N, max_exponent)), draw(monomials(N, max_exponent))
+
+
+def product_witness(X, Y):
+    diff = first_diff(X, Y)
+    if diff is None:
+        return None
+    r, c, xv, yv = diff
+    return {"row": r, "col": c, "lhs": str(xv), "rhs": str(yv)}
+
+
+def product_auto_conditions(mat, shape):
+    """`check_auto_conditions` from SqMat products alone, with A (x) A built
+    by `kron_embed`: the reference for the monomial path's verdict and for
+    every witness."""
+    N, C, R = shape.N, shape.C, shape.R
+    for X in (mat.transpose() * C * mat, mat * C * mat.transpose()):
+        if X != C:
+            return False, {"condition": "DCD", "detail": product_witness(X, C)}
+    AA = kron_embed(mat, 1, N, 2) * kron_embed(mat, 2, N, 2)
+    detail = product_witness(R * AA, AA * R)
+    if detail is not None:
+        return False, {"condition": "RDD", "detail": detail}
+    I = SqMat.identity(N)
+    sq = mat * mat
+    if sq != I and sq != -I:
+        return False, {"condition": "square", "detail": product_witness(sq, I)}
+    return True, None
+
+
+def product_reality(mat, base, shape):
+    barD, sq, I = bar_mat(mat, REAL), mat * mat, SqMat.identity(shape.N)
+    if base == CROSS:
+        return (barD == mat and sq == I) or (barD == -mat and sq == -I)
+    return barD == shape.C.transpose() * mat * shape.C.transpose()
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_cases())
+def test_monomial_auto_verdict_and_witness_match_products(case):
+    N, A, _ = case
+    shape = GroupShape(N)
+    expected = product_auto_conditions(A, shape)
+    assert _is_automorphism(_monomial(A), shape) == expected[0]
+    assert check_auto_conditions(A, shape) == expected
+    AA = kron_embed(A, 1, N, 2) * kron_embed(A, 2, N, 2)
+    assert _relabels_R(_monomial(A), shape) == (shape.R * AA == AA * shape.R)
+    for base in (STAR, CROSS):
+        assert check_reality(A, base, shape) == product_reality(A, base, shape)
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomial_cases(max_exponent=2))
+def test_monomial_form_matches_sqmat_algebra(case):
+    # weights i^k s^e: products, transposes, bar and negation agree with
+    # SqMat, and so does the relabeling
+    N, X, Y = case
+    shape = GroupShape(N)
+    x, y = _monomial(X), _monomial(Y)
+    assert _monomial(X * Y) == x * y
+    assert _monomial(X.transpose()) == x.transpose()
+    assert _monomial(-X) == -x
+    assert _monomial(bar_mat(X, REAL)) == x.bar()
+    assert (x == y) == (X == Y)
+    AA = kron_embed(X, 1, N, 2) * kron_embed(X, 2, N, 2)
+    assert _relabels_R(x, shape) == (shape.R * AA == AA * shape.R)
+
+
+def test_monomial_form_rejects_other_matrices():
+    two = Scalar.from_frac(2)
+    s = Scalar.q_power(Fraction(1, 2))
+    for bad in (SqMat.diag([one, one, two]),              # weight 2
+                SqMat.diag([one, one, one + s]),          # two terms
+                SqMat.diag([one, one, s.inv() * two]),    # 2 s^-1
+                SqMat.diag([one, one, Scalar.t_unit()]),  # t
+                SqMat.diag([one, one, one + Scalar.t_unit()]),  # 1 + t
+                SqMat.diag([one, one, two.inv()]),        # weight 1/2
+                SqMat(3, {(1, 1): one, (2, 2): one}),     # a zero row
+                SqMat(3, {(1, 1): one, (2, 1): one, (3, 3): one})):
+        assert _monomial(bad) is None
+    m = _monomial(SqMat(3, {(1, 2): one, (2, 1): -iu, (3, 3): s}))
+    assert (m.perm, m.k, m.e) == ((1, 0, 2), (0, 3, 0), (0, 0, 1))
+
+
 def test_composed_sharp_dprime_squares_to_plus_one():
     for N in (4, 6):
         D = canonical_D(N)
@@ -230,8 +356,18 @@ def test_classify_sostar():
 
 def test_classify_rejects_cross_with_imaginary_family():
     spec = ConjugationSpec(CROSS, [dsecond_canonical(4)], UNIT)
-    with pytest.raises(Unclassifiable):
+    with pytest.raises(Unclassifiable, match="SO\\* branch needs base star"):
         classify(spec, GroupShape(4))
+
+
+def test_unclassifiable_names_the_entry_of_g_squared():
+    # G = D''_1 D has G^2 = diag(-1, -1, 1, 1, -1, -1): neither +I nor -I
+    spec = star([auto_from_signs(6, "dsecond", "+++---"), canonical_D(6)])
+    with pytest.raises(Unclassifiable) as exc:
+        classify(spec, GroupShape(6))
+    assert str(exc.value).endswith(
+        ": G^2 = I fails at (1,1): -1*s^0 != 1*s^0;"
+        " G^2 = -I fails at (3,3): 1*s^0 != -1*s^0")
 
 
 def test_label_signature_normalized():
