@@ -250,9 +250,20 @@ def _integer_products_equal(left, right=()):
     and every coefficient of their difference at most 2 beta.  With
     2^k > 8 beta that is below 2^k / 4, and an integer has at most one
     base-2^k expansion with digits in (-2^k / 2, 2^k / 2), so an entry of
-    the difference vanishes exactly when its image does.  Entries are
-    encoded shifted by the lowest s-exponent lo over all factors,
-    sum c_e 2^(k (e - lo)); both sides carry the shift m lo.
+    the difference vanishes exactly when its image does.
+
+    Entries are encoded shifted by the lowest s-exponent lo over all
+    factors and in the variable u = s^g, where g is the gcd of every
+    offset e - lo: an entry sum c_e s^e is s^lo P(u) with
+    P(u) = sum c_e u^((e - lo) / g) a polynomial, and its image is P(2^k).
+    A row of the shifted product s^(-m lo) X1...Xm is a product of such
+    polynomials in u, so the argument above holds with u in place of s:
+    the coefficients of P are those of the entry, the norms are unchanged,
+    and an integer polynomial in u with coefficients below 2^k / 4
+    vanishes exactly when its value at u = 2^k does.  Both sides carry the
+    same shift s^(m lo), so they agree exactly when their shifted products
+    do.  For every even N, g = 2 for R and the projectors (all their
+    exponents are even), which halves the images' width.
     """
     if right and len(right) != len(left):
         raise ValueError(f"{len(left)} factors against {len(right)}")
@@ -281,9 +292,10 @@ def _integer_products_equal(left, right=()):
 def _kronecker_images(left, right):
     """(k, images): the smallest k with 2^k > 8 beta (see
     `_integer_products_equal`) and, under id(v) for each entry v of a
-    factor, the integer sum c_e 2^(k (e - lo)) with lo the lowest
-    s-exponent of any factor; None if an entry is outside Z[s, s^-1].
-    Each distinct entry object is encoded once."""
+    factor, the integer sum c_e 2^(k (e - lo) / g) with lo the lowest
+    s-exponent of any factor and g the gcd of every e - lo (1 when all
+    exponents are lo); None if an entry is outside Z[s, s^-1].  Each
+    distinct entry object is encoded once."""
     polys, rho = {}, {}
     for X in (*left, *right):
         if id(X) in rho:
@@ -304,7 +316,8 @@ def _kronecker_images(left, right):
                for side in (left, right) if side)
     k = (8 * beta).bit_length()
     lo = min((e for poly, _ in polys.values() for e in poly), default=0)
-    return k, {i: sum(c << (k * (e - lo)) for e, c in poly.items())
+    g = math.gcd(*(e - lo for poly, _ in polys.values() for e in poly)) or 1
+    return k, {i: sum(c << (k * ((e - lo) // g)) for e, c in poly.items())
                for i, (poly, _) in polys.items()}
 
 

@@ -397,9 +397,12 @@ def plane_conjugation_matrix(spec, shape):
     G = spec.composed(shape.N)
     if G * G != SqMat.identity(shape.N):
         raise NoPlaneConjugation("composed automorphism does not square to +1")
-    if spec.base == STAR:
-        return shape.C.transpose() * G
-    return G
+    return _conjugation_of(spec, G, shape)
+
+
+def _conjugation_of(spec, G, shape):
+    # K of `plane_conjugation_matrix` for spec's composed G, with G^2 = +1
+    return shape.C.transpose() * G if spec.base == STAR else G
 
 
 _UNITS = (Scalar.one(), -Scalar.one(), Scalar.i_unit(), -Scalar.i_unit())
@@ -450,7 +453,7 @@ def classify(spec, shape):
     G = spec.composed(N)
     G2 = G * G
     if G2 == I:
-        K = plane_conjugation_matrix(spec, shape)
+        K = _conjugation_of(spec, G, shape)
         if K * bar_mat(K, spec.regime) != I:
             raise NotInvolution("K bar(K) != I at generic q")
         K1 = classical_mat(K)

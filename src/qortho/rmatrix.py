@@ -7,7 +7,7 @@ checks in realforms, qplane and cli take it instead of N."""
 
 from .errors import BadN
 from .linalg import (
-    SqMat, _integer_products_equal, _spread, bar_mat, first_diff, inverse,
+    SqMat, _kronecker_images, _spread, bar_mat, first_diff, inverse,
     kron_embed, pack, products_equal, unpack,
 )
 from .scalars import ConjRegime, Scalar, _s_power
@@ -138,24 +138,79 @@ def check_ybe(R, N):
 
     Returns (True, None) or (False, witness) with the first differing
     composite entry.  When every entry of R lies in Z[s, s^-1], the
-    equation is first decided over the integers
-    (`linalg._integer_products_equal`); only a verdict of "holds" is taken
-    from there.  Otherwise, and whenever the integer images differ, the two
-    sides are formed as Scalar matrix products, and those alone give the
-    verdict and the witness."""
+    equation is first decided over the integers by `_integer_ybe`, with
+    R13 applied from R's rows and never built; only a verdict of "holds"
+    is taken from there.  Otherwise, and whenever the integer images
+    differ, the two sides are formed as Scalar matrix products, and those
+    alone give the verdict and the witness."""
     if R.dim != N * N:
         raise BadN(f"R has dim {R.dim}, expected {N * N}")
     R12 = kron_embed(R, 1, N, 3)
     R23 = kron_embed(R, 2, N, 3)
-    R13 = embed_13(R, N)
-    if _integer_products_equal([R12, R13, R23], [R23, R13, R12]):
+    if _integer_ybe(R, N, R12, R23):
         return True, None
+    R13 = embed_13(R, N)
     diff = first_diff(R12 * R13 * R23, R23 * R13 * R12)
     if diff is None:
         return True, None
     r, c, lv, rv = diff
     return False, {"row": list(unpack(r, N, 3)), "col": list(unpack(c, N, 3)),
                    "lhs": str(lv), "rhs": str(rv)}
+
+
+def _integer_ybe(R, N, R12, R23):
+    """Whether R12 R13 R23 = R23 R13 R12, decided exactly over the integers
+    as `linalg._integer_products_equal` decides a chain (images in u = s^g
+    at s^g = 2^k, with 2^k > 8 beta); None if an entry of R is outside
+    Z[s, s^-1].  R12 and R23 are R's `kron_embed`s.
+
+    Every row of R12, R13 and R23 is a row of R with its columns relabeled,
+    holding R's own entry objects, so all three factors have R's row norms,
+    beta = rho(R)^3, and the images of R's entries alone serve both sides
+    (`_kronecker_images([R] * 3, [R] * 3)`).  R13 is never formed: its row
+    (a, b, c) is R's row (a, c) with column (a', c') placed at (a', b, c').
+    Each output row of LHS - RHS is accumulated into one dict, depth first
+    through the three factors; any nonzero entry means the sides differ."""
+    found = _kronecker_images([R] * 3, [R] * 3)
+    if found is None:
+        return None
+    _, images = found
+    NN, size = N * N, N ** 3
+    # {row: [(col, image)]} as lists indexed by the 1-based row
+    r12, r23 = [[] for _ in range(size + 1)], [[] for _ in range(size + 1)]
+    for X, rows in ((R12, r12), (R23, r23)):
+        for (r, c), v in X.entries.items():
+            rows[r].append((c, images[id(v)]))
+    # R's rows with column (a', c') at the 0-based composite (a', 0, c')
+    placed = [[] for _ in range(NN + 1)]
+    for (r, c), v in R.entries.items():
+        a, c = divmod(c - 1, N)
+        placed[r].append((a * NN + c, images[id(v)]))
+    # row (a, b, c) of R13: R's placed row (a, c) and the shift b N + 1
+    r13 = [None] * (size + 1)
+    for a in range(N):
+        for c in range(N):
+            for b in range(N):
+                r13[a * NN + b * N + c + 1] = placed[a * N + c + 1], b * N + 1
+    for i in range(1, size + 1):
+        acc = {}
+        for first, last, negate in ((r12, r23, False), (r23, r12, True)):
+            for j, x in first[i]:
+                row, shift = r13[j]
+                if negate:
+                    x = -x
+                for k, y in row:
+                    z = last[k + shift]
+                    if z:
+                        xy = x * y
+                        for l, w in z:
+                            if l in acc:
+                                acc[l] += xy * w
+                            else:
+                                acc[l] = xy * w
+        if any(acc.values()):
+            return False
+    return True
 
 
 def build_rhat(R, N):

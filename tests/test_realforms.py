@@ -335,6 +335,31 @@ def test_classify_cross_fixtures():
     assert str(classify(cross([]), GroupShape(5))) == "SO(3,2)"
 
 
+def test_classify_composes_and_squares_g_once(monkeypatch):
+    # K comes from the G that classify already holds, not from a second
+    # composition in plane_conjugation_matrix
+    composed, product = ConjugationSpec.composed, SqMat.__mul__
+    compositions, squares = [], []
+
+    def counted_composed(self, N):
+        compositions.append(N)
+        return composed(self, N)
+
+    def counted_product(self, other):
+        if self is other:
+            squares.append(self)
+        return product(self, other)
+
+    monkeypatch.setattr(ConjugationSpec, "composed", counted_composed)
+    monkeypatch.setattr(SqMat, "__mul__", counted_product)
+    for spec, N, label in ((star([canonical_D(4)]), 4, "SO(3,1)"),
+                           (cross([]), 5, "SO(3,2)")):
+        compositions.clear()
+        squares.clear()
+        assert str(classify(spec, GroupShape(N))) == label
+        assert compositions == [N] and len(squares) == 1
+
+
 def test_classify_odd_dprime_gives_so21():
     dp = auto_from_signs(3, "dprime", "-+-")
     assert str(classify(star([dp]), GroupShape(3))) == "SO(2,1)"

@@ -3,11 +3,13 @@
 import io
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qortho import rmatrix
 from qortho.cli import _projector_checks, main
 from qortho.errors import BadN
 from qortho.linalg import (
@@ -15,8 +17,8 @@ from qortho.linalg import (
     kron_embed, pack, products_equal, rank,
 )
 from qortho.rmatrix import (
-    GroupShape, build_metric, build_R, build_rhat, build_rho, check_char_eq,
-    check_r_reality, check_ybe, embed_13,
+    GroupShape, _integer_ybe, build_metric, build_R, build_rhat, build_rho,
+    check_char_eq, check_r_reality, check_ybe, embed_13,
 )
 from qortho.scalars import ConjRegime, GaussRat, Scalar
 
@@ -151,21 +153,36 @@ def integer_verdict(R, N):
     return _integer_products_equal(*ybe_sides(R, N))
 
 
+def ybe_kernel_verdict(R, N):
+    return _integer_ybe(R, N, kron_embed(R, 1, N, 3), kron_embed(R, 2, N, 3))
+
+
 def flip(N):
     return SqMat(N * N, {(pack((a, b), N), pack((b, a), N)): ONE
                          for a in range(1, N + 1) for b in range(1, N + 1)})
 
 
-int_laurent = st.dictionaries(
-    st.integers(-3, 3), st.integers(-3, 3).filter(bool), min_size=1, max_size=3,
-).map(lambda p: Scalar({e: GaussRat(c) for e, c in p.items()}))
-# c s^j (s - 2^m) vanishes at s = 2^m: an entry that a k fixed below 25
-# cannot tell from zero.  Its own norm exceeds 2^m, so a k taken from any
-# norm bound is never m; the "edge" chains test such a k.
-vanishing_at_power_of_two = st.builds(
-    lambda c, j, m: Scalar.from_frac(c) * sp(j)
-    * (sp(1) - Scalar.from_frac(2 ** m)),
-    st.integers(-2, 2).filter(bool), st.integers(-2, 2), st.integers(1, 24))
+def laurent(g):
+    """Integer Laurent polynomials in s^g."""
+    return st.dictionaries(
+        st.integers(-3, 3), st.integers(-3, 3).filter(bool), min_size=1,
+        max_size=3,
+    ).map(lambda p: Scalar({g * e: GaussRat(c) for e, c in p.items()}))
+
+
+def vanishing(g):
+    """c s^(g j) (s^g - 2^m), which vanishes at s^g = 2^m: an entry that a k
+    fixed below 25 cannot tell from zero.  Its own norm exceeds 2^m, so a k
+    taken from any norm bound is never m; the "edge" chains test such a k."""
+    return st.builds(
+        lambda c, j, m: Scalar.from_frac(c) * sp(g * j)
+        * (sp(g) - Scalar.from_frac(2 ** m)),
+        st.integers(-2, 2).filter(bool), st.integers(-2, 2),
+        st.integers(1, 24))
+
+
+int_laurent = laurent(1)
+vanishing_at_power_of_two = vanishing(1)
 
 
 @st.composite
@@ -197,8 +214,33 @@ def ybe_solutions(draw):
 @given(ybe_solutions())
 @settings(max_examples=300, deadline=None)
 def test_integer_verdict_equals_product_verdict(case):
+    # both integer halves: the generic chain and the YBE kernel
     R, N = case
-    assert integer_verdict(R, N) == product_verdict(R, N)
+    verdict = product_verdict(R, N)
+    assert integer_verdict(R, N) == verdict
+    assert ybe_kernel_verdict(R, N) == verdict
+
+
+@pytest.mark.parametrize("N", range(3, 7))
+def test_ybe_kernel_verdict_on_changed_r(N):
+    # the real R scaled by c s^j (the equation is homogeneous, so it still
+    # holds), and with one entry changed by +-c s^j: present entries and
+    # zero ones, both parities of j
+    rng = random.Random(N)
+    R = build_R(N)
+    present = sorted(R.entries)
+    cases = [R.scale(Scalar.from_frac(c) * sp(j))
+             for c, j in ((1, 1), (-2, -3), (3, 2))]
+    for n in range(8):
+        key = present[rng.randrange(len(present))] if n % 2 else \
+            (rng.randint(1, N * N), rng.randint(1, N * N))
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        entries = dict(R.entries)
+        entries[key] = R.get(*key) + Scalar.from_frac(c) * sp(n - 4)
+        cases.append(SqMat(N * N, entries))
+    verdicts = [ybe_kernel_verdict(X, N) for X in cases]
+    assert verdicts == [product_verdict(X, N) for X in cases]
+    assert verdicts[:3] == [True] * 3 and False in verdicts
 
 
 def row_norm(R):
@@ -210,7 +252,7 @@ def row_norm(R):
 
 
 @pytest.mark.parametrize("N", (3, 4))
-def test_ybe_sides_obey_the_coefficient_bound(N):
+def test_ybe_sides_obey_the_coefficient_bound(monkeypatch, N):
     R = build_R(N)
     rho = row_norm(R)
     assert rho == 2 * N + 1
@@ -222,6 +264,29 @@ def test_ybe_sides_obey_the_coefficient_bound(N):
                        for c in v.n0.values())
     k, _ = _kronecker_images(*ybe_sides(R, N))
     assert 2 ** k > 8 * rho ** 3
+    # the YBE kernel takes the images of R alone, and they are the ones
+    # of the three embedded factors: the same k and entry objects
+    seen = []
+    images = rmatrix._kronecker_images
+    monkeypatch.setattr(rmatrix, "_kronecker_images",
+                        lambda left, right: seen.append(images(left, right))
+                        or seen[-1])
+    assert _integer_ybe(R, N, R12, R23)
+    assert seen == [_kronecker_images(*ybe_sides(R, N))]
+    assert 2 ** seen[0][0] > 8 * rho ** 3
+
+
+@pytest.mark.parametrize("N", range(3, 7))
+def test_even_n_images_are_half_as_wide(N):
+    # every exponent of R is even for even N, so the images are taken in
+    # s^2 and the widest is about half of what it is in s
+    R = build_R(N)
+    k, images = _kronecker_images([R] * 3, [R] * 3)
+    exponents = [e for v in R.entries.values() for e in v.n0]
+    width_in_s = k * (max(exponents) - min(exponents))
+    widest = max(abs(x).bit_length() for x in images.values())
+    g = 1 if N % 2 else 2
+    assert abs(g * widest - width_in_s) < g * k
 
 
 def count_products(monkeypatch):
@@ -237,9 +302,21 @@ def count_products(monkeypatch):
 
 
 def test_integer_r_takes_no_scalar_product(monkeypatch):
-    R = build_R(3)
+    # a passing check builds R12 and R23 once each and never R13
+    def no_r13(R, N):
+        raise AssertionError("R13 built on a passing run")
+
+    embeds = []
+    embed = rmatrix.kron_embed
+    monkeypatch.setattr(rmatrix, "embed_13", no_r13)
+    monkeypatch.setattr(rmatrix, "kron_embed",
+                        lambda *args: embeds.append(args[1:]) or embed(*args))
     calls = count_products(monkeypatch)
-    assert check_ybe(R, 3) == (True, None)
+    for N in range(3, 7):
+        embeds.clear()
+        R = build_R(N)
+        assert check_ybe(R, N) == (True, None)
+        assert embeds == [(1, N, 3), (2, N, 3)]
     assert not calls
 
 
@@ -249,6 +326,7 @@ def test_integer_r_takes_no_scalar_product(monkeypatch):
 def test_non_integer_r_takes_the_product_path(monkeypatch, c):
     R = build_R(3).scale(c)
     assert _kronecker_images(*ybe_sides(R, 3)) is None
+    assert ybe_kernel_verdict(R, 3) is None
     calls = count_products(monkeypatch)
     assert check_ybe(R, 3) == (True, None)
     assert len(calls) == 4
@@ -260,11 +338,13 @@ def chains(draw):
     (the question is left's product = 0), a regrouping of left (the
     products agree), m other factors, or an edge case for k (below); one
     entry of right's first factor (of left's for an empty right) may then
-    be perturbed."""
+    be perturbed.  Every exponent is a multiple of a stride g in {1, 2, 3},
+    so `_kronecker_images` also takes its images in s^g for g > 1."""
     dim = draw(st.integers(1, 3))
     m = draw(st.integers(1, 3))
+    g = draw(st.sampled_from((1, 2, 3)))
     index = st.tuples(st.integers(1, dim), st.integers(1, dim))
-    factor = st.dictionaries(index, int_laurent, max_size=dim * dim).map(
+    factor = st.dictionaries(index, laurent(g), max_size=dim * dim).map(
         lambda entries: SqMat(dim, entries))
     left = [draw(factor) for _ in range(m)]
     kind = draw(st.sampled_from(("zero", "regrouped", "other", "edge")))
@@ -276,25 +356,25 @@ def chains(draw):
     elif kind == "other":
         right = [draw(factor) for _ in range(m)]
     else:
-        # X and Y differ in one entry by s^j (s - 2^(h+1)), which vanishes
-        # at 2^(h+1).  The row holding it has norm 2^h + 1, and every other
-        # row at most 27, so for h >= 4 2^(h+1) is the least power of two
-        # above beta.  A k taken from 2^k > beta instead of 2^k > 8 beta,
-        # or fixed at 3 when h = 2, maps the two sides to equal integers.
+        # X and Y differ in one entry by s^(g j) (s^g - 2^(h+1)), which
+        # vanishes at s^g = 2^(h+1).  The row holding it has norm 2^h + 1,
+        # and every other row at most 27, so for h >= 4 2^(h+1) is the
+        # least power of two above beta.  A k taken from 2^k > beta instead
+        # of 2^k > 8 beta, or fixed at 3 when h = 2, maps the two sides to
+        # equal integers.
         h, j = draw(st.integers(2, 30)), draw(st.integers(-3, 3))
         r, c = draw(index)
         X = {key: v for key, v in left[0].entries.items() if key[0] != r}
         Y = dict(X)
-        X[(r, c)] = sp(j + 1) - Scalar.from_frac(2 ** h) * sp(j)
-        Y[(r, c)] = Scalar.from_frac(2 ** h) * sp(j)
+        X[(r, c)] = sp(g * (j + 1)) - Scalar.from_frac(2 ** h) * sp(g * j)
+        Y[(r, c)] = Scalar.from_frac(2 ** h) * sp(g * j)
         rest = [SqMat.identity(dim)] * (m - 1)
         left, right = [SqMat(dim, X)] + rest, [SqMat(dim, Y)] + rest
     if draw(st.booleans()):
         side = right or left
         key = draw(index)
         entries = dict(side[0].entries)
-        entries[key] = side[0].get(*key) + draw(
-            int_laurent | vanishing_at_power_of_two)
+        entries[key] = side[0].get(*key) + draw(laurent(g) | vanishing(g))
         side[0] = SqMat(dim, entries)
     return left, right
 
