@@ -17,14 +17,12 @@ ordered field and the scalar ring is not one.
 """
 
 import math
-import operator
-from functools import reduce
 from types import MappingProxyType
 
 from .errors import (
     Degenerate, DimMismatch, NotInvolution, NotReal, NotSymmetric, Singular,
 )
-from .scalars import ConjRegime, Scalar, _accumulate
+from .scalars import ConjRegime, GaussRat, Scalar, _accumulate
 
 
 def pack(parts, width):
@@ -195,21 +193,15 @@ def kron_embed(A, slot, width, arity):
     # with i A's index and before, after the slots left and right of it
     after_size = width ** (arity - slot - span + 1)
     block = A.dim * after_size
-    offsets = [before * block + after for before in range(width ** (slot - 1))
+    offsets = [before * block + after + 1
+               for before in range(width ** (slot - 1))
                for after in range(after_size)]
-    return _spread(A, width ** arity, lambda i: i * after_size, offsets)
-
-
-def _spread(A, dim, place, offsets):
-    """The dim x dim matrix with A's entry (r, c) at (place(r-1) + o + 1,
-    place(c-1) + o + 1) for every offset o: an embedding of A into a tensor
-    space as index arithmetic, holding A's own entry objects."""
     out = {}
     for (r, c), v in A.entries.items():
-        r, c = place(r - 1) + 1, place(c - 1) + 1
+        r, c = (r - 1) * after_size, (c - 1) * after_size
         for o in offsets:
             out[(r + o, c + o)] = v
-    return SqMat._of(dim, out)
+    return SqMat._of(width ** arity, out)
 
 
 def first_diff(X, Y):
@@ -223,21 +215,11 @@ def first_diff(X, Y):
 
 
 def products_equal(left, right=()):
-    """Whether the product of the matrices in `left` equals the product of
-    those in `right`, or is zero when `right` is empty.  Only a verdict of
-    "holds" is taken from `_integer_products_equal`; otherwise the SqMat
-    products decide."""
-    if _integer_products_equal(left, right):
-        return True
-    lhs = reduce(operator.mul, left)
-    return lhs == reduce(operator.mul, right) if right else lhs.is_zero()
-
-
-def _integer_products_equal(left, right=()):
     """Whether X1...Xm = Y1...Ym for the matrices Xi of `left` and Yi of
     `right` (X1...Xm = 0 when `right` is empty), decided exactly over the
-    integers by the substitution s -> 2^k; None if an entry of a factor is
-    outside Z[s, s^-1].  A nonempty `right` has m factors too.
+    integers by the substitution s -> 2^k.  A nonempty `right` has m
+    factors too.  Every entry of every factor must lie in Z[s, s^-1];
+    `_kronecker_images` raises TypeError for any other.
 
     Let the l1 norm of a row be the sum of the absolute values of its
     entries' coefficients, and rho(X) the largest over the rows of X.  Row
@@ -250,7 +232,8 @@ def _integer_products_equal(left, right=()):
     and every coefficient of their difference at most 2 beta.  With
     2^k > 8 beta that is below 2^k / 4, and an integer has at most one
     base-2^k expansion with digits in (-2^k / 2, 2^k / 2), so an entry of
-    the difference vanishes exactly when its image does.
+    the difference vanishes exactly when its image does: the verdict is
+    exact both ways, and `_decode` reads an entry back from its image.
 
     Entries are encoded shifted by the lowest s-exponent lo over all
     factors and in the variable u = s^g, where g is the gcd of every
@@ -267,10 +250,7 @@ def _integer_products_equal(left, right=()):
     """
     if right and len(right) != len(left):
         raise ValueError(f"{len(left)} factors against {len(right)}")
-    found = _kronecker_images(left, right)
-    if found is None:
-        return None
-    _, images = found
+    images = _kronecker_images(left, right)[3]
     rows = {}
     for X in (*left, *right):
         if id(X) not in rows:
@@ -290,12 +270,12 @@ def _integer_products_equal(left, right=()):
 
 
 def _kronecker_images(left, right):
-    """(k, images): the smallest k with 2^k > 8 beta (see
-    `_integer_products_equal`) and, under id(v) for each entry v of a
-    factor, the integer sum c_e 2^(k (e - lo) / g) with lo the lowest
-    s-exponent of any factor and g the gcd of every e - lo (1 when all
-    exponents are lo); None if an entry is outside Z[s, s^-1].  Each
-    distinct entry object is encoded once."""
+    """(k, lo, g, images): the smallest k with 2^k > 8 beta (see
+    `products_equal`), the lowest s-exponent lo of any factor, the gcd g of
+    every e - lo (1 when all exponents are lo) and, under id(v) for each
+    entry v of a factor, the integer sum c_e 2^(k (e - lo) / g).  Each
+    distinct entry object is encoded once.  Raises TypeError if an entry
+    is outside Z[s, s^-1]."""
     polys, rho = {}, {}
     for X in (*left, *right):
         if id(X) in rho:
@@ -307,7 +287,7 @@ def _kronecker_images(left, right):
                 # a canonical denominator with one term is 1
                 if v.n1 or len(v.d) != 1 or any(
                         x.b or x.d != 1 for x in v.n0.values()):
-                    return None
+                    raise TypeError(f"entry {v} is outside Z[s, s^-1]")
                 poly = {e: x.a for e, x in v.n0.items()}
                 found = polys[id(v)] = poly, sum(map(abs, poly.values()))
             norms[r] = norms.get(r, 0) + found[1]
@@ -317,8 +297,26 @@ def _kronecker_images(left, right):
     k = (8 * beta).bit_length()
     lo = min((e for poly, _ in polys.values() for e in poly), default=0)
     g = math.gcd(*(e - lo for poly, _ in polys.values() for e in poly)) or 1
-    return k, {i: sum(c << (k * ((e - lo) // g)) for e, c in poly.items())
-               for i, (poly, _) in polys.items()}
+    return k, lo, g, {
+        i: sum(c << (k * ((e - lo) // g)) for e, c in poly.items())
+        for i, (poly, _) in polys.items()}
+
+
+def _decode(n, k, shift, g):
+    """The Laurent polynomial, as a Scalar, whose image in u = s^g at
+    u = 2^k is n, with s^shift factored out (see `products_equal`): the
+    balanced base-2^k digit of u^j is the coefficient of s^(shift + g j).
+    A product of m factors with images from `_kronecker_images` has
+    shift m lo."""
+    half, mask, terms = 1 << (k - 1), (1 << k) - 1, {}
+    # n has at most bit_length // k + 2 balanced digits; past them, c = 0
+    for _ in range(abs(n).bit_length() // k + 2):
+        c = ((n + half) & mask) - half
+        if c:
+            terms[shift] = GaussRat(c)
+        n = (n - c) >> k
+        shift += g
+    return Scalar(terms)
 
 
 def _int_rows(M, images):

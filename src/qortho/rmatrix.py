@@ -7,8 +7,8 @@ checks in realforms, qplane and cli take it instead of N."""
 
 from .errors import BadN
 from .linalg import (
-    SqMat, _kronecker_images, _spread, bar_mat, first_diff, inverse,
-    kron_embed, pack, products_equal, unpack,
+    SqMat, _decode, _kronecker_images, bar_mat, inverse, kron_embed, pack,
+    products_equal, unpack,
 )
 from .scalars import ConjRegime, Scalar, _s_power
 
@@ -126,31 +126,15 @@ def build_R(N):
     return SqMat(N * N, entries)
 
 
-def embed_13(R, N):
-    """R acting on tensor slots 1 and 3 of the N^3 space, identity on 2."""
-    # R's 0-based index a*N + e goes to (a*N + b)*N + e for every slot-2 b
-    return _spread(R, N ** 3, lambda i: (i // N) * N * N + i % N,
-                   range(0, N * N, N))
-
-
 def check_ybe(R, N):
     """Yang-Baxter R12 R13 R23 = R23 R13 R12 in the N^3 space.
 
     Returns (True, None) or (False, witness) with the first differing
-    composite entry.  When every entry of R lies in Z[s, s^-1], the
-    equation is first decided over the integers by `_integer_ybe`, with
-    R13 applied from R's rows and never built; only a verdict of "holds"
-    is taken from there.  Otherwise, and whenever the integer images
-    differ, the two sides are formed as Scalar matrix products, and those
-    alone give the verdict and the witness."""
+    composite entry, both decided by `_integer_ybe` over the integers.
+    Every entry of R must lie in Z[s, s^-1]; TypeError otherwise."""
     if R.dim != N * N:
         raise BadN(f"R has dim {R.dim}, expected {N * N}")
-    R12 = kron_embed(R, 1, N, 3)
-    R23 = kron_embed(R, 2, N, 3)
-    if _integer_ybe(R, N, R12, R23):
-        return True, None
-    R13 = embed_13(R, N)
-    diff = first_diff(R12 * R13 * R23, R23 * R13 * R12)
+    diff = _integer_ybe(R, N, kron_embed(R, 1, N, 3), kron_embed(R, 2, N, 3))
     if diff is None:
         return True, None
     r, c, lv, rv = diff
@@ -159,10 +143,12 @@ def check_ybe(R, N):
 
 
 def _integer_ybe(R, N, R12, R23):
-    """Whether R12 R13 R23 = R23 R13 R12, decided exactly over the integers
-    as `linalg._integer_products_equal` decides a chain (images in u = s^g
-    at s^g = 2^k, with 2^k > 8 beta); None if an entry of R is outside
-    Z[s, s^-1].  R12 and R23 are R's `kron_embed`s.
+    """None if R12 R13 R23 = R23 R13 R12, else the first entry where the
+    sides differ, lowest row then lowest column, as (row, col, lhs, rhs)
+    with Scalar entries; decided exactly over the integers as
+    `linalg.products_equal` decides a chain (images in u = s^g at
+    s^g = 2^k, with 2^k > 8 beta).  R12 and R23 are R's `kron_embed`s.
+    Raises TypeError if an entry of R is outside Z[s, s^-1].
 
     Every row of R12, R13 and R23 is a row of R with its columns relabeled,
     holding R's own entry objects, so all three factors have R's row norms,
@@ -170,11 +156,11 @@ def _integer_ybe(R, N, R12, R23):
     (`_kronecker_images([R] * 3, [R] * 3)`).  R13 is never formed: its row
     (a, b, c) is R's row (a, c) with column (a', c') placed at (a', b, c').
     Each output row of LHS - RHS is accumulated into one dict, depth first
-    through the three factors; any nonzero entry means the sides differ."""
-    found = _kronecker_images([R] * 3, [R] * 3)
-    if found is None:
-        return None
-    _, images = found
+    through the three factors; the first row with a nonzero entry differs.
+    There each side's integer at the lowest such column is summed alone
+    and decoded with the shift 3 lo of a three-factor product."""
+    # bits is the k of 2^k: k names a column below
+    bits, lo, g, images = _kronecker_images([R] * 3, [R] * 3)
     NN, size = N * N, N ** 3
     # {row: [(col, image)]} as lists indexed by the 1-based row
     r12, r23 = [[] for _ in range(size + 1)], [[] for _ in range(size + 1)]
@@ -209,8 +195,19 @@ def _integer_ybe(R, N, R12, R23):
                             else:
                                 acc[l] = xy * w
         if any(acc.values()):
-            return False
-    return True
+            break
+    else:
+        return None
+    col = min(l for l, x in acc.items() if x)
+    sides = []
+    for first, last in ((r12, r23), (r23, r12)):
+        n = 0
+        for j, x in first[i]:
+            row, shift = r13[j]
+            for k, y in row:
+                n += sum(x * y * w for l, w in last[k + shift] if l == col)
+        sides.append(_decode(n, bits, 3 * lo, g))
+    return i, col, *sides
 
 
 def build_rhat(R, N):

@@ -14,7 +14,7 @@ from qortho.linalg import (
     SqMat, antilinear_fixed_basis, bar_mat, classical_mat, inverse,
     kron_embed, pack, rank, signature, unpack,
 )
-from qortho.rmatrix import GroupShape, build_R, embed_13
+from qortho.rmatrix import GroupShape, build_R
 from qortho.scalars import ConjRegime, Scalar
 
 ONE = Scalar.one()
@@ -172,11 +172,12 @@ def distinct_entries(dim):
                        for c in range(1, dim + 1)})
 
 
-def delta_embed(A, slot, width, arity):
-    # reference: entry (row, col) is A's entry on the slots A acts on, times
-    # a Kronecker delta on every other slot
+def delta_embed(A, slot, width, arity, acted=None):
+    # reference: entry (row, col) is A's entry on the slots A acts on (from
+    # `slot` on, or the 0-based `acted`), times a Kronecker delta on every
+    # other slot
     span = 1 if A.dim == width else 2
-    acted = range(slot - 1, slot - 1 + span)
+    acted = acted or range(slot - 1, slot - 1 + span)
     out = {}
     for row in itertools.product(range(1, width + 1), repeat=arity):
         for col in itertools.product(range(1, width + 1), repeat=arity):
@@ -196,10 +197,13 @@ def test_kron_embed_matches_delta_construction(span, slot):
 @pytest.mark.parametrize("R", [build_R(3), distinct_entries(9)],
                          ids=["so3", "distinct"])
 def test_embed_13_conjugates_r12_by_the_23_flip(R):
+    # R on slots 1 and 3 is R12 conjugated by the flip of slots 2 and 3:
+    # the R13 that the YBE tests build as P23 R12 P23
     flip = mat(9, {(pack((a, b), 3), pack((b, a), 3)): 1
                    for a in range(1, 4) for b in range(1, 4)})
     P23 = kron_embed(flip, 2, 3, 3)
-    assert embed_13(R, 3) == P23 * kron_embed(R, 1, 3, 3) * P23
+    assert delta_embed(R, None, 3, 3, acted=(0, 2)) == \
+        P23 * kron_embed(R, 1, 3, 3) * P23
 
 
 @pytest.mark.parametrize("dim, slot, arity", [

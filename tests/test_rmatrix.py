@@ -9,16 +9,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qortho import rmatrix
+from qortho import linalg, rmatrix
 from qortho.cli import _projector_checks, main
 from qortho.errors import BadN
 from qortho.linalg import (
-    SqMat, _integer_products_equal, _kronecker_images, classical_mat,
-    kron_embed, pack, products_equal, rank,
+    SqMat, _decode, _kronecker_images, classical_mat, first_diff, kron_embed,
+    pack, products_equal, rank, unpack,
 )
 from qortho.rmatrix import (
     GroupShape, _integer_ybe, build_metric, build_R, build_rhat, build_rho,
-    check_char_eq, check_r_reality, check_ybe, embed_13,
+    check_char_eq, check_r_reality, check_ybe,
 )
 from qortho.scalars import ConjRegime, GaussRat, Scalar
 
@@ -135,13 +135,26 @@ def test_ybe_negative():
                        "rhs": "1*s^-6 + 1*s^-4 + -1*s^-2 + -1*s^0"}
 
 
+def flip(N):
+    return SqMat(N * N, {(pack((a, b), N), pack((b, a), N)): ONE
+                         for a in range(1, N + 1) for b in range(1, N + 1)})
+
+
 def embeddings(R, N):
-    return kron_embed(R, 1, N, 3), embed_13(R, N), kron_embed(R, 2, N, 3)
+    # R13 is R12 conjugated by the flip of slots 2 and 3
+    R12, P23 = kron_embed(R, 1, N, 3), kron_embed(flip(N), 2, N, 3)
+    return R12, P23 * R12 * P23, kron_embed(R, 2, N, 3)
 
 
-def product_verdict(R, N):
+def reference_ybe(R, N):
+    """check_ybe's (ok, witness) from the two sides as Scalar products."""
     R12, R13, R23 = embeddings(R, N)
-    return R12 * R13 * R23 == R23 * R13 * R12
+    diff = first_diff(R12 * R13 * R23, R23 * R13 * R12)
+    if diff is None:
+        return True, None
+    r, c, lv, rv = diff
+    return False, {"row": list(unpack(r, N, 3)), "col": list(unpack(c, N, 3)),
+                   "lhs": str(lv), "rhs": str(rv)}
 
 
 def ybe_sides(R, N):
@@ -150,16 +163,7 @@ def ybe_sides(R, N):
 
 
 def integer_verdict(R, N):
-    return _integer_products_equal(*ybe_sides(R, N))
-
-
-def ybe_kernel_verdict(R, N):
-    return _integer_ybe(R, N, kron_embed(R, 1, N, 3), kron_embed(R, 2, N, 3))
-
-
-def flip(N):
-    return SqMat(N * N, {(pack((a, b), N), pack((b, a), N)): ONE
-                         for a in range(1, N + 1) for b in range(1, N + 1)})
+    return products_equal(*ybe_sides(R, N))
 
 
 def laurent(g):
@@ -214,11 +218,12 @@ def ybe_solutions(draw):
 @given(ybe_solutions())
 @settings(max_examples=300, deadline=None)
 def test_integer_verdict_equals_product_verdict(case):
-    # both integer halves: the generic chain and the YBE kernel
+    # both integer halves: the generic chain's verdict, and the YBE
+    # kernel's verdict and decoded witness
     R, N = case
-    verdict = product_verdict(R, N)
-    assert integer_verdict(R, N) == verdict
-    assert ybe_kernel_verdict(R, N) == verdict
+    reference = reference_ybe(R, N)
+    assert integer_verdict(R, N) == reference[0]
+    assert check_ybe(R, N) == reference
 
 
 @pytest.mark.parametrize("N", range(3, 7))
@@ -238,8 +243,9 @@ def test_ybe_kernel_verdict_on_changed_r(N):
         entries = dict(R.entries)
         entries[key] = R.get(*key) + Scalar.from_frac(c) * sp(n - 4)
         cases.append(SqMat(N * N, entries))
-    verdicts = [ybe_kernel_verdict(X, N) for X in cases]
-    assert verdicts == [product_verdict(X, N) for X in cases]
+    results = [check_ybe(X, N) for X in cases]
+    assert results == [reference_ybe(X, N) for X in cases]
+    verdicts = [ok for ok, _ in results]
     assert verdicts[:3] == [True] * 3 and False in verdicts
 
 
@@ -262,7 +268,7 @@ def test_ybe_sides_obey_the_coefficient_bound(monkeypatch, N):
             assert not v.n1 and v.d == {0: GaussRat(1)}
             assert all(c.d == 1 and not c.b and abs(c.a) <= rho ** 3
                        for c in v.n0.values())
-    k, _ = _kronecker_images(*ybe_sides(R, N))
+    k = _kronecker_images(*ybe_sides(R, N))[0]
     assert 2 ** k > 8 * rho ** 3
     # the YBE kernel takes the images of R alone, and they are the ones
     # of the three embedded factors: the same k and entry objects
@@ -271,7 +277,7 @@ def test_ybe_sides_obey_the_coefficient_bound(monkeypatch, N):
     monkeypatch.setattr(rmatrix, "_kronecker_images",
                         lambda left, right: seen.append(images(left, right))
                         or seen[-1])
-    assert _integer_ybe(R, N, R12, R23)
+    assert _integer_ybe(R, N, R12, R23) is None
     assert seen == [_kronecker_images(*ybe_sides(R, N))]
     assert 2 ** seen[0][0] > 8 * rho ** 3
 
@@ -281,11 +287,11 @@ def test_even_n_images_are_half_as_wide(N):
     # every exponent of R is even for even N, so the images are taken in
     # s^2 and the widest is about half of what it is in s
     R = build_R(N)
-    k, images = _kronecker_images([R] * 3, [R] * 3)
+    k, lo, g, images = _kronecker_images([R] * 3, [R] * 3)
     exponents = [e for v in R.entries.values() for e in v.n0]
     width_in_s = k * (max(exponents) - min(exponents))
     widest = max(abs(x).bit_length() for x in images.values())
-    g = 1 if N % 2 else 2
+    assert lo == min(exponents) and g == (1 if N % 2 else 2)
     assert abs(g * widest - width_in_s) < g * k
 
 
@@ -301,21 +307,33 @@ def count_products(monkeypatch):
     return calls
 
 
+def changed_r(N):
+    # R with its first entry changed by 1: the equation fails
+    R = build_R(N)
+    entries = dict(R.entries)
+    key = min(entries)
+    entries[key] = entries[key] + ONE
+    return SqMat(N * N, entries)
+
+
 def test_integer_r_takes_no_scalar_product(monkeypatch):
-    # a passing check builds R12 and R23 once each and never R13
-    def no_r13(R, N):
-        raise AssertionError("R13 built on a passing run")
+    # a passing or failing check builds R12 and R23 once each, never R13,
+    # and forms no Scalar product and no first_diff
+    def no_first_diff(X, Y):
+        raise AssertionError("first_diff called by check_ybe")
 
     embeds = []
     embed = rmatrix.kron_embed
-    monkeypatch.setattr(rmatrix, "embed_13", no_r13)
     monkeypatch.setattr(rmatrix, "kron_embed",
                         lambda *args: embeds.append(args[1:]) or embed(*args))
+    cases = [(N, X) for N in range(3, 7) for X in (build_R(N), changed_r(N))]
+    for module in (linalg, rmatrix):
+        monkeypatch.setattr(module, "first_diff", no_first_diff, raising=False)
     calls = count_products(monkeypatch)
-    for N in range(3, 7):
+    for N, X in cases:
         embeds.clear()
-        R = build_R(N)
-        assert check_ybe(R, N) == (True, None)
+        ok, witness = check_ybe(X, N)
+        assert ok == (X == build_R(N)) and (witness is None) == ok
         assert embeds == [(1, N, 3), (2, N, 3)]
     assert not calls
 
@@ -323,13 +341,15 @@ def test_integer_r_takes_no_scalar_product(monkeypatch):
 @pytest.mark.parametrize("c", [
     Scalar.i_unit(), Scalar.from_frac(Fraction(1, 2)), Scalar.t_unit(),
 ], ids=["i", "half", "t"])
-def test_non_integer_r_takes_the_product_path(monkeypatch, c):
+def test_non_integer_r_raises_type_error(monkeypatch, c):
     R = build_R(3).scale(c)
-    assert _kronecker_images(*ybe_sides(R, 3)) is None
-    assert ybe_kernel_verdict(R, 3) is None
+    assert reference_ybe(R, 3) == (True, None)
+    with pytest.raises(TypeError):
+        _kronecker_images(*ybe_sides(R, 3))
     calls = count_products(monkeypatch)
-    assert check_ybe(R, 3) == (True, None)
-    assert len(calls) == 4
+    with pytest.raises(TypeError):
+        check_ybe(R, 3)
+    assert not calls
 
 
 @st.composite
@@ -395,29 +415,60 @@ def chain_product_verdict(left, right):
 @settings(max_examples=300, deadline=None)
 def test_integer_chain_verdict_equals_product_verdict(case):
     left, right = case
-    assert _integer_products_equal(left, right) == \
-        chain_product_verdict(left, right)
+    assert products_equal(left, right) == chain_product_verdict(left, right)
 
 
 def test_integer_chains_have_equal_lengths():
     I = SqMat.identity(2)
     with pytest.raises(ValueError):
-        _integer_products_equal([I, I], [I])
+        products_equal([I, I], [I])
 
 
 @pytest.mark.parametrize("c", [
     Scalar.i_unit(), Scalar.from_frac(Fraction(1, 2)), Scalar.t_unit(),
 ], ids=["i", "half", "t"])
-def test_non_integer_entries_take_the_product_path(monkeypatch, c):
+def test_non_integer_entries_raise_type_error(monkeypatch, c):
     den, P0, PA, _, _ = GroupShape(3).projectors
     den_I = SqMat.identity(9).scale(den)
     X = PA.scale(c)
-    assert _integer_products_equal([X, PA], [X, den_I]) is None
-    assert _integer_products_equal([X, P0]) is None
+    assert chain_product_verdict([X, PA], [X, den_I])
     calls = count_products(monkeypatch)
-    assert products_equal([X, PA], [X, den_I])
-    assert products_equal([X, P0])
-    assert len(calls) == 3
+    with pytest.raises(TypeError):
+        products_equal([X, PA], [X, den_I])
+    with pytest.raises(TypeError):
+        products_equal([X, P0])
+    assert not calls
+
+
+@st.composite
+def coded_entries(draw):
+    """(g, entries): integer Laurent polynomials in s^g, negative exponents
+    included, and one of c s^(g e) alone in its row, with |c| = 2^j - 1 up
+    to 2^40 - 1: the largest coefficient whose row norm still has
+    2^k > 8 beta for the k that c alone would give."""
+    g = draw(st.sampled_from((1, 2, 3)))
+    entries = draw(st.lists(laurent(g), min_size=1, max_size=4))
+    c = draw(st.sampled_from((-1, 1))) * (2 ** draw(st.integers(1, 40)) - 1)
+    entries.append(Scalar.from_frac(c) * sp(g * draw(st.integers(-4, 4))))
+    return g, entries
+
+
+@given(coded_entries())
+@settings(max_examples=200, deadline=None)
+def test_decoded_images_give_back_each_entry(case):
+    g, entries = case
+    X = SqMat.diag(entries)
+    k, lo, stride, images = _kronecker_images([X], [])
+    exponents = {e for v in entries for e in v.n0}
+    assert lo == min(exponents)
+    assert stride % g == 0 or len(exponents) == 1
+    for v in entries:
+        assert _decode(images[id(v)], k, lo, stride) == v
+    big = max(abs(c.a) for c in entries[-1].n0.values())
+    if big > 9:
+        # every other row has norm at most 9, so the lone coefficient sets
+        # beta, and it is within a factor 2 of 2^k / 8
+        assert 2 ** (k - 1) <= 8 * big < 2 ** k
 
 
 def char_eq_factors(N):
@@ -446,9 +497,9 @@ def test_projector_chains_obey_the_coefficient_bound(N):
                     assert all(c.d == 1 and not c.b and abs(c.a) <= bound
                                for c in v.n0.values())
             beta = max(beta, bound)
-        k, _ = _kronecker_images(left, right)
+        k = _kronecker_images(left, right)[0]
         assert 2 ** k > 8 * beta
-        assert _integer_products_equal(left, right)
+        assert products_equal(left, right)
 
 
 def test_integer_projectors_take_no_scalar_product(monkeypatch):
@@ -462,6 +513,8 @@ def test_integer_projectors_take_no_scalar_product(monkeypatch):
 
 
 def test_corrupted_pa_fails_through_the_product_path(monkeypatch):
+    # the integer products of `products_equal` give the final "differs":
+    # no Scalar product decides it again
     N = 4
     den, P0, PA, PS, Rhat = GroupShape(N).projectors
     # change one coefficient of one entry of PA
@@ -473,11 +526,12 @@ def test_corrupted_pa_fails_through_the_product_path(monkeypatch):
     bad[key] = Scalar(n0, v.n1, v.d)
     bad_PA = SqMat(N * N, bad)
     den_I = SqMat.identity(N * N).scale(den)
-    assert _integer_products_equal([bad_PA, bad_PA], [bad_PA, den_I]) is False
+    assert not chain_product_verdict([bad_PA, bad_PA], [bad_PA, den_I])
     calls = count_products(monkeypatch)
+    assert products_equal([bad_PA, bad_PA], [bad_PA, den_I]) is False
     failed = failing_projector_checks(N, den, P0, bad_PA, PS, Rhat)
     assert "pa_idempotent" in failed
-    assert calls
+    assert not calls
 
 
 def test_projector_algebra():

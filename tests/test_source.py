@@ -39,3 +39,24 @@ def test_gc_freeze_only_in_console():
                   if isinstance(node, ast.Attribute) and node.attr == "freeze"
                   and isinstance(node.value, ast.Name) and node.value.id == "gc"]
     assert found == [("cli.py", "console")]
+
+
+def test_no_unused_module_imports():
+    # a name imported at module level and never read is dead weight, and
+    # hides which helpers a module still depends on; `__init__` imports
+    # are the package's public names
+    found = []
+    for name, tree in _trees():
+        if name == "__init__.py":
+            continue
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported[bound] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        found += [f"{name}:{line} {bound}" for bound, line in imported.items()
+                  if bound not in used]
+    assert found == []
