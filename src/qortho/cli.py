@@ -2,9 +2,9 @@
 deterministic text or JSON reports with pass/fail exit codes."""
 
 import gc
-import json
 import os
 import sys
+from _json import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
 from . import __version__
@@ -105,9 +105,39 @@ def _report(command, n, checks, regime=None):
     return rep
 
 
+def _dumps(x, indent=None, level=0):
+    """json.dumps(x, indent=indent, sort_keys=True) for dicts with str
+    keys, lists, tuples, str, int, bool and None; TypeError for any other
+    value.  Strings are escaped by `_json.encode_basestring_ascii`, the
+    escaper json.dumps calls, and importing json would cost every run the
+    compiling of its regexes."""
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, dict):
+        if not all(isinstance(k, str) for k in x):
+            raise TypeError("JSON object keys must be str")
+        brackets = "{}"
+        items = [f"{_quote(k)}: {_dumps(v, indent, level + 1)}"
+                 for k, v in sorted(x.items())]
+    elif isinstance(x, (list, tuple)):
+        brackets = "[]"
+        items = [_dumps(v, indent, level + 1) for v in x]
+    else:
+        raise TypeError(f"{type(x).__name__} is not a JSON report value")
+    if not items or indent is None:
+        return brackets[0] + ", ".join(items) + brackets[1]
+    pad = "\n" + " " * (indent * (level + 1))
+    return (brackets[0] + pad + ("," + pad).join(items) + "\n"
+            + " " * (indent * level) + brackets[1])
+
+
 def _emit_report(rep, fmt, out):
     if fmt == "json":
-        out.write(json.dumps(rep, indent=2, sort_keys=True) + "\n")
+        out.write(_dumps(rep, indent=2) + "\n")
         return
     head = f"{rep['command']} N={rep['n']}"
     if "regime" in rep:
@@ -116,15 +146,14 @@ def _emit_report(rep, fmt, out):
     for c in rep["checks"]:
         out.write(f"check {c['name']}: {'pass' if c['pass'] else 'FAIL'}\n")
         if "witness" in c:
-            out.write("  witness: "
-                      + json.dumps(c["witness"], sort_keys=True) + "\n")
+            out.write("  witness: " + _dumps(c["witness"]) + "\n")
     ok = all(c["pass"] for c in rep["checks"])
     out.write(f"overall: {'pass' if ok else 'FAIL'}\n")
 
 
 def _emit_table(result, N, regime, fmt, out, err):
     if fmt == "json":
-        out.write(json.dumps(result.rows, indent=2, sort_keys=True) + "\n")
+        out.write(_dumps(result.rows, indent=2) + "\n")
         if result.caveat:
             err.write(f"note: {result.caveat}\n")
         return

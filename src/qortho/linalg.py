@@ -9,11 +9,14 @@ Composite tensor indices are row-major: (a, b) -> (a-1)*N + b, so slot 1
 is the slow index.
 
 `row_reduce` is the one row-elimination kernel: `inverse`, `rank`,
-`antilinear_fixed_basis` and the quantum-plane relations all run on it.
-`signature` is a congruence reduction (rows and columns together), not a
-row reduction, and keeps its own loop on the one dense copy in the
-package: a list of `Fraction` rows, because the sign of a pivot needs an
-ordered field and the scalar ring is not one.
+`antilinear_fixed_basis`, P_A's reduced basis and the quantum-plane
+relations all run on it.  It is fraction-free: rows stay polynomial while
+it eliminates, so no step runs a gcd per entry, and each row is divided
+by its pivot once, at the end.  `signature` is a congruence reduction
+(rows and columns together), not a row reduction, and keeps its own loop
+on the one dense copy in the package: a list of `Fraction` rows, because
+the sign of a pivot needs an ordered field and the scalar ring is not
+one.
 """
 
 import math
@@ -22,7 +25,9 @@ from types import MappingProxyType
 from .errors import (
     Degenerate, DimMismatch, NotInvolution, NotReal, NotSymmetric, Singular,
 )
-from .scalars import ConjRegime, GaussRat, Scalar, _accumulate
+from .scalars import (
+    ConjRegime, GaussRat, Scalar, _accumulate, _lp_divexact, _lp_gcd, _lp_ground,
+)
 
 
 def pack(parts, width):
@@ -342,7 +347,8 @@ def _row_times(row, M):
 
 
 def row_reduce(rows):
-    """Sparse Gauss-Jordan elimination: the one row-reduction kernel.
+    """Sparse fraction-free Gauss-Jordan elimination: the one row-reduction
+    kernel.
 
     `rows` are {col: value} dicts of Scalars, taken in order.  Each row is
     reduced against the basis so far and, if anything is left, pivots on
@@ -351,32 +357,118 @@ def row_reduce(rows):
     (pivot, row, index) in the order the pivots were opened: row has a 1 at
     pivot and zeros at every other pivot, and index is the position in
     `rows` of the input row that opened the pivot.
+
+    While it runs, each row is held as a polynomial multiple of its reduced
+    row, so no step divides: a row with a denominator is first multiplied
+    by its denominators, and eliminating row b (pivot value p) from v is
+    v <- p v - f b with f = v's entry at b's pivot, products of polynomials
+    that `Scalar.sum_of_products` sums with no gcd.  Each residual is then
+    a nonzero multiple of the residual of an elimination over the fraction
+    field, so the same rows open the same pivots.  A pivot with a t part
+    is made free of t by its conjugate (see `_settle`).  A row whose pivot
+    is a unit c*s^k is divided by it at once; any other row is divided by
+    the gcd of its s-polynomials, which keeps its degrees down.  Every
+    row is divided by its pivot once, at the end; the reduced basis is
+    unique for its pivots, so it is the one a Gauss-Jordan elimination
+    gives.
     """
     basis = []
     for index, row in enumerate(rows):
-        vec = {k: v for k, v in row.items() if not v.is_zero()}
+        vec = _polynomial_row(row)
         for piv, brow, _ in basis:
             f = vec.get(piv)
             if f is not None:
-                _subtract_multiple(vec, f, brow)
+                vec = _eliminate(vec, brow[piv], f, brow)
         if not vec:
             continue
         piv = min(vec)
-        inv = vec[piv].inv()
-        vec = {k: inv * v for k, v in vec.items()}
-        for _, brow, _ in basis:
-            f = brow.get(piv)
+        vec = _settle(vec, piv)
+        p = vec[piv]
+        for b in basis:
+            f = b[1].get(piv)
             if f is not None:
-                _subtract_multiple(brow, f, vec)
-        basis.append((piv, vec, index))
-    return basis
+                b[1] = _settle(_eliminate(b[1], p, f, vec), b[0])
+        basis.append([piv, vec, index])
+    return [(piv, _over_pivot(vec, piv), index) for piv, vec, index in basis]
 
 
-def _subtract_multiple(vec, f, row):
-    # vec -= f * row in place, dropping entries that cancel
+def _polynomial_row(row):
+    # the nonzero entries of row, times the product of their distinct
+    # non-monomial denominators: every entry comes out polynomial
+    vec = {k: v for k, v in row.items() if not v.is_zero()}
+    dens = {}
+    for v in vec.values():
+        if len(v.d) > 1:
+            dens.setdefault(frozenset(v.d.items()), v.d)
+    if not dens:
+        return vec
+    out = {}
+    for k, v in vec.items():
+        x = Scalar(v.n0, v.n1)
+        own = frozenset(v.d.items())
+        for key, d in dens.items():
+            if key != own:
+                x = x * Scalar(d)
+        out[k] = x
+    return out
+
+
+def _eliminate(vec, p, f, row):
+    # p * vec - f * row as a new dict, dropping entries that cancel; a
+    # column in both is one polynomial sum of two products
     f = -f
-    for k, v in row.items():
-        _accumulate(vec, k, f * v)
+    out = {}
+    for k, v in vec.items():
+        w = row.get(k)
+        x = p * v if w is None else Scalar.sum_of_products([(p, v), (f, w)])
+        if not x.is_zero():
+            out[k] = x
+    for k, w in row.items():
+        if k not in vec:
+            out[k] = f * w
+    return out
+
+
+def _is_unit(x):
+    # c*s^k with c != 0: a canonical Scalar with one term and no t
+    return len(x.n0) == 1 and not x.n1 and len(x.d) == 1
+
+
+def _settle(vec, piv):
+    """vec over a nonzero scalar, with entries that stay polynomial and a
+    pivot free of t.  A pivot n0 + t n1 with n1 != 0 is first multiplied
+    by its conjugate n0 - t n1, to n0^2 - (s + s^-1) n1^2: the gcd below
+    sees s-polynomials only, so it could not take out a factor with t.
+    Then the row is divided by its pivot if that is a unit c*s^k, else by
+    the gcd of its s-polynomials (the pivot's first, so a constant gcd is
+    found early), and by its pivot if that left a unit there."""
+    p = vec[piv]
+    if p.n1:
+        conj = Scalar._of(p.n0, {e: -c for e, c in p.n1.items()}, p.d)
+        vec = {k: conj * v for k, v in vec.items()}
+    if not _is_unit(vec[piv]):
+        rest = (v for k, v in vec.items() if k != piv)
+        polys = [x for v in (vec[piv], *rest) for x in (v.n0, v.n1) if x]
+        g = _lp_ground(polys[0])
+        for x in polys[1:]:
+            if len(g) == 1:
+                return vec
+            g = _lp_gcd(g, x)
+        if len(g) == 1:
+            return vec
+        vec = {k: Scalar._of(_lp_divexact(v.n0, g), _lp_divexact(v.n1, g),
+                             v.d) for k, v in vec.items()}
+        if not _is_unit(vec[piv]):
+            return vec
+    return _over_pivot(vec, piv)
+
+
+def _over_pivot(vec, piv):
+    # vec divided by its entry at piv, which becomes 1
+    if vec[piv] == Scalar.one():
+        return vec
+    inv = vec[piv].inv()
+    return {k: inv * v for k, v in vec.items()}
 
 
 def _rows(A):

@@ -212,8 +212,14 @@ def normal_form(p, rs):
 
 def plane_relations(shape):
     """Rewrite rules of the N-generator quantum orthogonal plane, one per
-    increasing pair, from the reduced rows of P_A's row space
-    (`shape.pa_rows`, the same reduced rows as P_A's numerator)."""
+    increasing pair, from the reduced rows of P_A's row space.
+
+    `shape.pa_rows` is already P_A's reduced basis.  Its rows are reduced
+    again here with the increasing pairs as the first columns: a basis
+    row is zero at the other pivots and its pivot is its lowest column in
+    this order too, so that takes no elimination step.  It still checks
+    that the pivots are the increasing pairs, and raises RankMismatch if
+    they are not."""
     N, rowspace = shape.N, shape.pa_rows
     inc = [(a, b) for a in range(1, N + 1) for b in range(a + 1, N + 1)]
     rest = [(a, b) for a in range(1, N + 1) for b in range(1, a + 1)]

@@ -8,7 +8,7 @@ checks in realforms, qplane and cli take it instead of N."""
 from .errors import BadN
 from .linalg import (
     SqMat, _decode, _kronecker_images, bar_mat, inverse, kron_embed, pack,
-    products_equal, unpack,
+    products_equal, row_reduce, unpack,
 )
 from .scalars import ConjRegime, Scalar, _s_power
 
@@ -17,10 +17,11 @@ class GroupShape:
     """SO_q(N) for one N, and the only place N is validated: n = floor(N/2),
     parity, for odd N the self-prime middle index n2 = (N+1)/2, and the
     N-only values C (the metric), R, projectors (den, P0, PA, PS, Rhat) and
-    pa_rows (P_A's row space without the factor D, `build_pa_rows`), each
-    built by its builder on first use and then kept.  `once` keeps any
-    other N-only value the same way.  Attributes cannot be rebound and kept
-    values are immutable, so one shape serves every check of a run."""
+    pa_rows (P_A's reduced row echelon basis, `build_pa_rows`, the one
+    elimination of P_A), each built by its builder on first use and then
+    kept.  `once` keeps any other N-only value the same way.  Attributes
+    cannot be rebound and kept values are immutable, so one shape serves
+    every check of a run."""
 
     __slots__ = ("N", "n", "odd", "n2", "_kept")
 
@@ -247,17 +248,30 @@ def build_projectors(R, N):
 
 
 def build_pa_rows(PA, Rhat, N):
-    """A matrix with P_A's row space and no common factor D: P_A's own rows
-    (a, a'), and the rows of q I - Rhat everywhere else.  M is zero off the
-    rows (a, a'), so there P_A = D (q I - Rhat) (see `build_projectors`).
-    Each row is P_A's row over a nonzero scalar, so `row_reduce` opens the
-    same pivots with the same reduced rows on either matrix, and the
-    entries here are free of D's span of about 4N s-exponents."""
+    """P_A's reduced row echelon basis, by one `row_reduce`, as a matrix:
+    the reduced row that the input row r opened is row r, and the rows
+    that open no pivot are zero.
+
+    The rows reduced are P_A's own rows (a, a') and the rows of q I - Rhat
+    everywhere else.  M is zero off the rows (a, a'), so there
+    P_A = D (q I - Rhat) (see `build_projectors`).  Each row is P_A's row
+    over a nonzero scalar, so they open the same pivots, the increasing
+    pairs, with the same reduced rows as P_A, and the entries reduced are
+    free of D's span of about 4N s-exponents.  Each reduced row is zero at
+    the other pivots, and its pivot (a, b) is its lowest nonzero column:
+    its other columns are pairs (c, d) with c >= d and c > a.  So reducing
+    this matrix again, in this column order or in
+    `qplane.plane_relations`'s, takes no elimination step."""
     support = {pack((a, N + 1 - a), N) for a in range(1, N + 1)}
     cleared = Scalar.q_power(1) * SqMat.identity(N * N) - Rhat
-    return SqMat._of(N * N, {
-        (r, c): v for X, on_support in ((PA, True), (cleared, False))
-        for (r, c), v in X.entries.items() if (r in support) == on_support})
+    rows = [{} for _ in range(N * N)]
+    for X, on_support in ((PA, True), (cleared, False)):
+        for (r, c), v in X.entries.items():
+            if (r in support) == on_support:
+                rows[r - 1][c - 1] = v
+    return SqMat._of(N * N, {(index + 1, c + 1): v
+                             for _, row, index in row_reduce(rows)
+                             for c, v in row.items()})
 
 
 def check_char_eq(Rhat, N):

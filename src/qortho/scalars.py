@@ -445,6 +445,10 @@ class Scalar:
     def inv(self):
         if self.is_zero():
             raise DivisionByZero("inverse of zero scalar")
+        if len(self.n0) == 1 and not self.n1 and len(self.d) == 1:
+            # a unit c*s^k: c^-1 s^-k, canonical as built
+            (k, c), = self.n0.items()
+            return Scalar._of({-k: c.inv()}, {}, self.d)
         # 1/(n0 + t n1) rationalized with the conjugate n0 - t n1
         norm = _lp_addmul({}, self.n0, self.n0, (0,))
         _lp_addmul(norm, _lp_neg(self.n1), self.n1, (1, -1))

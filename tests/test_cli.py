@@ -7,13 +7,14 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 try:
     import jsonschema
 except ImportError:  # pragma: no cover
     jsonschema = None
 
-from qortho.cli import main, parse_conjugation
+from qortho.cli import _dumps, main, parse_conjugation
 from qortho.linalg import SqMat
 from qortho.realforms import STAR, AutoMatrix, enumerate_autos
 from qortho.scalars import Scalar
@@ -136,6 +137,33 @@ def test_verify_all_builds_per_n_data_once(monkeypatch):
     code, _, _ = run(["verify-all", "--n", "5"])
     assert code == 0
     assert counts == {"build_R": 1, "build_metric": 1, "build_projectors": 1}
+
+
+@pytest.mark.parametrize("N", [4, 5, 6])
+def test_verify_all_reduces_pa_once(N, monkeypatch):
+    # verify-all builds P_A's reduced basis once; rank_pa and the plane
+    # relations reduce that basis again and take no elimination step
+    import qortho.cli as cli
+    import qortho.linalg as linalg
+    import qortho.rmatrix as rmatrix
+    builds = count_calls(monkeypatch, rmatrix, "build_pa_rows")
+    steps = count_calls(monkeypatch, linalg, "_eliminate")
+    steps_in_checks = []
+
+    def no_steps(fn):
+        def wrapper(*args):
+            before = steps["_eliminate"]
+            result = fn(*args)
+            steps_in_checks.append(steps["_eliminate"] - before)
+            return result
+        return wrapper
+
+    monkeypatch.setattr(cli, "rank", no_steps(cli.rank))
+    monkeypatch.setattr(cli, "plane_relations", no_steps(cli.plane_relations))
+    code, _, _ = run(["verify-all", "--n", str(N)])
+    assert code == 0
+    assert builds == {"build_pa_rows": 1} and steps["_eliminate"] > 0
+    assert steps_in_checks == [0, 0]
 
 
 def test_table_runs_sostar_basis_checks_once(monkeypatch):
@@ -407,7 +435,7 @@ print(" ".join(sorted(set(sys.modules) - before)))
 
 def test_startup_path_imports_no_argparse_or_fractions():
     # a fresh interpreter without site (-I -S), so that only qortho's own
-    # imports are counted; pytest itself imports fractions
+    # imports are counted; pytest itself imports fractions and json
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-c", STARTUP_PROBE,
          os.path.join(HERE, "src")],
@@ -416,7 +444,7 @@ def test_startup_path_imports_no_argparse_or_fractions():
     loaded = set(proc.stdout.split())
     assert "qortho.cli" in loaded
     assert not loaded & {"argparse", "gettext", "locale", "fractions",
-                         "decimal", "numbers"}
+                         "decimal", "numbers", "json", "re"}
 
 
 def test_console_function_raises_system_exit(monkeypatch):
@@ -452,3 +480,39 @@ def test_main_leaves_the_collector_alone():
     for argv in (["rmat", "--n", "3"], ["rmat", "--n", "2"]):
         run(argv)
     assert gc.get_freeze_count() == before
+
+
+# -- the report encoder ------------------------------------------------------------
+
+# quotes, backslashes, control characters, non-ASCII and astral characters
+report_text = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001d11e'),
+    st.characters()), max_size=8)
+report_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | report_text,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(report_text, inner, max_size=4)),
+    max_leaves=20)
+
+
+@given(report_values)
+@settings(max_examples=200, deadline=None)
+def test_dumps_matches_json_dumps(value):
+    assert _dumps(value) == json.dumps(value, sort_keys=True)
+    assert _dumps(value, indent=2) == json.dumps(value, indent=2,
+                                                 sort_keys=True)
+
+
+def test_dumps_of_empty_containers_and_nesting():
+    value = {"a": [], "b": {}, "c": [[], {}, ()], "": [{"x": None}]}
+    for indent in (None, 2):
+        assert _dumps(value, indent) == json.dumps(value, indent=indent,
+                                                   sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [1.5, {"x": [0.0]}, {1: "a"}, {"x", "y"}])
+def test_dumps_rejects_what_reports_never_hold(value):
+    with pytest.raises(TypeError):
+        _dumps(value)
+

@@ -1,21 +1,25 @@
 """Sparse exact matrices: products, embeddings, inverse, signature,
-antilinear fixed bases."""
+antilinear fixed bases, and the fraction-free row reduction against the
+Gauss-Jordan reduction it replaced."""
 
+import io
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qortho import cli, linalg, qplane, rmatrix
 from qortho.errors import (
     Degenerate, DimMismatch, NotInvolution, NotReal, NotSymmetric, Singular,
 )
 from qortho.linalg import (
-    SqMat, antilinear_fixed_basis, bar_mat, classical_mat, inverse,
-    kron_embed, pack, rank, signature, unpack,
+    SqMat, _rows, antilinear_fixed_basis, bar_mat, classical_mat, inverse,
+    kron_embed, pack, rank, row_reduce, signature, unpack,
 )
 from qortho.rmatrix import GroupShape, build_R
-from qortho.scalars import ConjRegime, Scalar
+from qortho.scalars import ConjRegime, GaussRat, Scalar, _accumulate
 
 ONE = Scalar.one()
 I_ = Scalar.i_unit()
@@ -334,3 +338,127 @@ def test_fixed_basis_not_involution():
 def test_json_dump():
     A = SqMat(2, {(2, 1): sp(1), (1, 1): ONE})
     assert A.to_json() == {"dim": 2, "entries": [[1, 1, "1*s^0"], [2, 1, "1*s^1"]]}
+
+
+# -- the fraction-free kernel against Gauss-Jordan over the fraction field ------
+
+
+def gauss_jordan(rows):
+    """Reference: the Gauss-Jordan row reduction the fraction-free
+    `row_reduce` replaced, with the same output contract.  Each residual
+    is divided by its pivot at once, over the fraction field."""
+    basis = []
+    for index, row in enumerate(rows):
+        vec = {k: v for k, v in row.items() if not v.is_zero()}
+        for piv, brow, _ in basis:
+            f = vec.get(piv)
+            if f is not None:
+                subtract_multiple(vec, f, brow)
+        if not vec:
+            continue
+        piv = min(vec)
+        inv = vec[piv].inv()
+        vec = {k: inv * v for k, v in vec.items()}
+        for _, brow, _ in basis:
+            f = brow.get(piv)
+            if f is not None:
+                subtract_multiple(brow, f, vec)
+        basis.append((piv, vec, index))
+    return basis
+
+
+def subtract_multiple(vec, f, row):
+    # vec -= f * row in place, dropping entries that cancel
+    f = -f
+    for k, v in row.items():
+        _accumulate(vec, k, f * v)
+
+
+def laurent(terms):
+    return {e: GaussRat(c) for e, c in terms.items()}
+
+
+laurent_terms = st.dictionaries(st.integers(-1, 2), st.integers(-2, 2)
+                                .filter(bool), min_size=1, max_size=2)
+# non-monomial denominators: 1 + s, s^2 - 1, s - i
+DENOMINATORS = ({0: GaussRat(1), 1: GaussRat(1)},
+                {0: GaussRat(-1), 2: GaussRat(1)},
+                {0: GaussRat(0, -1), 1: GaussRat(1)})
+small_fracs = st.sampled_from([Fraction(p, q) for q in (1, 2, 3)
+                               for p in range(-2, 3)])
+entries = st.one_of(
+    laurent_terms.map(lambda t: Scalar(laurent(t))),
+    st.builds(GaussRat, small_fracs, small_fracs).filter(
+        lambda g: not g.is_zero()).map(Scalar.from_gauss),
+    st.builds(lambda n0, n1: Scalar(laurent(n0), laurent(n1)),
+              laurent_terms, laurent_terms),
+    st.builds(lambda n0, d: Scalar(laurent(n0), None, d),
+              laurent_terms, st.sampled_from(DENOMINATORS)),
+)
+sparse_rows = st.dictionaries(st.integers(0, 5), entries, max_size=3)
+multipliers = st.sampled_from([Scalar.one(), -Scalar.one(), I_, sp(1),
+                               sp(1) + ONE, Scalar.t_unit()])
+
+
+@st.composite
+def row_lists(draw):
+    """Sparse rows, some of them plus a multiple of an earlier row, so that
+    rows vanish and pivots are opened late."""
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        row = dict(draw(sparse_rows))
+        if rows and draw(st.booleans()):
+            m = draw(multipliers)
+            for k, v in draw(st.sampled_from(rows)).items():
+                _accumulate(row, k, m * v)
+        rows.append(row)
+    return rows
+
+
+@given(row_lists())
+@settings(max_examples=200, deadline=None)
+def test_row_reduce_matches_gauss_jordan_on_random_rows(rows):
+    assert row_reduce(rows) == gauss_jordan(rows)
+
+
+def cli_inputs(N, monkeypatch):
+    """Every rows list the CLI hands `row_reduce` in verify-all and in table
+    (both regimes) at N, by the module that reduces it, and P_A's D-free
+    rows in the column order of `qplane.plane_relations` too."""
+    seen = []
+
+    def recorder(module):
+        def record(rows):
+            seen.append((module.__name__, [dict(row) for row in rows]))
+            return row_reduce(rows)
+        return record
+
+    for module in (linalg, rmatrix, qplane):
+        monkeypatch.setattr(module, "row_reduce", recorder(module))
+    for argv in (["verify-all", "--n", str(N)],
+                 ["table", "--n", str(N), "--regime", "real"],
+                 ["table", "--n", str(N), "--regime", "unit"]):
+        assert cli.main(argv, out=io.StringIO(), err=io.StringIO()) == 0
+    monkeypatch.undo()
+    pa, = (rows for name, rows in seen if name == "qortho.rmatrix")
+    inc = [pack((a, b), N) - 1 for a in range(1, N + 1)
+           for b in range(a + 1, N + 1)]
+    order = inc + sorted(set(range(N * N)) - set(inc))
+    position = {c: k for k, c in enumerate(order)}
+    seen.append(("plane order", [{position[c]: v for c, v in row.items()}
+                                 for row in pa]))
+    return seen
+
+
+@pytest.mark.parametrize("N", range(3, 9))
+def test_row_reduce_matches_gauss_jordan_on_cli_inputs(N, monkeypatch):
+    inputs = cli_inputs(N, monkeypatch)
+    names = [name for name, _ in inputs]
+    # P_A's rows, rank and plane_relations, inverse's [R | I], and the
+    # fixed-basis candidates of every table row
+    assert names.count("qortho.rmatrix") == names.count("qortho.qplane") == 1
+    assert any(len(rows) == N * N and max(c for row in rows for c in row)
+               >= N * N for _, rows in inputs)
+    assert any(len(rows) == 2 * N for _, rows in inputs)
+    for _, rows in inputs:
+        assert row_reduce(rows) == gauss_jordan(rows)

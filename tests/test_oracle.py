@@ -11,9 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from qortho.linalg import pack
-from qortho.rmatrix import GroupShape, build_rho
-from qortho.scalars import Scalar
+from qortho.linalg import SqMat, _rows, rank, row_reduce
+from qortho.rmatrix import GroupShape
 
 POINTS = (Fraction(2), Fraction(3))
 
@@ -93,14 +92,12 @@ def test_projector_identities_hold_at_rational_points(N, s0):
 
 @pytest.mark.parametrize("N", range(3, 9))
 def test_pa_rows_are_pa_rows_without_the_factor_d(N):
+    # shape.pa_rows is reduced from rows free of the factor D; P_A's own
+    # numerator rows carry D and reduce to the same basis, with each row
+    # at the index of the row that opened it
     shape = GroupShape(N)
-    PA, rows = shape.projectors[2], shape.pa_rows
-    D = sum((Scalar.q_power(-2 * r) for r in build_rho(N)), Scalar.zero())
-    support = {pack((a, N + 1 - a), N) for a in range(1, N + 1)}
-    cells = PA.entries.keys() | rows.entries.keys()
-    assert cells
-    for r, c in cells:
-        if r in support:
-            assert rows.get(r, c) == PA.get(r, c), (r, c)
-        else:
-            assert D * rows.get(r, c) == PA.get(r, c), (r, c)
+    basis = row_reduce(_rows(shape.projectors[2]))
+    assert shape.pa_rows == SqMat(N * N, {
+        (index + 1, c + 1): v for _, row, index in basis
+        for c, v in row.items()})
+    assert rank(shape.pa_rows) == N * (N - 1) // 2

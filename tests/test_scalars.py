@@ -307,6 +307,14 @@ def test_unit_monomial_product_is_canonical(u, x, swap):
     assert_forms_kept([u, x], before)
 
 
+@given(unit_monomials)
+@settings(max_examples=50, deadline=None)
+def test_unit_monomial_inverse_is_canonical(u):
+    # the constructor's path, over the denominator u itself
+    assert_same_canonical(u.inv(), Scalar(dict(ONE.n0), None, dict(u.n0)))
+    assert u * u.inv() == ONE
+
+
 # coefficients over 1, 2 and 3 sum over different denominators in the
 # product kernel; one factor of a pair may carry t while the other does not
 laurent = st.one_of(int_laurent, scalars(with_den=False))
