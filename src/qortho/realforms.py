@@ -8,142 +8,207 @@ D'' = i diag(eps) with eps antisymmetric under the prime map.  Composing
 them with the base conjugations (star for q real, cross for |q| = 1)
 produces every real form; the classical-limit signature of the invariant
 metric, or the SO* criterion, labels each one.
+
+These, C, the composed G and K, and the pair swaps have one nonzero per
+row and per column: `_Monomial` is the one form in which this module
+decides anything about them, and every witness comes from it.
 """
 
 import itertools
 
 from .errors import (
-    BadFamily, BadN, NoPlaneConjugation, NotInvolution, Unclassifiable,
+    BadFamily, BadN, DimMismatch, NoPlaneConjugation, NotInvolution,
+    Unclassifiable,
 )
 from .linalg import (
-    SqMat, antilinear_fixed_basis, bar_mat, classical_mat, first_diff,
-    kron_embed, signature,
+    SqMat, antilinear_fixed_basis, bar_mat, classical_mat, signature,
 )
 from .rmatrix import GroupShape
-from .scalars import ConjRegime, GaussRat, Scalar
+from .scalars import _GAUSS_ONE as _ONE, _ONE_POLY, ConjRegime, GaussRat, Scalar
 
 STAR = "star"
 CROSS = "cross"
 
-# i^k for k = 0..3, and k for each unit (re, im)
-_I_POWERS = (GaussRat(1), GaussRat(0, 1), GaussRat(-1), GaussRat(0, -1))
-_I_EXPONENT = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
+# i^k for k = 0..3, one object each (the 1 is that of every s^k, so of
+# every entry of C).  Their products and conjugates are looked up by
+# identity: the family members, C and their compositions keep to these
+# objects, so checking them takes no GaussRat arithmetic.
+_UNITS = (_ONE, GaussRat(0, 1), GaussRat(-1), GaussRat(0, -1))
+_, _I, _MINUS_ONE, _MINUS_I = _UNITS
+_UNIT_TIMES = {(id(x), id(y)): _UNITS[(j + k) % 4]
+               for j, x in enumerate(_UNITS) for k, y in enumerate(_UNITS)}
+_UNIT_CONJ = {id(x): _UNITS[-k % 4] for k, x in enumerate(_UNITS)}
+_UNIT_SCALARS = {(id(x), 0): Scalar._of({0: x}, {}, _ONE_POLY) for x in _UNITS}
 
 
-def _unit(k, e):
-    # the Scalar i^k s^e, canonical as built
-    return Scalar._of({e: _I_POWERS[k % 4]}, {}, {0: _I_POWERS[0]})
+def _times(x, y):
+    return _UNIT_TIMES.get((id(x), id(y))) or x * y
+
+
+def _weight(c, e):
+    # the Scalar c s^e, canonical as built for a nonzero GaussRat c; a unit
+    # at e = 0, as every entry of a family member, is one shared Scalar
+    return _UNIT_SCALARS.get((id(c), e)) or Scalar._of({e: c}, {}, _ONE_POLY)
 
 
 class _Monomial:
-    """An N x N matrix with one nonzero per row and per column, each a unit
-    monomial: row r holds i^k[r] s^e[r] in column perm[r] (0-based), k taken
-    mod 4.  The families D, D' and D'' and the metric C have this form, and
-    on it products, transposes, bar and equality are O(N) integer
-    operations.  `_monomial` recognizes the form in a SqMat; any other
-    matrix stays a SqMat."""
+    """An N x N matrix with one nonzero per row and per column: row r holds
+    c[r] s^e[r] in column perm[r] (0-based), c[r] a nonzero GaussRat.  On
+    this form products, transposes, bar and equality take O(N) steps."""
 
-    __slots__ = ("perm", "k", "e")
+    __slots__ = ("perm", "c", "e")
 
-    def __init__(self, perm, k, e):
-        self.perm = tuple(perm)
-        self.k = tuple(x % 4 for x in k)
-        self.e = tuple(e)
+    def __init__(self, perm, c, e):
+        self.perm, self.c, self.e = tuple(perm), tuple(c), tuple(e)
 
     @staticmethod
     def identity(N):
-        return _Monomial(range(N), (0,) * N, (0,) * N)
+        return _Monomial(range(N), (_ONE,) * N, (0,) * N)
 
     def __mul__(self, other):
         # (XY)[r, pY(pX r)] = X[r, pX r] Y[pX r, pY(pX r)]
-        pr, k, e = other.perm, other.k, other.e
-        return _Monomial([pr[c] for c in self.perm],
-                         [a + k[c] for a, c in zip(self.k, self.perm)],
-                         [a + e[c] for a, c in zip(self.e, self.perm)])
+        pr, c, e = other.perm, other.c, other.e
+        return _Monomial([pr[j] for j in self.perm],
+                         [_times(x, c[j]) for x, j in zip(self.c, self.perm)],
+                         [x + e[j] for x, j in zip(self.e, self.perm)])
 
     def transpose(self):
-        perm, k, e = [0] * len(self.perm), list(self.k), list(self.e)
-        for r, c in enumerate(self.perm):
-            perm[c], k[c], e[c] = r, self.k[r], self.e[r]
-        return _Monomial(perm, k, e)
+        perm, c, e = list(self.perm), list(self.c), list(self.e)
+        for r, j in enumerate(self.perm):
+            perm[j], c[j], e[j] = r, self.c[r], self.e[r]
+        return _Monomial(perm, c, e)
 
     def __neg__(self):
-        return _Monomial(self.perm, [a + 2 for a in self.k], self.e)
+        return _Monomial(self.perm, [_times(_MINUS_ONE, x) for x in self.c],
+                         self.e)
 
-    def bar(self):
-        # for real q: i -> -i, s fixed
-        return _Monomial(self.perm, [-a for a in self.k], self.e)
+    def bar(self, regime):
+        # conjugates each c; the unit-modulus regime also sends s to s^-1
+        unit = regime is ConjRegime.UNIT_MODULUS_Q
+        return _Monomial(self.perm,
+                         [_UNIT_CONJ.get(id(x)) or x.conj() for x in self.c],
+                         [-x for x in self.e] if unit else self.e)
+
+    def sqmat(self):
+        return SqMat._of(len(self.perm), {
+            (r + 1, j + 1): _weight(c, e)
+            for r, (j, c, e) in enumerate(zip(self.perm, self.c, self.e))})
 
     def __eq__(self, other):
-        if not isinstance(other, _Monomial):
-            return NotImplemented
-        return (self.perm, self.k, self.e) == (other.perm, other.k, other.e)
+        return (self.perm, self.c, self.e) == (other.perm, other.c, other.e)
+
+
+def _parse(mat, items=None):
+    """(mat as a _Monomial, None), or (None, why not) naming the first
+    offending entry in (row, col) order, which only a failure sorts for."""
+    N = mat.dim
+    perm, c, e, used = [None] * N, [None] * N, [None] * N, [False] * N
+    for (r, j), v in mat.entries.items() if items is None else items:
+        if v.n1 or len(v.d) != 1 or len(v.n0) != 1:
+            why = f"= {v} is not c*s^e"  # a one-term d is 1 in canonical form
+        elif perm[r - 1] is not None or used[j - 1]:
+            why = "is a second nonzero in its row or column"
+        else:
+            (e[r - 1], c[r - 1]), = v.n0.items()
+            perm[r - 1], used[j - 1] = j - 1, True
+            continue
+        if items is None:
+            return _parse(mat, sorted(mat.entries.items()))
+        return None, f"entry ({r},{j}) {why}"
+    if None in perm:
+        return None, f"row {perm.index(None) + 1} is zero"
+    return _Monomial(perm, c, e), None
 
 
 def _monomial(mat):
     """mat as a _Monomial, or None when it is not of that form."""
-    N = mat.dim
-    if len(mat.entries) != N:
-        return None
-    perm, k, e = [None] * N, [0] * N, [0] * N
-    for (r, c), v in mat.entries.items():
-        if perm[r - 1] is not None or v.n1 or len(v.d) != 1 or len(v.n0) != 1:
-            return None
-        (x, g), = v.n0.items()  # v = g s^x; a one-term d is 1 in canonical form
-        unit = _I_EXPONENT.get((g.a, g.b)) if g.d == 1 else None
-        if unit is None:
-            return None
-        perm[r - 1], k[r - 1], e[r - 1] = c - 1, unit, x
-    if len(set(perm)) != N:
-        return None
-    return _Monomial(perm, k, e)
+    return _parse(mat)[0]
+
+
+def _as_monomial(mat, N):
+    # mat as a _Monomial, or TypeError naming its first offending entry
+    if mat.dim != N:
+        raise DimMismatch(f"matrix of dim {mat.dim} for N={N}")
+    mono, why = _parse(mat)
+    if mono is None:
+        raise TypeError(f"not a monomial matrix: {why}")
+    return mono
+
+
+def _mismatch(r, c, lhs, rhs):
+    return {"row": r, "col": c, "lhs": str(lhs), "rhs": str(rhs)}
+
+
+def _diff(X, Y):
+    """The first entry, in (row, col) order, where the monomials X and Y
+    differ, as a witness (an absent entry reads "0"), or None."""
+    for r, (jx, jy) in enumerate(zip(X.perm, Y.perm)):
+        if jx != jy or X.c[r] != Y.c[r] or X.e[r] != Y.e[r]:
+            j, zero = min(jx, jy), Scalar.zero()
+            return _mismatch(r + 1, j + 1,
+                             _weight(X.c[r], X.e[r]) if jx == j else zero,
+                             _weight(Y.c[r], Y.e[r]) if jy == j else zero)
 
 
 def _relabels_R(A, shape):
-    """Whether R (A (x) A) = (A (x) A) R, for a _Monomial A, decided as a
-    relabeling of R's entries with no matrix product.
+    """The entries (row, col, lhs, rhs) where R (A (x) A) and (A (x) A) R
+    differ, found by relabeling R's entries with no matrix product.
 
-    Write A[a, pi a] = w_a.  Then P = A (x) A is monomial on pairs:
-    P[p, pi p] = w_p with pi(a, b) = (pi a, pi b) and w_(a,b) = w_a w_b.
-    Entrywise, (R P)[r, pi c] = R[r, c] w_c and (P R)[r, pi c] =
-    w_r R[pi r, pi c], and pi is onto, so R P = P R exactly when
-    R[pi r, pi c] = R[r, c] w_c / w_r for every r, c.  It suffices to check
-    the nonzero R[r, c]: when each maps to a nonzero R[pi r, pi c], the
-    injective map (r, c) -> (pi r, pi c) sends R's finite support into
-    itself, hence onto itself, so it sends every zero of R to a zero, as
-    the condition asks there.  Each ratio w_c / w_r is a unit monomial, so
-    the multiply takes `Scalar`'s unit fast path, and none is needed where
-    both exponent differences are 0."""
+    With A[a, pi a] = w_a, P = A (x) A has P[p, pi p] = w_p for
+    pi(a, b) = (pi a, pi b) and w_(a,b) = w_a w_b, so (R P)[r, pi c] =
+    R[r, c] w_c and (P R)[r, pi c] = w_r R[pi r, pi c].  The first pass
+    takes the nonzero R[r, c].  The second takes the nonzero R[pi r, pi c]
+    with R[r, c] = 0, and runs only if the first yields: else the injective
+    map (r, c) -> (pi r, pi c) sends R's finite support onto itself.  A
+    ratio w_c / w_r is multiplied on `Scalar`'s unit path, and not at all
+    where both are the same unit, which is one object (see `_UNITS`)."""
     N, entries = shape.N, shape.R.entries
-    perm, k, e = A.perm, A.k, A.e
-    # 1-based pair index (a, b) -> (pi(a, b), k and e of w_(a, b))
-    pairs = [(perm[a] * N + perm[b] + 1, k[a] + k[b], e[a] + e[b])
-             for a in range(N) for b in range(N)]
+    # w_a w_b from a product table over A's distinct weights
+    index = {x: i for i, x in enumerate(dict.fromkeys(A.c))}
+    table = [[_times(x, y) for y in index] for x in index]
+    cols = [index[x] for x in A.c]
+    # 1-based pair index (a, b) -> (pi(a, b), c and e of w_(a, b))
+    pairs = [(pa * N + pb + 1, row[j], ea + eb)
+             for pa, row, ea in zip(A.perm, [table[i] for i in cols], A.e)
+             for pb, j, eb in zip(A.perm, cols, A.e)]
+    found = False
     for (r, c), v in entries.items():
-        pr, kr, er = pairs[r - 1]
-        pc, kc, ec = pairs[c - 1]
+        pr, wr, er = pairs[r - 1]
+        pc, wc, ec = pairs[c - 1]
         w = entries.get((pr, pc))
-        if w is None:
-            return False
-        dk, de = (kc - kr) % 4, ec - er
-        if dk or de:
-            v = v * _unit(dk, de)
-        if w is not v and w != v:
-            return False
-    return True
+        if w is not None:
+            x = v if wc is wr and ec == er else v * _weight(wc / wr, ec - er)
+            if w is x or w == x:
+                continue
+        found = True
+        yield (r, pc, v * _weight(wc, ec),
+               _weight(wr, er) * (Scalar.zero() if w is None else w))
+    if not found:
+        return
+    back = {image: p for p, (image, _, _) in enumerate(pairs, 1)}
+    for (pr, pc), w in entries.items():
+        r = back[pr]
+        if (r, back[pc]) not in entries:
+            yield r, pc, Scalar.zero(), _weight(*pairs[r - 1][1:]) * w
+
+
+def _r_commutation_witness(A, shape):
+    # the least entry where R (A (x) A) and (A (x) A) R differ, or None;
+    # A1 A2 = A2 A1 = A (x) A, so this decides R A1 A2 = A2 A1 R
+    least = min(_relabels_R(A, shape), default=None)
+    return least and _mismatch(*least)
 
 
 class AutoMatrix:
-    """A D-type matrix with its family tag and square sign."""
+    """A D-type matrix with its family tag and square sign.  `mono` is the
+    monomial form of `mat`; any other `mat` raises TypeError."""
 
-    __slots__ = ("family", "N", "eps", "mat", "square_sign")
+    __slots__ = ("family", "N", "eps", "mat", "square_sign", "mono")
 
     def __init__(self, family, N, eps, mat, square_sign):
-        self.family = family
-        self.N = N
-        self.eps = eps
-        self.mat = mat
-        self.square_sign = square_sign
+        self.family, self.N, self.eps = family, N, eps
+        self.mat, self.square_sign = mat, square_sign
+        self.mono = _as_monomial(mat, N)
 
     def tag(self):
         if self.family == "canonical":
@@ -165,36 +230,34 @@ def canonical_D(N):
     """Even N: permutation exchanging n and n+1; odd N: diagonal with a
     single -1 at the middle index.  Squares to +1."""
     shape = GroupShape(N)
-    one = Scalar.one()
+    perm, c = list(range(N)), [_ONE] * N
     if shape.odd:
-        entries = {(a, a): (-one if a == shape.n2 else one)
-                   for a in range(1, N + 1)}
+        c[shape.n2 - 1] = _MINUS_ONE
     else:
         n = shape.n
-        entries = {(a, a): one for a in range(1, N + 1)
-                   if a not in (n, n + 1)}
-        entries[(n, n + 1)] = one
-        entries[(n + 1, n)] = one
-    return AutoMatrix("canonical", N, None, SqMat(N, entries), +1)
+        perm[n - 1], perm[n] = n, n - 1
+    mat = _Monomial(perm, c, (0,) * N).sqmat()
+    return AutoMatrix("canonical", N, None, mat, +1)
 
 
-# family -> (mirror sign m, unit u): the member is u diag(eps) with
+# family -> (mirror sign m, (u, -u)): the member is u diag(eps) with
 # eps_j' = m eps_j, and it squares to m
-_FAMILIES = {"dprime": (1, Scalar.one()), "dsecond": (-1, Scalar.i_unit())}
+_FAMILIES = {"dprime": (1, (_ONE, _MINUS_ONE)),
+             "dsecond": (-1, (_I, _MINUS_I))}
 
 
 def _family(shape, family):
     if family not in _FAMILIES:
         raise BadFamily(f"unknown family {family!r}")
-    mirror, unit = _FAMILIES[family]
+    mirror, weights = _FAMILIES[family]
     if shape.odd and mirror < 0:
         raise BadFamily(f"{family} exists only for even N")
-    return mirror, unit
+    return mirror, weights
 
 
 def _member(N, family, eps):
     shape = GroupShape(N)
-    mirror, unit = _family(shape, family)
+    mirror, (plus, minus) = _family(shape, family)
     if len(eps) != N or any(e not in (1, -1) for e in eps):
         raise BadFamily(f"eps must be a length-{N} sign vector")
     for j in range(1, N + 1):
@@ -205,7 +268,8 @@ def _member(N, family, eps):
     mid = shape.n2 or shape.n
     if eps[mid - 1] != 1:
         raise BadFamily(f"{family} requires eps_{mid} = +1")
-    mat = SqMat.diag([unit if e == 1 else -unit for e in eps])
+    mat = _Monomial(range(N), [plus if e == 1 else minus for e in eps],
+                    (0,) * N).sqmat()
     return AutoMatrix(family, N, tuple(eps), mat, mirror)
 
 
@@ -248,11 +312,15 @@ class ConjugationSpec:
         self.regime = regime
 
     def composed(self, N):
-        G = SqMat.identity(N)
+        """The composed automorphism G as a SqMat."""
+        return self._composed(N).sqmat()
+
+    def _composed(self, N):
+        G = _Monomial.identity(N)
         for a in self.autos:
             if a.N != N:
                 raise BadN(f"automorphism built for N={a.N}, spec needs {N}")
-            G = G * a.mat
+            G = G * a.mono
         return G
 
     def to_json(self):
@@ -307,28 +375,6 @@ class RealFormLabel:
         return f"<RealFormLabel {self}>"
 
 
-def _witness(X, Y):
-    diff = first_diff(X, Y)
-    if diff is None:
-        return None
-    r, c, xv, yv = diff
-    return {"row": r, "col": c, "lhs": str(xv), "rhs": str(yv)}
-
-
-def _r_commutation_witness(A, shape):
-    """First entry where R (A (x) A) and (A (x) A) R differ, or None.
-
-    A1 A2 = A2 A1 = A (x) A, so this decides R A1 A2 = A2 A1 R with the
-    same two matrices and one product fewer.  A monomial A that commutes
-    is recognized by `_relabels_R`, with no product at all."""
-    mono = _monomial(A)
-    if mono is not None and _relabels_R(mono, shape):
-        return None
-    N, R = shape.N, shape.R
-    AA = kron_embed(A, 1, N, 2) * kron_embed(A, 2, N, 2)
-    return _witness(R * AA, AA * R)
-
-
 def _failed(condition, detail):
     return False, {"condition": condition, "detail": detail}
 
@@ -338,137 +384,102 @@ def _monomial_C(shape):
     return shape.once("monomial_C", lambda: _monomial(shape.C))
 
 
-def _is_automorphism(D, shape):
-    # the conditions of `check_auto_conditions` for a _Monomial D
-    C, I = _monomial_C(shape), _Monomial.identity(shape.N)
-    sq = D * D
-    return (D.transpose() * C * D == C and D * C * D.transpose() == C
-            and _relabels_R(D, shape) and (sq == I or sq == -I))
-
-
 def check_auto_conditions(mat, shape):
     """Verify D^t C D = C = D C D^t, R D1 D2 = D2 D1 R, and D^2 = +-1,
     with the R and C of shape.
 
     Returns (True, None), or (False, witness) for the first condition that
-    fails: "DCD", "RDD" or "square", with its first offending entry.  A
-    monomial D is decided in O(N) integer operations and one relabeling of
-    R; a failure, or any other D, is decided by SqMat products, which
-    build the witness."""
-    D = _monomial(mat)
-    if D is not None and _is_automorphism(D, shape):
-        return True, None
-    N, C = shape.N, shape.C
-    for X in (mat.transpose() * C * mat, mat * C * mat.transpose()):
+    fails: "DCD", "RDD" or "square", with its first offending entry in
+    (row, col) order.  D is decided in its monomial form, in O(N) steps and
+    one relabeling of R; a D that is not monomial raises TypeError."""
+    D = _as_monomial(mat, shape.N)
+    C = _monomial_C(shape)
+    for X in (D.transpose() * C * D, D * C * D.transpose()):
         if X != C:
-            return _failed("DCD", _witness(X, C))
-    detail = _r_commutation_witness(mat, shape)
+            return _failed("DCD", _diff(X, C))
+    detail = _r_commutation_witness(D, shape)
     if detail is not None:
         return _failed("RDD", detail)
-    I = SqMat.identity(N)
-    sq = mat * mat
+    sq, I = D * D, _Monomial.identity(shape.N)
     if sq != I and sq != -I:
-        return _failed("square", _witness(sq, I))
+        return _failed("square", _diff(sq, I))
     return True, None
 
 
 def check_reality(mat, base, shape):
     """Reality condition matching the base conjugation: cross needs
     bar(D) = D with D^2 = 1 or bar(D) = -D with D^2 = -1; star needs
-    bar(D) = C^t D C^t.  A monomial D is checked in its _Monomial form."""
-    D = _monomial(mat)
-    if D is None:
-        D, C, I = mat, shape.C, SqMat.identity(shape.N)
-        barD = bar_mat(mat, ConjRegime.REAL_Q)  # entries are constants
-    else:
-        C, I = _monomial_C(shape), _Monomial.identity(shape.N)
-        barD = D.bar()
-    sq = D * D
+    bar(D) = C^t D C^t.  A D that is not monomial raises TypeError."""
+    D = _as_monomial(mat, shape.N)
+    barD = D.bar(ConjRegime.REAL_Q)
     if base == CROSS:
+        sq, I = D * D, _Monomial.identity(shape.N)
         return (barD == D and sq == I) or (barD == -D and sq == -I)
     if base == STAR:
-        return barD == C.transpose() * D * C.transpose()
+        Ct = _monomial_C(shape).transpose()
+        return barD == Ct * D * Ct
     raise ValueError(f"base must be star or cross, got {base!r}")
 
 
 def plane_conjugation_matrix(spec, shape):
     """K with x* = K x on the quantum plane: C^t G for star, G for cross;
     exists only when the composed automorphism G squares to +1."""
-    G = spec.composed(shape.N)
-    if G * G != SqMat.identity(shape.N):
+    G = spec._composed(shape.N)
+    if G * G != _Monomial.identity(shape.N):
         raise NoPlaneConjugation("composed automorphism does not square to +1")
-    return _conjugation_of(spec, G, shape)
+    return _conjugation_of(spec, G, shape).sqmat()
 
 
 def _conjugation_of(spec, G, shape):
     # K of `plane_conjugation_matrix` for spec's composed G, with G^2 = +1
-    return shape.C.transpose() * G if spec.base == STAR else G
-
-
-_UNITS = (Scalar.one(), -Scalar.one(), Scalar.i_unit(), -Scalar.i_unit())
+    return _monomial_C(shape).transpose() * G if spec.base == STAR else G
 
 
 def _match_up_to_unit(X, Y):
-    """Unit scalar lam with X = lam * Y, or None."""
-    if X.dim != Y.dim or set(X.entries) != set(Y.entries):
-        return None
-    if X.is_zero():
-        return Scalar.one()
-    key = min(X.entries)
-    ratio = X.entries[key] / Y.entries[key]
-    for lam in _UNITS:
-        if ratio == lam:
-            return lam if X == lam * Y else None
-    return None
+    """Whether X = lam Y for monomials X, Y and a unit lam in {+-1, +-i}."""
+    if X.perm != Y.perm or X.e != Y.e:
+        return False
+    lam = X.c[0] / Y.c[0]
+    return (lam.d == 1 and lam.a * lam.a + lam.b * lam.b == 1
+            and all(x == lam * y for x, y in zip(X.c, Y.c)))
 
 
 def _dsecond_from(G, shape):
     """Recognize G (or -G) as a dsecond family member; None otherwise."""
-    N = shape.N
-    if shape.odd or len(G.entries) != N:
+    eps = [{_I: 1, _MINUS_I: -1}.get(x) for x in G.c]
+    diagonal = G.perm == tuple(range(shape.N)) and not any(G.e)
+    if shape.odd or not diagonal or None in eps:
         return None
-    i_unit = Scalar.i_unit()
-    eps = []
-    for a in range(1, N + 1):
-        v = G.get(a, a)
-        if v == i_unit:
-            eps.append(1)
-        elif v == -i_unit:
-            eps.append(-1)
-        else:
-            return None
-    if eps[shape.n - 1] == -1:
-        eps = [-e for e in eps]
     try:
-        return _member(N, "dsecond", tuple(eps))
+        return _member(shape.N, "dsecond",
+                       tuple(e * eps[shape.n - 1] for e in eps))
     except BadFamily:
         return None
 
 
 def classify(spec, shape):
     """Real-form label of a conjugation: classical-limit signature of the
-    invariant metric in a real basis, or SO*(2n) for the imaginary family."""
+    invariant metric in a real basis, or SO*(2n) for the imaginary family.
+    G, G^2, K and K bar(K) are taken in monomial form; only the fixed basis
+    and the signature run on SqMats."""
     N = shape.N
-    I = SqMat.identity(N)
-    G = spec.composed(N)
+    I = _Monomial.identity(N)
+    G = spec._composed(N)
     G2 = G * G
     if G2 == I:
         K = _conjugation_of(spec, G, shape)
-        if K * bar_mat(K, spec.regime) != I:
+        if K * K.bar(spec.regime) != I:
             raise NotInvolution("K bar(K) != I at generic q")
-        K1 = classical_mat(K)
-        M = antilinear_fixed_basis(K1)
+        M = antilinear_fixed_basis(classical_mat(K.sqmat()))
         # M C1 M^T is the inverse of the metric M^-T C1 M^-1 (C1 C1 = 1);
         # a real symmetric matrix and its inverse share their signature
         p, m = signature(M * classical_mat(shape.C) * M.transpose())
         return RealFormLabel.so(p, m, spec.regime)
     if G2 != -I:
         # neither branch applies: name each one's first differing entry
-        fails = []
-        for name, target in (("I", I), ("-I", -I)):
-            r, c, x, y = first_diff(G2, target)
-            fails.append(f"G^2 = {name} fails at ({r},{c}): {x} != {y}")
-        why = "; ".join(fails)
+        why = "; ".join("G^2 = {} fails at ({row},{col}): {lhs} != {rhs}"
+                        .format(name, **_diff(G2, target))
+                        for name, target in (("I", I), ("-I", -I)))
     elif spec.base != STAR:
         why = "G^2 = -I, and the SO* branch needs base star"
     else:
@@ -515,45 +526,35 @@ def check_sostar_basis(Mpp, shape):
     (i) Mpp turns the metric into the identity: Mpp^t Mpp = C;
     (ii) the canonical D''_1 conjugation transports to O bar = J O J^-1,
         i.e. bar(Mpp) C^t D''_1 Mpp^-1 = J up to one global unit, where
-        Mpp^-1 = C Mpp^t by (i) and C C = 1.
+        Mpp^-1 = C Mpp^t by (i) and C C = 1; a product that is not
+        monomial matches nothing.
     """
     C, D1 = shape.C, dsecond_canonical(shape.N)  # BadFamily for odd N
     if classical_mat(Mpp.transpose() * Mpp) != classical_mat(C):
         return False
-    X = classical_mat(bar_mat(Mpp, ConjRegime.REAL_Q) * C.transpose() * D1.mat
-                      * C * Mpp.transpose())
-    return _match_up_to_unit(X, symplectic_j(shape.N)) is not None
+    X = _monomial(classical_mat(bar_mat(Mpp, ConjRegime.REAL_Q)
+                                * C.transpose() * D1.mat * C
+                                * Mpp.transpose()))
+    return X is not None and _match_up_to_unit(
+        X, _monomial(symplectic_j(shape.N)))
 
 
 def check_sostar(shape, Dsec):
     """SO*(2n) structure checks at q = 1: steps (i) and (ii) of
     `check_sostar_basis` on M'', run once per shape, then (iii) the given
-    D'' reduces to D''_1 through the pair-swap witness A."""
+    D'' reduces to D''_1 through the pair-swap witness A, in monomial
+    form."""
     if not shape.once("sostar_basis",
                       lambda: check_sostar_basis(build_mpp(shape.N), shape)):
         return False
-    N, n = shape.N, shape.n
-    D1 = dsecond_canonical(N)
-    # pair-swap permutation sending the given eps pattern to D''_1
-    one = Scalar.one()
-    entries = {}
-    for j in range(1, n + 1):
-        jp = shape.prime(j)
-        if Dsec.eps[j - 1] == -1:
-            entries[(j, jp)] = one
-            entries[(jp, j)] = one
-        else:
-            entries[(j, j)] = one
-            entries[(jp, jp)] = one
-    A = SqMat(N, entries)
-    if A * Dsec.mat != D1.mat * A:
-        return False
-    C1 = classical_mat(shape.C)
-    if A.transpose() * C1 * A != C1:
-        return False
-    lhs = C1.transpose() * Dsec.mat * A
-    rhs = bar_mat(A, ConjRegime.REAL_Q) * C1.transpose() * D1.mat
-    return _match_up_to_unit(lhs, rhs) is not None
+    N, C1 = shape.N, _monomial(classical_mat(shape.C))
+    D, D1 = Dsec.mono, dsecond_canonical(N).mono
+    # the pair swap a <-> a' for each a with eps_a = -1 in the first half
+    A = _Monomial([N - 1 - a if Dsec.eps[min(a, N - 1 - a)] == -1 else a
+                   for a in range(N)], (_ONE,) * N, (0,) * N)
+    return (A * D == D1 * A and A.transpose() * C1 * A == C1
+            and _match_up_to_unit(C1.transpose() * D * A, A.bar(
+                ConjRegime.REAL_Q) * C1.transpose() * D1))
 
 
 def check_equivalence_witness(A, spec1, spec2, shape):
@@ -563,29 +564,26 @@ def check_equivalence_witness(A, spec1, spec2, shape):
     conditions (up to an overall sign of the metric identity).
 
     Returns (True, None), or (False, witness) for the first condition that
-    fails: "RDD", "metric" or "transport"."""
+    fails: "RDD", "metric" or "transport", with its first offending entry
+    in (row, col) order.  An A that is not monomial raises TypeError."""
     if spec1.base != spec2.base or spec1.regime is not spec2.regime:
         raise ValueError("witness requires specs with a common base and regime")
-    N, C = shape.N, shape.C
+    N = shape.N
+    A = _as_monomial(A, N)
     detail = _r_commutation_witness(A, shape)
     if detail is not None:
         return _failed("RDD", detail)
+    C = _monomial_C(shape)
     X = A.transpose() * C * A
     Y = A * C * A.transpose()
     if not ((X == C and Y == C) or (X == -C and Y == -C)):
         # either X and Y differ, or they agree and are not +-C
-        return _failed("metric", _witness(Y, X) or _witness(X, C))
-    G1 = spec1.composed(N)
-    G2 = spec2.composed(N)
-    barA = bar_mat(A, spec1.regime)
-    if spec1.base == STAR:
-        lhs = C.transpose() * G1 * A
-        rhs = barA * C.transpose() * G2
-    else:
-        lhs = G1 * A
-        rhs = barA * G2
-    if _match_up_to_unit(lhs, rhs) is None:
-        return _failed("transport", _witness(lhs, rhs))
+        return _failed("metric", _diff(Y, X) or _diff(X, C))
+    Ct = C.transpose() if spec1.base == STAR else _Monomial.identity(N)
+    lhs = Ct * spec1._composed(N) * A
+    rhs = A.bar(spec1.regime) * Ct * spec2._composed(N)
+    if not _match_up_to_unit(lhs, rhs):
+        return _failed("transport", _diff(lhs, rhs))
     return True, None
 
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qortho.errors import BadFamily, NoPlaneConjugation, Unclassifiable
 from qortho.linalg import (
@@ -12,11 +12,11 @@ from qortho.realforms import (
     build_mpp, canonical_D, check_auto_conditions, check_equivalence_witness,
     check_reality, check_sostar, check_sostar_basis, classify,
     count_real_forms, dsecond_canonical, enumerate_autos,
-    plane_conjugation_matrix, symplectic_j, _is_automorphism,
-    _match_up_to_unit, _monomial, _relabels_R,
+    plane_conjugation_matrix, symplectic_j, _Monomial, _diff,
+    _match_up_to_unit, _monomial, _r_commutation_witness,
 )
 from qortho.rmatrix import GroupShape, build_metric
-from qortho.scalars import ConjRegime, Scalar
+from qortho.scalars import ConjRegime, GaussRat, Scalar
 
 REAL = ConjRegime.REAL_Q
 UNIT = ConjRegime.UNIT_MODULUS_Q
@@ -128,20 +128,26 @@ def test_auto_conditions_reject_bad_diagonal():
 
 # -- the monomial form against SqMat products -------------------------------
 
-UNITS = (one, iu, -one, -iu)  # i^k for k = 0..3
+# i^k for k = 0..3, and the non-unit moduli a weight is drawn with
+UNITS = (GaussRat(1), GaussRat(0, 1), GaussRat(-1), GaussRat(0, -1))
+MODULI = (GaussRat(1), GaussRat(2), GaussRat(Fraction(1, 2)), GaussRat(1, 1))
 
 
-def weight(k, e):
-    return UNITS[k % 4] * Scalar.q_power(Fraction(e, 2))
+def weight(c, e):
+    return Scalar.from_gauss(c) * Scalar.q_power(Fraction(e, 2))
 
 
 @st.composite
 def monomials(draw, N, max_exponent):
-    """A monomial N x N matrix with weights i^k s^e, |e| <= max_exponent.
-    Half the draws keep the metric: a permutation fixing rho (the identity,
-    or the swap of n and n + 1 for even N) and w_a w_a' = 1, the matrices
-    that reach the R commutation and D^2 = +-1."""
-    k = draw(st.lists(st.integers(0, 3), min_size=N, max_size=N))
+    """A monomial N x N matrix with weights c s^e, c = i^k m, |e| <=
+    max_exponent, and the modulus m from MODULI in half the draws, 1 in the
+    others.  Half the draws keep the metric: a permutation fixing rho (the
+    identity, or the swap of n and n + 1 for even N) and w_a w_a' = 1, the
+    matrices that reach the R commutation and D^2 = +-1."""
+    moduli = MODULI if draw(st.booleans()) else MODULI[:1]
+    c = [UNITS[k] * m for k, m in zip(
+        draw(st.lists(st.integers(0, 3), min_size=N, max_size=N)),
+        draw(st.lists(st.sampled_from(moduli), min_size=N, max_size=N)))]
     e = draw(st.lists(st.integers(-max_exponent, max_exponent),
                       min_size=N, max_size=N))
     if draw(st.booleans()):
@@ -152,10 +158,10 @@ def monomials(draw, N, max_exponent):
             perm[N // 2 - 1], perm[N // 2] = N // 2, N // 2 - 1
         for a in range((N + 1) // 2):
             if a == N - 1 - a:
-                k[a], e[a] = 2 * (k[a] % 2), 0  # w_mid = +-1
+                c[a], e[a] = draw(st.sampled_from(UNITS[::2])), 0  # +-1
             else:
-                k[N - 1 - a], e[N - 1 - a] = -k[a], -e[a]
-    return SqMat(N, {(r + 1, perm[r] + 1): weight(k[r], e[r])
+                c[N - 1 - a], e[N - 1 - a] = c[a].inv(), -e[a]
+    return SqMat(N, {(r + 1, perm[r] + 1): weight(c[r], e[r])
                      for r in range(N)})
 
 
@@ -173,16 +179,24 @@ def product_witness(X, Y):
     return {"row": r, "col": c, "lhs": str(xv), "rhs": str(yv)}
 
 
+def tensor_square(A, N):
+    return kron_embed(A, 1, N, 2) * kron_embed(A, 2, N, 2)
+
+
+def product_commutation_witness(A, shape):
+    AA = tensor_square(A, shape.N)
+    return product_witness(shape.R * AA, AA * shape.R)
+
+
 def product_auto_conditions(mat, shape):
     """`check_auto_conditions` from SqMat products alone, with A (x) A built
     by `kron_embed`: the reference for the monomial path's verdict and for
     every witness."""
-    N, C, R = shape.N, shape.C, shape.R
+    N, C = shape.N, shape.C
     for X in (mat.transpose() * C * mat, mat * C * mat.transpose()):
         if X != C:
             return False, {"condition": "DCD", "detail": product_witness(X, C)}
-    AA = kron_embed(mat, 1, N, 2) * kron_embed(mat, 2, N, 2)
-    detail = product_witness(R * AA, AA * R)
+    detail = product_commutation_witness(mat, shape)
     if detail is not None:
         return False, {"condition": "RDD", "detail": detail}
     I = SqMat.identity(N)
@@ -199,51 +213,176 @@ def product_reality(mat, base, shape):
     return barD == shape.C.transpose() * mat * shape.C.transpose()
 
 
-@settings(max_examples=150, deadline=None)
-@given(monomial_cases())
-def test_monomial_auto_verdict_and_witness_match_products(case):
-    N, A, _ = case
-    shape = GroupShape(N)
-    expected = product_auto_conditions(A, shape)
-    assert _is_automorphism(_monomial(A), shape) == expected[0]
-    assert check_auto_conditions(A, shape) == expected
-    AA = kron_embed(A, 1, N, 2) * kron_embed(A, 2, N, 2)
-    assert _relabels_R(_monomial(A), shape) == (shape.R * AA == AA * shape.R)
-    for base in (STAR, CROSS):
-        assert check_reality(A, base, shape) == product_reality(A, base, shape)
+UNIT_SCALARS = (one, -one, iu, -iu)
+
+
+def product_match_up_to_unit(X, Y):
+    """Unit scalar lam with X = lam * Y, or None, on SqMats."""
+    if X.dim != Y.dim or set(X.entries) != set(Y.entries):
+        return None
+    if X.is_zero():
+        return one
+    key = min(X.entries)
+    ratio = X.entries[key] / Y.entries[key]
+    for lam in UNIT_SCALARS:
+        if ratio == lam:
+            return lam if X == lam * Y else None
+    return None
+
+
+def product_equivalence_witness(A, spec1, spec2, shape):
+    """`check_equivalence_witness` from SqMat products alone: the reference
+    for the monomial path's verdict and witnesses."""
+    N, C = shape.N, shape.C
+    detail = product_commutation_witness(A, shape)
+    if detail is not None:
+        return False, {"condition": "RDD", "detail": detail}
+    X = A.transpose() * C * A
+    Y = A * C * A.transpose()
+    if not ((X == C and Y == C) or (X == -C and Y == -C)):
+        return False, {"condition": "metric",
+                       "detail": product_witness(Y, X) or product_witness(X, C)}
+    G1, G2 = spec1.composed(N), spec2.composed(N)
+    barA = bar_mat(A, spec1.regime)
+    if spec1.base == STAR:
+        lhs, rhs = C.transpose() * G1 * A, barA * C.transpose() * G2
+    else:
+        lhs, rhs = G1 * A, barA * G2
+    if product_match_up_to_unit(lhs, rhs) is None:
+        return False, {"condition": "transport",
+                       "detail": product_witness(lhs, rhs)}
+    return True, None
+
+
+def family_specs(N):
+    """Every star and cross spec of one family member at N, plus none."""
+    members = [canonical_D(N)] + enumerate_autos(N, "dprime")
+    if N % 2 == 0:
+        members += enumerate_autos(N, "dsecond")
+    return [make([a]) for make in (star, cross) for a in members] + [
+        star([]), cross([])]
+
+
+def test_monomial_auto_verdict_and_witness_match_products():
+    verdicts = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(monomial_cases())
+    def check(case):
+        N, A, _ = case
+        shape = GroupShape(N)
+        expected = product_auto_conditions(A, shape)
+        assert check_auto_conditions(A, shape) == expected
+        verdicts.add(expected[0])
+        assert (_r_commutation_witness(_monomial(A), shape)
+                == product_commutation_witness(A, shape))
+        for base in (STAR, CROSS):
+            assert check_reality(A, base, shape) == product_reality(A, base,
+                                                                    shape)
+
+    check()
+    assert verdicts == {True, False}
+
+
+def test_monomial_equivalence_witness_matches_products():
+    verdicts = set()
+
+    @settings(max_examples=100, deadline=None)
+    @given(monomial_cases(), st.data())
+    def check(case, data):
+        N, A, _ = case
+        shape = GroupShape(N)
+        specs = family_specs(N)
+        spec1 = data.draw(st.sampled_from(specs))
+        spec2 = data.draw(st.sampled_from(
+            [s for s in specs if s.base == spec1.base]))
+        expected = product_equivalence_witness(A, spec1, spec2, shape)
+        assert check_equivalence_witness(A, spec1, spec2, shape) == expected
+        verdicts.add(expected[0])
+
+    check()
+    assert verdicts == {True, False}
 
 
 @settings(max_examples=100, deadline=None)
 @given(monomial_cases(max_exponent=2))
 def test_monomial_form_matches_sqmat_algebra(case):
-    # weights i^k s^e: products, transposes, bar and negation agree with
+    # weights c s^e: products, transposes, bar in both regimes, negation,
+    # equality, the first difference and the match up to a unit agree with
     # SqMat, and so does the relabeling
     N, X, Y = case
     shape = GroupShape(N)
     x, y = _monomial(X), _monomial(Y)
+    assert x.sqmat() == X
     assert _monomial(X * Y) == x * y
     assert _monomial(X.transpose()) == x.transpose()
     assert _monomial(-X) == -x
-    assert _monomial(bar_mat(X, REAL)) == x.bar()
+    for regime in (REAL, UNIT):
+        assert _monomial(bar_mat(X, regime)) == x.bar(regime)
     assert (x == y) == (X == Y)
-    AA = kron_embed(X, 1, N, 2) * kron_embed(X, 2, N, 2)
-    assert _relabels_R(x, shape) == (shape.R * AA == AA * shape.R)
+    assert _diff(x, y) == product_witness(X, Y)
+    assert (_match_up_to_unit(x, y)
+            == (product_match_up_to_unit(X, Y) is not None))
+    AA = tensor_square(X, N)
+    assert ((_r_commutation_witness(x, shape) is None)
+            == (shape.R * AA == AA * shape.R))
 
 
 def test_monomial_form_rejects_other_matrices():
     two = Scalar.from_frac(2)
     s = Scalar.q_power(Fraction(1, 2))
-    for bad in (SqMat.diag([one, one, two]),              # weight 2
-                SqMat.diag([one, one, one + s]),          # two terms
-                SqMat.diag([one, one, s.inv() * two]),    # 2 s^-1
+    for weight_, c, e in ((two, GaussRat(2), 0),                  # weight 2
+                          (two.inv(), GaussRat(Fraction(1, 2)), 0),  # 1/2
+                          (s.inv() * two, GaussRat(2), -1)):     # 2 s^-1
+        m = _monomial(SqMat.diag([one, one, weight_]))
+        assert (m.perm, m.c[2], m.e[2]) == ((0, 1, 2), c, e)
+    for bad in (SqMat.diag([one, one, one + s]),          # two terms
                 SqMat.diag([one, one, Scalar.t_unit()]),  # t
                 SqMat.diag([one, one, one + Scalar.t_unit()]),  # 1 + t
-                SqMat.diag([one, one, two.inv()]),        # weight 1/2
                 SqMat(3, {(1, 1): one, (2, 2): one}),     # a zero row
                 SqMat(3, {(1, 1): one, (2, 1): one, (3, 3): one})):
         assert _monomial(bad) is None
     m = _monomial(SqMat(3, {(1, 2): one, (2, 1): -iu, (3, 3): s}))
-    assert (m.perm, m.k, m.e) == ((1, 0, 2), (0, 3, 0), (0, 0, 1))
+    assert (m.perm, m.c, m.e) == ((1, 0, 2), (UNITS[0], UNITS[3], UNITS[0]),
+                                  (0, 0, 1))
+
+
+# each non-monomial matrix, with the TypeError message that names it
+NON_MONOMIAL = [
+    (SqMat.diag([one, one, one + Scalar.q_power(1), one]),
+     "entry (3,3) = 1*s^0 + 1*s^2 is not c*s^e"),
+    (SqMat.diag([one, Scalar.t_unit(), one, one]),
+     "entry (2,2) = 1*t*s^0 is not c*s^e"),
+    (SqMat(4, {(1, 1): one, (2, 2): one, (4, 4): one}), "row 3 is zero"),
+    (SqMat(4, {(1, 1): one, (2, 2): one, (3, 2): one, (4, 4): one}),
+     "entry (3,2) is a second nonzero in its row or column"),
+]
+
+
+@pytest.mark.parametrize("mat, why", NON_MONOMIAL)
+def test_non_monomial_input_raises_type_error(mat, why):
+    shape = GroupShape(4)
+    message = f"not a monomial matrix: {why}"
+    calls = [lambda: check_auto_conditions(mat, shape),
+             lambda: check_reality(mat, STAR, shape),
+             lambda: check_reality(mat, CROSS, shape),
+             lambda: check_equivalence_witness(mat, cross([]), cross([]),
+                                               shape),
+             lambda: AutoMatrix("dprime", 4, (1, 1, 1, 1), mat, 1)]
+    for call in calls:
+        with pytest.raises(TypeError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+def test_monomial_form_names_the_first_offending_entry():
+    # entries read in storage order are reported in (row, col) order
+    s = Scalar.q_power(1)
+    mat = SqMat(3, {(3, 3): one + s, (2, 1): one, (1, 1): one,
+                    (2, 2): Scalar.t_unit()})
+    with pytest.raises(TypeError, match=r"entry \(2,1\) is a second nonzero "
+                                        r"in its row or column$"):
+        check_auto_conditions(mat, GroupShape(3))
 
 
 def test_composed_sharp_dprime_squares_to_plus_one():
@@ -337,8 +476,8 @@ def test_classify_cross_fixtures():
 
 def test_classify_composes_and_squares_g_once(monkeypatch):
     # K comes from the G that classify already holds, not from a second
-    # composition in plane_conjugation_matrix
-    composed, product = ConjugationSpec.composed, SqMat.__mul__
+    # composition in plane_conjugation_matrix; G is squared as a _Monomial
+    composed, product = ConjugationSpec._composed, _Monomial.__mul__
     compositions, squares = [], []
 
     def counted_composed(self, N):
@@ -350,14 +489,73 @@ def test_classify_composes_and_squares_g_once(monkeypatch):
             squares.append(self)
         return product(self, other)
 
-    monkeypatch.setattr(ConjugationSpec, "composed", counted_composed)
-    monkeypatch.setattr(SqMat, "__mul__", counted_product)
+    monkeypatch.setattr(ConjugationSpec, "_composed", counted_composed)
+    monkeypatch.setattr(_Monomial, "__mul__", counted_product)
     for spec, N, label in ((star([canonical_D(4)]), 4, "SO(3,1)"),
                            (cross([]), 5, "SO(3,2)")):
         compositions.clear()
         squares.clear()
         assert str(classify(spec, GroupShape(N))) == label
         assert compositions == [N] and len(squares) == 1
+
+
+def count_products(monkeypatch):
+    """The left factor of every SqMat product taken from here on."""
+    calls, product = [], SqMat.__mul__
+
+    def counted(self, other):
+        calls.append(self)
+        return product(self, other)
+
+    monkeypatch.setattr(SqMat, "__mul__", counted)
+    return calls
+
+
+def test_monomial_checks_take_no_sqmat_product(monkeypatch):
+    # a failing family member, a failing equivalence witness, step (iii) of
+    # check_sostar and the plane conjugation all run on the monomial form
+    shape = GroupShape(4)
+    dseconds = enumerate_autos(4, "dsecond")
+    assert check_sostar(shape, dseconds[0])  # steps (i), (ii): once per shape
+    torus = SqMat.diag([Scalar.from_frac(2), one, one,
+                        Scalar.from_frac(Fraction(1, 2))])
+    pair_swap = SqMat(4, {(1, 2): one, (2, 1): one, (3, 4): one, (4, 3): one})
+    calls = count_products(monkeypatch)
+    assert check_auto_conditions(torus, shape)[1]["condition"] == "square"
+    ok, witness = check_equivalence_witness(pair_swap, cross([]), cross([]),
+                                            shape)
+    assert not ok and witness["condition"] == "RDD"
+    assert all(check_sostar(shape, ds) for ds in dseconds)
+    plane_conjugation_matrix(star([canonical_D(4)]), shape)
+    assert calls == []
+
+
+def test_classify_multiplies_only_for_fixed_basis_and_signature(monkeypatch):
+    import qortho.realforms as realforms
+    fixed_basis, entered = realforms.antilinear_fixed_basis, []
+
+    def counted_fixed_basis(K):
+        entered.append(K)
+        return fixed_basis(K)
+
+    monkeypatch.setattr(realforms, "antilinear_fixed_basis",
+                        counted_fixed_basis)
+    shape6 = GroupShape(6)
+    assert check_sostar(shape6, dsecond_canonical(6))  # steps (i), (ii)
+    calls = count_products(monkeypatch)
+    for spec, N in ((star([canonical_D(4)]), 4), (cross([]), 5),
+                    (star([auto_from_signs(6, "dprime", "-++++-")]), 6)):
+        entered.clear()
+        calls.clear()
+        classify(spec, GroupShape(N))
+        assert len(entered) == 1 and calls
+        assert calls[0] is entered[0]  # the first product is K bar(K)
+    calls.clear()
+    entered.clear()
+    assert str(classify(star([dsecond_canonical(6)]), shape6)) == "SO*(6)"
+    with pytest.raises(Unclassifiable):
+        classify(star([dsecond_canonical(6), canonical_D(6)]), shape6)
+    assert calls == [] and entered == []
 
 
 def test_classify_odd_dprime_gives_so21():
@@ -393,6 +591,32 @@ def test_unclassifiable_names_the_entry_of_g_squared():
     assert str(exc.value).endswith(
         ": G^2 = I fails at (1,1): -1*s^0 != 1*s^0;"
         " G^2 = -I fails at (3,3): 1*s^0 != -1*s^0")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_unclassifiable_message_matches_first_diff(data):
+    # G = D'' D (in either order, with further members) squares to neither
+    # +I nor -I; the message names first_diff's entry for each
+    N = data.draw(st.sampled_from((4, 6)))
+    members = ([canonical_D(N)] + enumerate_autos(N, "dprime")
+               + enumerate_autos(N, "dsecond"))
+    autos = [data.draw(st.sampled_from(enumerate_autos(N, "dsecond"))),
+             canonical_D(N)]
+    autos += data.draw(st.lists(st.sampled_from(members), max_size=2))
+    spec = data.draw(st.sampled_from((star, cross)))(
+        data.draw(st.permutations(autos)))
+    G = spec.composed(N)
+    G2, I = G * G, SqMat.identity(N)
+    assume(G2 != I and G2 != -I)
+    fails = []
+    for name, target in (("I", I), ("-I", -I)):
+        r, c, x, y = first_diff(G2, target)
+        fails.append(f"G^2 = {name} fails at ({r},{c}): {x} != {y}")
+    with pytest.raises(Unclassifiable) as exc:
+        classify(spec, GroupShape(N))
+    assert str(exc.value) == (f"no classification branch applies to "
+                              f"{spec!r}: {'; '.join(fails)}")
 
 
 def test_label_signature_normalized():
@@ -433,7 +657,7 @@ def test_sostar_unit_scalar_absorbs_sign_of_J():
     Mpp = build_mpp(N)
     X = classical_mat(bar_mat(Mpp, REAL) * build_metric(N).transpose()
                       * dsecond_canonical(N).mat * inverse(Mpp))
-    assert _match_up_to_unit(X, -symplectic_j(N)) is not None
+    assert _match_up_to_unit(_monomial(X), _monomial(-symplectic_j(N)))
 
 
 def test_sostar_fails_on_corrupted_basis():
@@ -502,7 +726,7 @@ def test_witness_imaginary_reduction_at_q1(N):
         assert A.transpose() * C1 * A == C1 and A * C1 * A.transpose() == C1
         lhs = C1.transpose() * star([ds]).composed(N) * A
         rhs = bar_mat(A, REAL) * C1.transpose() * star([target]).composed(N)
-        assert _match_up_to_unit(lhs, rhs) is not None
+        assert _match_up_to_unit(_monomial(lhs), _monomial(rhs))
         assert check_sostar(shape, ds)
         ok, witness = check_equivalence_witness(A, star([ds]), star([target]),
                                                 shape)

@@ -14,7 +14,10 @@ import qortho
 from qortho.errors import DivisionByZero, PoleAtOne, ResidualT
 from qortho.linalg import SqMat, row_reduce
 from qortho.qplane import NCPoly, RewriteSystem, _normalize_terms, normal_form
-from qortho.scalars import ConjRegime, GaussRat, Scalar, _lp_add, _lp_divmod, _lp_mul
+from qortho.scalars import (
+    ConjRegime, GaussRat, Scalar, _lp_add, _lp_divexact, _lp_divmod, _lp_gcd, _lp_mul,
+    _lp_nonzero, _lp_shift,
+)
 
 
 def sp(k):
@@ -173,6 +176,34 @@ small_fracs = sorted({Fraction(p, q) for q in (1, 2, 3) for p in range(-4 * q, 4
 coefs = st.builds(GaussRat, st.sampled_from(small_fracs), st.sampled_from(small_fracs))
 polys = st.dictionaries(st.integers(-3, 3), coefs, max_size=3)
 nonzero_polys = polys.filter(lambda p: any(not v.is_zero() for v in p.values()))
+
+
+# grounded Q(i)[s] polynomials with a nonzero constant term: the gcd path's
+# inputs once `_lp_monic` has shifted out any power of s; canonical like every
+# dict `Scalar` hands the `_lp_*` helpers, so no zero coefficient is kept
+grounded = st.builds(
+    lambda c0, rest: _lp_nonzero({0: c0, **rest}),
+    st.builds(GaussRat, st.sampled_from(small_fracs[1:]), st.sampled_from(small_fracs)),
+    st.dictionaries(st.integers(1, 3), st.builds(GaussRat, st.integers(-3, 3), st.integers(-3, 3)),
+                    max_size=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grounded, grounded, grounded, st.integers(-2, 2))
+def test_lp_gcd_matches_sympy(f, g, h, shift):
+    # _lp_gcd against sympy's gcd over Q(i)[s], both monic; and
+    # _lp_divexact by g undoes a product with g, for a Laurent f too
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("s")
+
+    def poly(p):
+        return sympy.Poly(sum((sympy.Rational(c.a, c.d) + sympy.I * sympy.Rational(c.b, c.d)) * s ** k
+                              for k, c in _lp_nonzero(p).items()), s, domain=sympy.QQ_I)
+
+    a, b = _lp_mul(f, g), _lp_mul(h, g)
+    assert poly(_lp_gcd(a, b)) == poly(a).gcd(poly(b)).monic()
+    laurent = _lp_shift(f, shift)
+    assert _lp_divexact(_lp_mul(laurent, g), g) == _lp_nonzero(laurent)
 
 
 @st.composite

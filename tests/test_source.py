@@ -60,3 +60,12 @@ def test_no_unused_module_imports():
         found += [f"{name}:{line} {bound}" for bound, line in imported.items()
                   if bound not in used]
     assert found == []
+
+
+def test_realforms_keeps_no_sqmat_witness_path():
+    # every realforms verdict and witness comes from the monomial form, so
+    # it needs neither the tensor embedding nor the SqMat first difference
+    tree = dict(_trees())["realforms.py"]
+    imported = {alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"kron_embed", "first_diff"}
