@@ -290,12 +290,12 @@ def _auto_suite_check(shape):
     if not shape.odd:
         members += enumerate_autos(N, "dsecond")
     for m in members:
-        ok, witness = check_auto_conditions(m.mat, shape)
+        ok, witness = check_auto_conditions(m.mono, shape)
         if not ok:
             return _check("automorphism_families", False,
                           witness=dict(witness, member=m.tag()))
         for base in (STAR, CROSS):
-            if not check_reality(m.mat, base, shape):
+            if not check_reality(m.mono, base, shape):
                 return _check("automorphism_families", False,
                               witness={"member": m.tag(),
                                        "condition": f"reality_{base}"})

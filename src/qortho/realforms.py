@@ -11,7 +11,7 @@ metric, or the SO* criterion, labels each one.
 
 These, C, the composed G and K, and the pair swaps have one nonzero per
 row and per column: `_Monomial` is the one form in which this module
-decides anything about them, and every witness comes from it.
+holds and decides them, and every witness comes from it.
 """
 
 import itertools
@@ -38,7 +38,6 @@ _, _I, _MINUS_ONE, _MINUS_I = _UNITS
 _UNIT_TIMES = {(id(x), id(y)): _UNITS[(j + k) % 4]
                for j, x in enumerate(_UNITS) for k, y in enumerate(_UNITS)}
 _UNIT_CONJ = {id(x): _UNITS[-k % 4] for k, x in enumerate(_UNITS)}
-_UNIT_SCALARS = {(id(x), 0): Scalar._of({0: x}, {}, _ONE_POLY) for x in _UNITS}
 
 
 def _times(x, y):
@@ -46,9 +45,8 @@ def _times(x, y):
 
 
 def _weight(c, e):
-    # the Scalar c s^e, canonical as built for a nonzero GaussRat c; a unit
-    # at e = 0, as every entry of a family member, is one shared Scalar
-    return _UNIT_SCALARS.get((id(c), e)) or Scalar._of({e: c}, {}, _ONE_POLY)
+    # the Scalar c s^e, canonical as built for a nonzero GaussRat c
+    return Scalar._of({e: c}, {}, _ONE_POLY)
 
 
 class _Monomial:
@@ -57,6 +55,7 @@ class _Monomial:
     this form products, transposes, bar and equality take O(N) steps."""
 
     __slots__ = ("perm", "c", "e")
+    dim = property(lambda self: len(self.perm))
 
     def __init__(self, perm, c, e):
         self.perm, self.c, self.e = tuple(perm), tuple(c), tuple(e)
@@ -129,7 +128,7 @@ def _as_monomial(mat, N):
     # mat as a _Monomial, or TypeError naming its first offending entry
     if mat.dim != N:
         raise DimMismatch(f"matrix of dim {mat.dim} for N={N}")
-    mono, why = _parse(mat)
+    mono, why = (mat, None) if isinstance(mat, _Monomial) else _parse(mat)
     if mono is None:
         raise TypeError(f"not a monomial matrix: {why}")
     return mono
@@ -200,15 +199,15 @@ def _r_commutation_witness(A, shape):
 
 
 class AutoMatrix:
-    """A D-type matrix with its family tag and square sign.  `mono` is the
-    monomial form of `mat`; any other `mat` raises TypeError."""
+    """A D-type matrix with its family tag and square sign, held only as
+    `mono`: a SqMat given is parsed once (TypeError if not monomial)."""
 
-    __slots__ = ("family", "N", "eps", "mat", "square_sign", "mono")
+    __slots__ = ("family", "N", "eps", "mono", "square_sign")
+    mat = property(lambda self: self.mono.sqmat())  # derived on request
 
     def __init__(self, family, N, eps, mat, square_sign):
         self.family, self.N, self.eps = family, N, eps
-        self.mat, self.square_sign = mat, square_sign
-        self.mono = _as_monomial(mat, N)
+        self.mono, self.square_sign = _as_monomial(mat, N), square_sign
 
     def tag(self):
         if self.family == "canonical":
@@ -219,8 +218,8 @@ class AutoMatrix:
     def __eq__(self, other):
         if not isinstance(other, AutoMatrix):
             return NotImplemented
-        return (self.family, self.N, self.eps, self.mat) == \
-               (other.family, other.N, other.eps, other.mat)
+        return (self.family, self.N, self.eps, self.mono) == \
+               (other.family, other.N, other.eps, other.mono)
 
     def __repr__(self):
         return f"<AutoMatrix {self.tag()} N={self.N}>"
@@ -234,10 +233,8 @@ def canonical_D(N):
     if shape.odd:
         c[shape.n2 - 1] = _MINUS_ONE
     else:
-        n = shape.n
-        perm[n - 1], perm[n] = n, n - 1
-    mat = _Monomial(perm, c, (0,) * N).sqmat()
-    return AutoMatrix("canonical", N, None, mat, +1)
+        perm[shape.n - 1], perm[shape.n] = shape.n, shape.n - 1
+    return AutoMatrix("canonical", N, None, _Monomial(perm, c, (0,) * N), +1)
 
 
 # family -> (mirror sign m, (u, -u)): the member is u diag(eps) with
@@ -268,9 +265,9 @@ def _member(N, family, eps):
     mid = shape.n2 or shape.n
     if eps[mid - 1] != 1:
         raise BadFamily(f"{family} requires eps_{mid} = +1")
-    mat = _Monomial(range(N), [plus if e == 1 else minus for e in eps],
-                    (0,) * N).sqmat()
-    return AutoMatrix(family, N, tuple(eps), mat, mirror)
+    mono = _Monomial(range(N), [plus if e == 1 else minus for e in eps],
+                     (0,) * N)
+    return AutoMatrix(family, N, tuple(eps), mono, mirror)
 
 
 def dsecond_canonical(N):
@@ -310,10 +307,6 @@ class ConjugationSpec:
         self.base = base
         self.autos = list(autos)
         self.regime = regime
-
-    def composed(self, N):
-        """The composed automorphism G as a SqMat."""
-        return self._composed(N).sqmat()
 
     def _composed(self, N):
         G = _Monomial.identity(N)
@@ -384,14 +377,20 @@ def _monomial_C(shape):
     return shape.once("monomial_C", lambda: _monomial(shape.C))
 
 
+def _classical_C(shape):
+    # C at q = 1, where each c s^e becomes c; kept once per shape
+    C = _monomial_C(shape)
+    return shape.once("C_at_1", lambda: _Monomial(C.perm, C.c, [0] * shape.N))
+
+
 def check_auto_conditions(mat, shape):
     """Verify D^t C D = C = D C D^t, R D1 D2 = D2 D1 R, and D^2 = +-1,
     with the R and C of shape.
 
     Returns (True, None), or (False, witness) for the first condition that
     fails: "DCD", "RDD" or "square", with its first offending entry in
-    (row, col) order.  D is decided in its monomial form, in O(N) steps and
-    one relabeling of R; a D that is not monomial raises TypeError."""
+    (row, col) order.  D (a SqMat or a member's `mono`) is decided as a
+    monomial in O(N) steps and one relabeling of R, or raises TypeError."""
     D = _as_monomial(mat, shape.N)
     C = _monomial_C(shape)
     for X in (D.transpose() * C * D, D * C * D.transpose()):
@@ -409,7 +408,7 @@ def check_auto_conditions(mat, shape):
 def check_reality(mat, base, shape):
     """Reality condition matching the base conjugation: cross needs
     bar(D) = D with D^2 = 1 or bar(D) = -D with D^2 = -1; star needs
-    bar(D) = C^t D C^t.  A D that is not monomial raises TypeError."""
+    bar(D) = C^t D C^t.  D as in `check_auto_conditions`."""
     D = _as_monomial(mat, shape.N)
     barD = D.bar(ConjRegime.REAL_Q)
     if base == CROSS:
@@ -473,7 +472,8 @@ def classify(spec, shape):
         M = antilinear_fixed_basis(classical_mat(K.sqmat()))
         # M C1 M^T is the inverse of the metric M^-T C1 M^-1 (C1 C1 = 1);
         # a real symmetric matrix and its inverse share their signature
-        p, m = signature(M * classical_mat(shape.C) * M.transpose())
+        C1 = shape.once("C_at_1_mat", _classical_C(shape).sqmat)
+        p, m = signature(M * C1 * M.transpose())
         return RealFormLabel.so(p, m, spec.regime)
     if G2 != -I:
         # neither branch applies: name each one's first differing entry
@@ -547,7 +547,7 @@ def check_sostar(shape, Dsec):
     if not shape.once("sostar_basis",
                       lambda: check_sostar_basis(build_mpp(shape.N), shape)):
         return False
-    N, C1 = shape.N, _monomial(classical_mat(shape.C))
+    N, C1 = shape.N, _classical_C(shape)
     D, D1 = Dsec.mono, dsecond_canonical(N).mono
     # the pair swap a <-> a' for each a with eps_a = -1 in the first half
     A = _Monomial([N - 1 - a if Dsec.eps[min(a, N - 1 - a)] == -1 else a

@@ -1,4 +1,9 @@
-"""An evaluation oracle for the projector layer.
+"""Outside checks of the constructions: R and C from the closed formula,
+and an evaluation oracle for the projector layer.
+
+R and C are built in sympy's field Q(i)(s) straight from the FRT formula,
+without calling `rmatrix`, and compared with `build_R` and `build_metric`
+entry by entry.
 
 Every projector entry is an integer Laurent polynomial in s, so evaluating
 it at a rational point s0 is a ring homomorphism: an identity that holds
@@ -12,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from qortho.linalg import SqMat, _rows, rank, row_reduce
-from qortho.rmatrix import GroupShape
+from qortho.rmatrix import GroupShape, build_metric, build_R
 
 POINTS = (Fraction(2), Fraction(3))
 
@@ -64,6 +69,64 @@ def scaled(c, M):
 
 def identity(dim, c=Fraction(1)):
     return {i: {i: c} for i in range(1, dim + 1)}
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_r_and_c_match_the_frt_formula(N):
+    # q = s^2, lam = q - 1/q, a' = N + 1 - a, and rho_a = N/2 - a below
+    # the middle, 0 at the middle index of odd N, -rho_a' above it
+    sympy = pytest.importorskip("sympy")
+    field, s = sympy.field("s", sympy.QQ_I)
+    q, prime = s ** 2, (lambda a: N + 1 - a)
+    lam = q - 1 / q
+
+    def rho(a):
+        if a < prime(a):
+            return Fraction(N, 2) - a
+        return 0 if a == prime(a) else -rho(prime(a))
+
+    def q_power(x):
+        return s ** int(2 * x)  # rho is half-integral, so 2x is an int
+
+    def at(a, b):  # the composite index of e_a (x) e_b
+        return (a - 1) * N + b
+
+    R = {}
+
+    def put(a, b, c, d, x):  # x e_ab (x) e_cd
+        key = (at(a, c), at(b, d))
+        R[key] = R.get(key, field.zero) + x
+
+    rng = range(1, N + 1)
+    for a in rng:
+        if a != prime(a):
+            put(a, a, a, a, q)
+            put(a, a, prime(a), prime(a), 1 / q)
+        for b in rng:
+            if b not in (a, prime(a)):
+                put(a, a, b, b, field.one)
+            if a > b:
+                put(a, b, b, a, lam)
+                put(a, b, prime(a), prime(b), -lam * q_power(rho(a) - rho(b)))
+    if N % 2:
+        m = (N + 1) // 2
+        put(m, m, m, m, field.one)
+    C = {(a, prime(a)): q_power(-rho(a)) for a in rng}
+
+    def value(v):
+        assert not v.n1
+        return (sum((QQ_I(c) * s ** k for k, c in v.n0.items()), field.zero)
+                / sum((QQ_I(c) * s ** k for k, c in v.d.items()), field.zero))
+
+    def QQ_I(c):
+        return sympy.QQ_I(sympy.QQ(c.a, c.d), sympy.QQ(c.b, c.d))
+
+    for built, expected in ((build_R(N), R), (build_metric(N), C)):
+        for key in set(built.entries) | set(expected):
+            x = built.entries.get(key)
+            diff = (field.zero if x is None else value(x)) \
+                - expected.get(key, field.zero)
+            assert not diff.numer, (N, key)
 
 
 @pytest.mark.parametrize("s0", POINTS, ids=str)

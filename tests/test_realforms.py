@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qortho.errors import BadFamily, NoPlaneConjugation, Unclassifiable
+from qortho.errors import (
+    BadFamily, DimMismatch, NoPlaneConjugation, Unclassifiable,
+)
 from qortho.linalg import (
     SqMat, bar_mat, classical_mat, first_diff, inverse, kron_embed,
 )
@@ -242,7 +244,7 @@ def product_equivalence_witness(A, spec1, spec2, shape):
     if not ((X == C and Y == C) or (X == -C and Y == -C)):
         return False, {"condition": "metric",
                        "detail": product_witness(Y, X) or product_witness(X, C)}
-    G1, G2 = spec1.composed(N), spec2.composed(N)
+    G1, G2 = spec1._composed(N).sqmat(), spec2._composed(N).sqmat()
     barA = bar_mat(A, spec1.regime)
     if spec1.base == STAR:
         lhs, rhs = C.transpose() * G1 * A, barA * C.transpose() * G2
@@ -389,7 +391,7 @@ def test_composed_sharp_dprime_squares_to_plus_one():
     for N in (4, 6):
         D = canonical_D(N)
         for dp in enumerate_autos(N, "dprime"):
-            G = ConjugationSpec(STAR, [D, dp], REAL).composed(N)
+            G = ConjugationSpec(STAR, [D, dp], REAL)._composed(N).sqmat()
             assert G * G == SqMat.identity(N)
 
 
@@ -530,6 +532,75 @@ def test_monomial_checks_take_no_sqmat_product(monkeypatch):
     assert calls == []
 
 
+def family_members(N):
+    members = [canonical_D(N)] + enumerate_autos(N, "dprime")
+    return members + (enumerate_autos(N, "dsecond") if N % 2 == 0 else [])
+
+
+@pytest.mark.parametrize("N", range(4, 9))
+def test_family_suite_parses_no_matrix_and_builds_no_sqmat(N, monkeypatch):
+    # a member is held as its _Monomial from construction to verdict
+    import qortho.cli as cli
+    import qortho.realforms as realforms
+    shape = GroupShape(N)
+    realforms._monomial_C(shape)  # C is parsed once per shape, not here
+    calls, parse, sqmat = [], realforms._parse, _Monomial.sqmat
+    monkeypatch.setattr(realforms, "_parse",
+                        lambda *args: calls.append("parse") or parse(*args))
+    monkeypatch.setattr(_Monomial, "sqmat",
+                        lambda self: calls.append("sqmat") or sqmat(self))
+    check = cli._auto_suite_check(shape)
+    assert check["pass"] and check["data"]["members"] == len(family_members(N))
+    assert calls == []
+
+
+@pytest.mark.parametrize("N", range(3, 9))
+def test_member_checks_give_the_same_result_for_mono_and_mat(N):
+    # each member, and each times diag(s, 1, ..., 1, 1/s), which keeps the
+    # metric and fails D^2 = +-1, as a _Monomial and as the SqMat derived
+    shape = GroupShape(N)
+    torus = _Monomial(range(N), [GaussRat(1)] * N, [1] + [0] * (N - 2) + [-1])
+    verdicts = set()
+    for m in family_members(N):
+        assert _monomial(m.mat) == m.mono
+        for X in (m.mono, m.mono * torus):
+            mat = X.sqmat()
+            result = check_auto_conditions(X, shape)
+            assert result == check_auto_conditions(mat, shape)
+            verdicts.add(result[0] or result[1]["condition"])
+            for base in (STAR, CROSS):
+                assert check_reality(X, base, shape) == \
+                    check_reality(mat, base, shape)
+    assert verdicts == {True, "square"}
+
+
+def test_monomial_of_another_dimension_raises_dim_mismatch():
+    with pytest.raises(DimMismatch, match=r"^matrix of dim 5 for N=4$"):
+        check_auto_conditions(_Monomial.identity(5), GroupShape(4))
+
+
+@pytest.mark.parametrize("N", range(3, 11))
+def test_classical_C_is_taken_once_from_the_monomial_C(N, monkeypatch):
+    import qortho.realforms as realforms
+    shape = GroupShape(N)
+    C1 = classical_mat(shape.C)
+    specs = [star([dp]) for dp in enumerate_autos(N, "dprime")] + [cross([])]
+    dseconds = enumerate_autos(N, "dsecond") if N % 2 == 0 else []
+    if dseconds:
+        assert check_sostar(shape, dseconds[0])  # steps (i), (ii): once
+    taken = []
+    monkeypatch.setattr(realforms, "classical_mat",
+                        lambda A: taken.append(A) or classical_mat(A))
+    for spec in specs:
+        classify(spec, shape)
+    assert all(check_sostar(shape, ds) for ds in dseconds)
+    assert len(taken) == len(specs)  # K's alone, one per spec
+    assert all(A is not shape.C for A in taken)
+    assert realforms._classical_C(shape) is realforms._classical_C(shape)
+    assert realforms._classical_C(shape) == _monomial(C1)
+    assert realforms._classical_C(shape).sqmat() == C1
+
+
 def test_classify_multiplies_only_for_fixed_basis_and_signature(monkeypatch):
     import qortho.realforms as realforms
     fixed_basis, entered = realforms.antilinear_fixed_basis, []
@@ -606,7 +677,7 @@ def test_unclassifiable_message_matches_first_diff(data):
     autos += data.draw(st.lists(st.sampled_from(members), max_size=2))
     spec = data.draw(st.sampled_from((star, cross)))(
         data.draw(st.permutations(autos)))
-    G = spec.composed(N)
+    G = spec._composed(N).sqmat()
     G2, I = G * G, SqMat.identity(N)
     assume(G2 != I and G2 != -I)
     fails = []
@@ -724,8 +795,9 @@ def test_witness_imaginary_reduction_at_q1(N):
         A = SqMat(N, entries)
         assert A * ds.mat == target.mat * A
         assert A.transpose() * C1 * A == C1 and A * C1 * A.transpose() == C1
-        lhs = C1.transpose() * star([ds]).composed(N) * A
-        rhs = bar_mat(A, REAL) * C1.transpose() * star([target]).composed(N)
+        lhs = C1.transpose() * star([ds])._composed(N).sqmat() * A
+        rhs = (bar_mat(A, REAL) * C1.transpose()
+               * star([target])._composed(N).sqmat())
         assert _match_up_to_unit(_monomial(lhs), _monomial(rhs))
         assert check_sostar(shape, ds)
         ok, witness = check_equivalence_witness(A, star([ds]), star([target]),

@@ -227,6 +227,106 @@ def test_bar_multiplicative(a, b, regime):
     assert (a + b).bar(regime) == a.bar(regime) + b.bar(regime)
 
 
+# --- sympy oracle: the ring on sympy's polynomials over Q(i) ---------------
+#
+# A Scalar (n0 + t n1)/d maps to the triple (n0, n1, d) of sympy
+# polynomials in s over Q(i), all three shifted by one power of s so that
+# no exponent is negative.  The ring operations reduce t^2 to
+# w = (s^2 + 1)/s and take no gcd, and two values are equal when the
+# numerator of their difference is zero, on the t^0 and t^1 parts
+# separately.  So they share no code with the scalar kernel and do not
+# depend on a canonical form.
+
+class Oracle:
+
+    def __init__(self):
+        self.sympy = sympy = pytest.importorskip("sympy")
+        self.ring, self.s = sympy.ring("s", sympy.QQ_I)
+        self.QQ_I = sympy.QQ_I
+
+    def gauss(self, c):
+        QQ = self.sympy.QQ
+        return self.QQ_I(QQ(c.a, c.d), QQ(c.b, c.d))
+
+    def triple(self, n0, n1, d):
+        # (n0 + t n1)/d for dicts {k: GaussRat}, all three times s^-m
+        m = min([0, *n0, *n1, *d])
+        return tuple(self.ring.from_dict({(k - m,): self.gauss(c)
+                                          for k, c in p.items()})
+                     for p in (n0, n1, d))
+
+    def image(self, x):
+        return self.triple(x.n0, x.n1, x.d)
+
+    def add(self, x, y):
+        (a0, a1, ad), (b0, b1, bd) = x, y
+        return a0 * bd + b0 * ad, a1 * bd + b1 * ad, ad * bd
+
+    def times(self, x, y):
+        (a0, a1, ad), (b0, b1, bd), s = x, y, self.s
+        return (s * a0 * b0 + (s * s + 1) * a1 * b1,
+                s * (a0 * b1 + a1 * b0), s * ad * bd)
+
+    def inv(self, x):
+        # 1/(a0 + t a1) = (a0 - t a1)/(a0^2 - w a1^2)
+        (a0, a1, ad), s = x, self.s
+        return s * ad * a0, -s * ad * a1, s * a0 * a0 - (s * s + 1) * a1 * a1
+
+    def bar(self, x, regime):
+        # conjugate every coefficient; |q| = 1 also sends s to 1/s, and
+        # s^top then clears the denominators it makes
+        top = max(p.degree() for p in x)
+
+        def conj(p):
+            return self.ring.from_dict({
+                (top - k if regime is UNIT else k,): self.QQ_I(c.x, -c.y)
+                for (k,), c in p.terms()})
+        return tuple(conj(p) for p in x)
+
+    def equal(self, x, y):
+        (a0, a1, ad), (b0, b1, bd) = x, y
+        return a0 * bd == b0 * ad and a1 * bd == b1 * ad
+
+
+@given(polys, polys, nonzero_polys, scalars(), st.sampled_from([REAL, UNIT]))
+@settings(max_examples=60, deadline=None)
+def test_ring_operations_match_sympy(n0, n1, d, b, regime):
+    oracle = Oracle()
+    a = Scalar(n0, n1, d)
+    A, B = oracle.image(a), oracle.image(b)
+    # the canonical form keeps the value of (n0 + t n1)/d as given
+    assert oracle.equal(A, oracle.triple(n0, n1, d))
+    assert oracle.equal(oracle.image(a + b), oracle.add(A, B))
+    assert oracle.equal(oracle.image(a * b), oracle.times(A, B))
+    if not a.is_zero():
+        assert oracle.equal(oracle.image(a.inv()), oracle.inv(A))
+    assert oracle.equal(oracle.image(a.bar(regime)), oracle.bar(A, regime))
+    if not a.n1:
+        # at s = 1, on the t^0 part in lowest terms
+        num, den = A[0].cancel(A[2])
+        if den(1):
+            assert oracle.gauss(a.classical_limit()) == num(1) / den(1)
+        else:
+            with pytest.raises(PoleAtOne):
+                a.classical_limit()
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_scalar_equality_matches_sympy(data):
+    oracle = Oracle()
+    x, z = data.draw(scalars()), data.draw(scalars())
+    assume(not z.is_zero())
+    # y: another scalar; x plus p or t p for a Laurent polynomial p, which
+    # changes x's t^0 or t^1 part alone; or x's value rebuilt through z
+    p = data.draw(polys)
+    candidates = [z, x + Scalar(p), x + Scalar(None, p), x * z / z, x + z - z]
+    if not x.is_zero():
+        candidates.append((x.inv() * z).inv() * z)
+    y = data.draw(st.sampled_from(candidates))
+    assert (x == y) == oracle.equal(oracle.image(x), oracle.image(y))
+
+
 @given(scalars(), scalars(), scalars())
 @settings(max_examples=100, deadline=None)
 def test_ring_axioms(a, b, c):
