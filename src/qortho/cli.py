@@ -12,7 +12,7 @@ from .errors import (
     BadFamily, BadN, NoPlaneConjugation, NotInvolution, QorthoError,
     Unclassifiable,
 )
-from .linalg import SqMat, classical_mat, products_equal, rank
+from .linalg import SqMat, classical_mat, linear_combination, rank, sums_equal
 from .qplane import check_confluence, check_star_consistency, \
     plane_relations, quotient_check, rules_json
 from .realforms import (
@@ -20,7 +20,7 @@ from .realforms import (
     check_auto_conditions, check_reality, classify, count_real_forms,
     enumerate_autos, plane_conjugation_matrix,
 )
-from .rmatrix import GroupShape, check_char_eq, check_r_reality, check_ybe
+from .rmatrix import GroupShape, _char_eq_factors, check_r_reality, check_ybe
 from .scalars import ConjRegime, Scalar
 
 YBE_CAP = 12
@@ -209,23 +209,33 @@ def cmd_ybe(args):
 
 def _projector_checks(shape):
     # each projector is its numerator over den != 0, and
-    # (X/den)(Y/den) = Z/den exactly when X Y = Z (den I)
+    # (X/den)(Y/den) = Z/den exactly when X Y = Z (den I); the identities
+    # are decided together, in one integer pass of `sums_equal`
     N = shape.N
     den, P0, PA, PS, Rhat = shape.projectors
-    den_I = SqMat.identity(N * N).scale(den)
-    trace = P0.trace() * den.inv()
+    den_I = linear_combination([(den, SqMat.identity(N * N))])
+    # P0's trace over den, which is 1 exactly when the trace equals den
+    trace = P0.trace()
+    trace = Scalar.one() if trace == den else trace * den.inv()
     rank_pa = rank(shape.pa_rows)
+    p0_idem, pa_idem, pa_p0, p0_pa, total, char_eq = sums_equal([
+        ([[P0, P0]], [[P0, den_I]]),
+        ([[PA, PA]], [[PA, den_I]]),
+        ([[PA, P0]], []),
+        ([[P0, PA]], []),
+        ([[P0], [PA], [PS]], [[den_I]]),
+        ([_char_eq_factors(Rhat, N)], []),
+    ])
     return [
-        _check("p0_idempotent", products_equal([P0, P0], [P0, den_I])),
-        _check("pa_idempotent", products_equal([PA, PA], [PA, den_I])),
-        _check("pa_p0_orthogonal",
-               products_equal([PA, P0]) and products_equal([P0, PA])),
-        _check("sum_is_identity", P0 + PA + PS == den_I),
+        _check("p0_idempotent", p0_idem),
+        _check("pa_idempotent", pa_idem),
+        _check("pa_p0_orthogonal", pa_p0 and p0_pa),
+        _check("sum_is_identity", total),
         _check("trace_p0", trace == Scalar.one(),
                data={"trace": str(trace)}),
         _check("rank_pa", rank_pa == N * (N - 1) // 2,
                data={"rank": rank_pa}),
-        _check("char_eq", check_char_eq(Rhat, N)),
+        _check("char_eq", char_eq),
     ]
 
 

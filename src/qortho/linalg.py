@@ -26,7 +26,8 @@ from .errors import (
     Degenerate, DimMismatch, NotInvolution, NotReal, NotSymmetric, Singular,
 )
 from .scalars import (
-    ConjRegime, GaussRat, Scalar, _accumulate, _lp_divexact, _lp_gcd, _lp_ground,
+    _ONE_POLY, ConjRegime, GaussRat, Scalar, _accumulate, _lp_divexact, _lp_gcd,
+    _lp_ground,
 )
 
 
@@ -78,7 +79,7 @@ class SqMat:
     @staticmethod
     def identity(dim):
         one = Scalar.one()
-        return SqMat(dim, {(i, i): one for i in range(1, dim + 1)})
+        return SqMat._of(dim, {(i, i): one for i in range(1, dim + 1)})
 
     @staticmethod
     def diag(values):
@@ -170,13 +171,40 @@ class SqMat:
 
 
 def bar_mat(A, regime):
-    """Entrywise bar conjugation."""
-    return A.map_entries(lambda v: v.bar(regime))
+    """Entrywise bar conjugation; the bar of a nonzero canonical entry is
+    a nonzero canonical entry."""
+    return SqMat._of(A.dim, {k: v.bar(regime) for k, v in A.entries.items()})
 
 
 def classical_mat(A):
-    """Entrywise evaluation at s=1; entries stay Scalar constants."""
-    return A.map_entries(lambda v: Scalar.from_gauss(v.classical_limit()))
+    """Entrywise evaluation at s=1; entries stay Scalar constants, built
+    canonical, and the ones whose limit is 0 are left out."""
+    out = {}
+    for k, v in A.entries.items():
+        g = v.classical_limit()
+        if not g.is_zero():
+            out[k] = Scalar._of({0: g}, {}, _ONE_POLY)
+    return SqMat._of(A.dim, out)
+
+
+def linear_combination(terms):
+    """The sum of c X over the (c, X) pairs of `terms`, matrices of one
+    dim: each entry is one `Scalar.sum_of_products` of its (c, X entry)
+    pairs, so a polynomial combination forms no intermediate matrix and
+    runs no gcd.  Entries that cancel are left out."""
+    dim = terms[0][1].dim
+    pairs = {}
+    for c, X in terms:
+        if X.dim != dim:
+            raise DimMismatch(f"{dim} vs {X.dim}")
+        for key, v in X.entries.items():
+            pairs.setdefault(key, []).append((c, v))
+    out = {}
+    for key, entry in pairs.items():
+        x = Scalar.sum_of_products(entry)
+        if not x.is_zero():
+            out[key] = x
+    return SqMat._of(dim, out)
 
 
 def kron_embed(A, slot, width, arity):
@@ -221,10 +249,21 @@ def first_diff(X, Y):
 
 def products_equal(left, right=()):
     """Whether X1...Xm = Y1...Ym for the matrices Xi of `left` and Yi of
-    `right` (X1...Xm = 0 when `right` is empty), decided exactly over the
-    integers by the substitution s -> 2^k.  A nonempty `right` has m
-    factors too.  Every entry of every factor must lie in Z[s, s^-1];
-    `_kronecker_images` raises TypeError for any other.
+    `right` (X1...Xm = 0 when `right` is empty): the one-identity case of
+    `sums_equal`.  A nonempty `right` has m factors too."""
+    return sums_equal([([left], [right] if right else [])])[0]
+
+
+def sums_equal(identities):
+    """For each identity (lhs, rhs) of `identities`, whether the sum of the
+    products X1...Xm over the chains [X1, ..., Xm] of lhs equals that over
+    the chains of rhs (an empty side is 0), decided exactly over the
+    integers by the substitution s -> 2^k, in one pass: one
+    `_kronecker_images` call encodes every distinct entry of every factor
+    once, with one k for all the identities.  Every chain of one identity
+    has the same number m of factors (ValueError otherwise).  Every entry
+    of every factor must lie in Z[s, s^-1]; `_kronecker_images` raises
+    TypeError for any other.
 
     Let the l1 norm of a row be the sum of the absolute values of its
     entries' coefficients, and rho(X) the largest over the rows of X.  Row
@@ -232,13 +271,17 @@ def products_equal(left, right=()):
     X as weights, and the l1 norm of a product of Laurent polynomials is at
     most the product of their norms, so the norm of row i of XY is at most
     that of row i of X times rho(Y).  Every coefficient of every entry of
-    either product is therefore at most
-    beta = max(rho(X1)...rho(Xm), rho(Y1)...rho(Ym)) in absolute value,
-    and every coefficient of their difference at most 2 beta.  With
-    2^k > 8 beta that is below 2^k / 4, and an integer has at most one
-    base-2^k expansion with digits in (-2^k / 2, 2^k / 2), so an entry of
-    the difference vanishes exactly when its image does: the verdict is
-    exact both ways, and `_decode` reads an entry back from its image.
+    a chain's product is therefore at most rho(X1)...rho(Xm) in absolute
+    value, and by the triangle inequality every coefficient of a side's
+    sum at most that side's bound, the sum over its chains of
+    rho(X1)...rho(Xm).  Let beta be the largest bound of any side of any
+    identity: every coefficient of the difference of two sides is at most
+    2 beta.  With 2^k > 8 beta that is below 2^k / 4, and an integer has
+    at most one base-2^k expansion with digits in (-2^k / 2, 2^k / 2), so
+    an entry of the difference vanishes exactly when its image does: each
+    verdict is exact both ways, and `_decode` reads an entry back from its
+    image.  A k above what one identity alone needs only widens its
+    images.
 
     Entries are encoded shifted by the lowest s-exponent lo over all
     factors and in the variable u = s^g, where g is the gcd of every
@@ -248,63 +291,98 @@ def products_equal(left, right=()):
     polynomials in u, so the argument above holds with u in place of s:
     the coefficients of P are those of the entry, the norms are unchanged,
     and an integer polynomial in u with coefficients below 2^k / 4
-    vanishes exactly when its value at u = 2^k does.  Both sides carry the
-    same shift s^(m lo), so they agree exactly when their shifted products
-    do.  For every even N, g = 2 for R and the projectors (all their
-    exponents are even), which halves the images' width.
+    vanishes exactly when its value at u = 2^k does.  Every chain of one
+    identity carries the same shift s^(m lo), so its sides agree exactly
+    when their shifted sums do.  For every even N, g = 2 for R and the
+    projectors (all their exponents are even), which halves the images'
+    width.
     """
-    if right and len(right) != len(left):
-        raise ValueError(f"{len(left)} factors against {len(right)}")
-    images = _kronecker_images(left, right)[3]
+    for lhs, rhs in identities:
+        lengths = {len(chain) for chain in (*lhs, *rhs)}
+        if len(lengths) > 1:
+            raise ValueError(f"chains of {sorted(lengths)} factors in one "
+                             "identity")
+    sides = [side for identity in identities for side in identity]
+    images = _kronecker_images(*sides)[3]
     rows = {}
-    for X in (*left, *right):
-        if id(X) not in rows:
-            rows[id(X)] = _int_rows(X, images)
-    (x1, *xs), (y1, *ys) = ([rows[id(X)] for X in left],
-                            [rows[id(Y)] for Y in right] or [{}])
-    # one row of each side at a time, so no full product is held
-    for i in x1.keys() | y1.keys():
-        x, y = x1.get(i, {}), y1.get(i, {})
-        for X in xs:
-            x = _row_times(x, X)
-        for Y in ys:
-            y = _row_times(y, Y)
-        if x != y:
-            return False
-    return True
+    for side in sides:
+        for chain in side:
+            for X in chain:
+                if id(X) not in rows:
+                    rows[id(X)] = _int_rows(X, images)
+    return [_sides_equal([[rows[id(X)] for X in chain] for chain in lhs],
+                         [[rows[id(X)] for X in chain] for chain in rhs])
+            for lhs, rhs in identities]
 
 
-def _kronecker_images(left, right):
-    """(k, lo, g, images): the smallest k with 2^k > 8 beta (see
-    `products_equal`), the lowest s-exponent lo of any factor, the gcd g of
-    every e - lo (1 when all exponents are lo) and, under id(v) for each
-    entry v of a factor, the integer sum c_e 2^(k (e - lo) / g).  Each
-    distinct entry object is encoded once.  Raises TypeError if an entry
-    is outside Z[s, s^-1]."""
+def _sides_equal(lhs, rhs):
+    # whether two sides of integer-row chains have equal sums, one row of
+    # each side at a time, in row order, so no full product is held
+    rows = set()
+    for first, *_ in (*lhs, *rhs):
+        rows.update(first)
+    return all(_side_row(lhs, i) == _side_row(rhs, i) for i in sorted(rows))
+
+
+def _side_row(side, i):
+    # row i of the sum of the side's chain products, zero entries dropped
+    rows = []
+    for first, *rest in side:
+        row = first.get(i, {})
+        for X in rest:
+            row = _row_times(row, X)
+        rows.append(row)
+    if len(rows) == 1:
+        return rows[0]
+    total = {}
+    for row in rows:
+        for j, x in row.items():
+            total[j] = total.get(j, 0) + x
+    return {j: x for j, x in total.items() if x}
+
+
+def _kronecker_images(*sides):
+    """(k, lo, g, images) for the sides of `sums_equal`, each a list of
+    chains of factors: the smallest k with 2^k > 8 beta (see `sums_equal`),
+    the lowest s-exponent lo of any factor, the gcd g of every e - lo (1
+    when all exponents are lo) and, under id(v) for each entry v of a
+    factor, the integer sum c_e 2^(k (e - lo) / g).  Each distinct entry
+    object is encoded once.  Raises TypeError if an entry is outside
+    Z[s, s^-1]."""
     polys, rho = {}, {}
-    for X in (*left, *right):
-        if id(X) in rho:
-            continue
-        norms = {}
-        for (r, _), v in X.entries.items():
-            found = polys.get(id(v))
-            if found is None:
-                # a canonical denominator with one term is 1
-                if v.n1 or len(v.d) != 1 or any(
-                        x.b or x.d != 1 for x in v.n0.values()):
-                    raise TypeError(f"entry {v} is outside Z[s, s^-1]")
-                poly = {e: x.a for e, x in v.n0.items()}
-                found = polys[id(v)] = poly, sum(map(abs, poly.values()))
-            norms[r] = norms.get(r, 0) + found[1]
-        rho[id(X)] = max(norms.values(), default=0)
-    beta = max(math.prod(rho[id(X)] for X in side)
-               for side in (left, right) if side)
+    for side in sides:
+        for chain in side:
+            for X in chain:
+                if id(X) not in rho:
+                    rho[id(X)] = _row_norm(X, polys)
+    beta = max((sum(math.prod(rho[id(X)] for X in chain) for chain in side)
+                for side in sides), default=0)
     k = (8 * beta).bit_length()
     lo = min((e for poly, _ in polys.values() for e in poly), default=0)
     g = math.gcd(*(e - lo for poly, _ in polys.values() for e in poly)) or 1
     return k, lo, g, {
         i: sum(c << (k * ((e - lo) // g)) for e, c in poly.items())
         for i, (poly, _) in polys.items()}
+
+
+def _row_norm(X, polys):
+    # rho(X), adding each new entry's (integer poly, l1 norm) to polys
+    norms = {}
+    for (r, _), v in X.entries.items():
+        found = polys.get(id(v))
+        if found is None:
+            # a canonical denominator with one term is 1
+            if v.n1 or len(v.d) != 1:
+                raise TypeError(f"entry {v} is outside Z[s, s^-1]")
+            poly, norm = {}, 0
+            for e, x in v.n0.items():
+                if x.b or x.d != 1:
+                    raise TypeError(f"entry {v} is outside Z[s, s^-1]")
+                poly[e] = x.a
+                norm += abs(x.a)
+            found = polys[id(v)] = poly, norm
+        norms[r] = norms.get(r, 0) + found[1]
+    return max(norms.values(), default=0)
 
 
 def _decode(n, k, shift, g):
@@ -376,6 +454,8 @@ def row_reduce(rows):
     for index, row in enumerate(rows):
         vec = _polynomial_row(row)
         for piv, brow, _ in basis:
+            if not vec:
+                break
             f = vec.get(piv)
             if f is not None:
                 vec = _eliminate(vec, brow[piv], f, brow)
@@ -576,8 +656,9 @@ def antilinear_fixed_basis(K):
     if diff is not None:
         raise NotInvolution(f"K*bar(K) differs from I at ({diff[0]},{diff[1]})")
     half = Scalar.from_frac(2).inv()
-    candidates = (_rows((I + K).scale(half))
-                  + _rows((I - K).scale(Scalar.i_unit() * half)))
+    ihalf = Scalar.i_unit() * half
+    candidates = (_rows(linear_combination([(half, I), (half, K)]))
+                  + _rows(linear_combination([(ihalf, I), (-ihalf, K)])))
     basis = row_reduce(candidates)
     return SqMat._of(n, {(r + 1, c + 1): v for r, (_, _, index) in enumerate(basis)
                          for c, v in candidates[index].items()})

@@ -7,8 +7,8 @@ checks in realforms, qplane and cli take it instead of N."""
 
 from .errors import BadN
 from .linalg import (
-    SqMat, _decode, _kronecker_images, bar_mat, inverse, kron_embed, pack,
-    products_equal, row_reduce, unpack,
+    SqMat, _decode, _kronecker_images, bar_mat, inverse, kron_embed,
+    linear_combination, pack, products_equal, row_reduce, unpack,
 )
 from .scalars import ConjRegime, Scalar, _s_power
 
@@ -154,14 +154,15 @@ def _integer_ybe(R, N, R12, R23):
     Every row of R12, R13 and R23 is a row of R with its columns relabeled,
     holding R's own entry objects, so all three factors have R's row norms,
     beta = rho(R)^3, and the images of R's entries alone serve both sides
-    (`_kronecker_images([R] * 3, [R] * 3)`).  R13 is never formed: its row
-    (a, b, c) is R's row (a, c) with column (a', c') placed at (a', b, c').
+    (`_kronecker_images([[R] * 3], [[R] * 3])`, two sides of one chain
+    each).  R13 is never formed: its row (a, b, c) is R's row (a, c) with
+    column (a', c') placed at (a', b, c').
     Each output row of LHS - RHS is accumulated into one dict, depth first
     through the three factors; the first row with a nonzero entry differs.
     There each side's integer at the lowest such column is summed alone
     and decoded with the shift 3 lo of a three-factor product."""
     # bits is the k of 2^k: k names a column below
-    bits, lo, g, images = _kronecker_images([R] * 3, [R] * 3)
+    bits, lo, g, images = _kronecker_images([[R] * 3], [[R] * 3])
     NN, size = N * N, N ** 3
     # {row: [(col, image)]} as lists indexed by the 1-based row
     r12, r23 = [[] for _ in range(size + 1)], [[] for _ in range(size + 1)]
@@ -229,7 +230,9 @@ def build_projectors(R, N):
     q^(-rho_a - rho_c): den = E D, P0 = E M (P0 = M / D over den),
     PA = D (q I - Rhat) - (q - q^(1-N)) M, where q is the unique coefficient
     of I making PA a projector orthogonal to P0, and
-    PS = D (Rhat + q^-1 I) - (q^-1 + q^(1-N)) M.
+    PS = D (Rhat + q^-1 I) - (q^-1 + q^(1-N)) M.  Each is one
+    `linear_combination` of I, Rhat and M, so no intermediate matrix is
+    formed.
     """
     q = Scalar.q_power(1)
     qi = Scalar.q_power(-1)
@@ -237,14 +240,16 @@ def build_projectors(R, N):
     rho2 = _rho2(N)
     D = sum((_s_power(-2 * r) for r in rho2), Scalar.zero())
     E = q + qi
-    M = SqMat(N * N, {(pack((a, shape.prime(a)), N), pack((c, shape.prime(c)), N)):
-                      _s_power(-rho2[a - 1] - rho2[c - 1])
-                      for a in range(1, N + 1) for c in range(1, N + 1)})
+    M = SqMat._of(N * N, {
+        (pack((a, shape.prime(a)), N), pack((c, shape.prime(c)), N)):
+        _s_power(-rho2[a - 1] - rho2[c - 1])
+        for a in range(1, N + 1) for c in range(1, N + 1)})
     Rhat = build_rhat(R, N)
     I = SqMat.identity(N * N)
-    PA = (q * I - Rhat).scale(D) - M.scale(q - Scalar.q_power(1 - N))
-    PS = (Rhat + qi * I).scale(D) - M.scale(qi + Scalar.q_power(1 - N))
-    return E * D, M.scale(E), PA, PS, Rhat
+    q1N = Scalar.q_power(1 - N)
+    PA = linear_combination([(D * q, I), (-D, Rhat), (q1N - q, M)])
+    PS = linear_combination([(D * qi, I), (D, Rhat), (-(qi + q1N), M)])
+    return E * D, linear_combination([(E, M)]), PA, PS, Rhat
 
 
 def build_pa_rows(PA, Rhat, N):
@@ -263,7 +268,8 @@ def build_pa_rows(PA, Rhat, N):
     this matrix again, in this column order or in
     `qplane.plane_relations`'s, takes no elimination step."""
     support = {pack((a, N + 1 - a), N) for a in range(1, N + 1)}
-    cleared = Scalar.q_power(1) * SqMat.identity(N * N) - Rhat
+    cleared = linear_combination([(Scalar.q_power(1), SqMat.identity(N * N)),
+                                  (-Scalar.one(), Rhat)])
     rows = [{} for _ in range(N * N)]
     for X, on_support in ((PA, True), (cleared, False)):
         for (r, c), v in X.entries.items():
@@ -275,11 +281,17 @@ def build_pa_rows(PA, Rhat, N):
 
 
 def check_char_eq(Rhat, N):
-    """Cubic characteristic equation of the flipped R matrix Rhat."""
-    I = SqMat.identity(N * N)
-    return products_equal([Rhat - Scalar.q_power(1) * I,
-                           Rhat + Scalar.q_power(-1) * I,
-                           Rhat - Scalar.q_power(1 - N) * I])
+    """Cubic characteristic equation of the flipped R matrix Rhat:
+    (Rhat - q I)(Rhat + q^-1 I)(Rhat - q^(1-N) I) = 0."""
+    return products_equal(_char_eq_factors(Rhat, N))
+
+
+def _char_eq_factors(Rhat, N):
+    # the three factors of `check_char_eq`, each one `linear_combination`
+    I, one = SqMat.identity(N * N), Scalar.one()
+    return [linear_combination([(one, Rhat), (c, I)])
+            for c in (-Scalar.q_power(1), Scalar.q_power(-1),
+                      -Scalar.q_power(1 - N))]
 
 
 def check_r_reality(R, shape, regime):

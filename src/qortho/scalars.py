@@ -469,7 +469,12 @@ class Scalar:
 
     def bar(self, regime):
         unit = regime is ConjRegime.UNIT_MODULUS_Q
-        return Scalar(_lp_bar(self.n0, unit), _lp_bar(self.n1, unit), _lp_bar(self.d, unit))
+        n0, n1 = _lp_bar(self.n0, unit), _lp_bar(self.n1, unit)
+        if len(self.d) == 1:
+            # over d = 1 the bar is canonical as built: conjugation keeps
+            # every coefficient nonzero
+            return Scalar._of(n0, n1, self.d)
+        return Scalar(n0, n1, _lp_bar(self.d, unit))
 
     def classical_limit(self):
         if self.n1:

@@ -16,7 +16,7 @@ from qortho.errors import (
 )
 from qortho.linalg import (
     SqMat, _rows, antilinear_fixed_basis, bar_mat, classical_mat, inverse,
-    kron_embed, pack, rank, row_reduce, signature, unpack,
+    kron_embed, linear_combination, pack, rank, row_reduce, signature, unpack,
 )
 from qortho.rmatrix import GroupShape, build_R
 from qortho.scalars import ConjRegime, GaussRat, Scalar, _accumulate
@@ -462,3 +462,106 @@ def test_row_reduce_matches_gauss_jordan_on_cli_inputs(N, monkeypatch):
     assert any(len(rows) == 2 * N for _, rows in inputs)
     for _, rows in inputs:
         assert row_reduce(rows) == gauss_jordan(rows)
+
+
+# --- canonical fast paths against the checking constructors -------------------
+
+def canonical_forms(A):
+    """Each entry's dicts, after checking that the checking constructor
+    rebuilds the entry with the same dicts."""
+    out = {}
+    for key, v in A.entries.items():
+        forms = (dict(v.n0), dict(v.n1), dict(v.d))
+        again = Scalar(v.n0, v.n1, v.d)
+        assert (dict(again.n0), dict(again.n1), dict(again.d)) == forms
+        assert not v.is_zero()
+        out[key] = forms
+    return out
+
+
+index3 = st.tuples(st.integers(1, 3), st.integers(1, 3))
+matrices = st.dictionaries(index3, entries, max_size=6).map(
+    lambda e: SqMat(3, e))
+coefficients = st.one_of(entries, multipliers, st.just(Scalar.zero()))
+
+
+@given(st.lists(st.tuples(coefficients, matrices), min_size=1, max_size=4),
+       st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_linear_combination_matches_chained_arithmetic(terms, cancel):
+    # with cancel, c X is taken out again at the end, so the entries of X
+    # that no other term reaches cancel to absent keys
+    if cancel:
+        c, X = terms[0]
+        terms = terms + [(-c, X)]
+    chained = SqMat(3)
+    for c, X in terms:
+        chained = chained + X.scale(c)
+    combined = linear_combination(terms)
+    assert combined == chained
+    assert canonical_forms(combined) == canonical_forms(chained)
+
+
+def test_linear_combination_drops_what_cancels():
+    X = SqMat(2, {(1, 1): sp(1), (1, 2): sp(2) + ONE, (2, 1): I_})
+    Y = SqMat(2, {(1, 2): sp(2) + ONE})
+    Z = linear_combination([(ONE, X), (-ONE, Y)])
+    assert Z.entries == {(1, 1): sp(1), (2, 1): I_}
+    assert linear_combination([(sp(1), X), (-sp(1), X)]).entries == {}
+    with pytest.raises(DimMismatch):
+        linear_combination([(ONE, X), (ONE, SqMat.identity(3))])
+
+
+# entries with a classical limit: no t, and a denominator that does not
+# vanish at s = 1 (1 + s, s - i); s - s^-1 has the limit 0
+limits = st.one_of(
+    laurent_terms.map(lambda t: Scalar(laurent(t))),
+    st.builds(GaussRat, small_fracs, small_fracs).filter(
+        lambda g: not g.is_zero()).map(Scalar.from_gauss),
+    st.builds(lambda n0, d: Scalar(laurent(n0), None, d),
+              laurent_terms, st.sampled_from(DENOMINATORS[::2])),
+    st.just(sp(1) - sp(-1)),
+)
+
+
+@given(st.dictionaries(index3, limits, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_classical_mat_matches_the_checking_constructors(entries):
+    A = SqMat(3, entries)
+    checked = A.map_entries(lambda v: Scalar.from_gauss(v.classical_limit()))
+    assert classical_mat(A) == checked
+    assert canonical_forms(classical_mat(A)) == canonical_forms(checked)
+    assert set(classical_mat(A).entries) == {
+        key for key, v in A.entries.items()
+        if not v.classical_limit().is_zero()}
+
+
+@given(st.dictionaries(index3, entries, max_size=6),
+       st.sampled_from(list(ConjRegime)))
+@settings(max_examples=150, deadline=None)
+def test_bar_mat_matches_the_checking_constructors(entries, regime):
+    A = SqMat(3, entries)
+    checked = A.map_entries(lambda v: v.bar(regime))
+    assert bar_mat(A, regime) == checked
+    assert canonical_forms(bar_mat(A, regime)) == canonical_forms(checked)
+
+
+@pytest.mark.parametrize("N", range(3, 9))
+def test_bar_and_classical_maps_of_r_run_no_checking_constructor(
+        N, monkeypatch):
+    R, C = build_R(N), GroupShape(N).C
+    calls, init = [], Scalar.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    bars = [bar_mat(R, regime) for regime in ConjRegime]
+    limit = classical_mat(C)
+    assert not calls
+    monkeypatch.undo()
+    assert bars == [R.map_entries(lambda v: v.bar(regime))
+                    for regime in ConjRegime]
+    assert limit == C.map_entries(
+        lambda v: Scalar.from_gauss(v.classical_limit()))

@@ -555,6 +555,31 @@ def test_family_suite_parses_no_matrix_and_builds_no_sqmat(N, monkeypatch):
 
 
 @pytest.mark.parametrize("N", range(3, 9))
+def test_family_suite_squares_and_transposes_each_member_once(
+        N, monkeypatch):
+    # check_auto_conditions and the cross check_reality share D D, and the
+    # DCD check forms D^t once
+    import qortho.cli as cli
+    shape = GroupShape(N)
+    members = family_members(N)
+    monos = {id(m.mono) for m in members}
+    squares, transposes = [], []
+    mul, transpose = _Monomial.__mul__, _Monomial.transpose
+    # the suite checks these members, whose monomials are known here
+    monkeypatch.setattr(cli, "canonical_D", lambda N: members[0])
+    monkeypatch.setattr(cli, "enumerate_autos", lambda N, family: [
+        m for m in members if m.family == family])
+    monkeypatch.setattr(_Monomial, "__mul__", lambda self, other: (
+        squares.append(id(self)) if self is other else None) or mul(self, other))
+    monkeypatch.setattr(_Monomial, "transpose", lambda self: (
+        transposes.append(id(self)) if id(self) in monos else None)
+        or transpose(self))
+    check = cli._auto_suite_check(shape)
+    assert check["pass"] and check["data"]["members"] == len(members)
+    assert sorted(squares) == sorted(transposes) == sorted(monos)
+
+
+@pytest.mark.parametrize("N", range(3, 9))
 def test_member_checks_give_the_same_result_for_mono_and_mat(N):
     # each member, and each times diag(s, 1, ..., 1, 1/s), which keeps the
     # metric and fails D^2 = +-1, as a _Monomial and as the SqMat derived

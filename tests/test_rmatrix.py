@@ -14,7 +14,7 @@ from qortho.cli import _projector_checks, main
 from qortho.errors import BadN
 from qortho.linalg import (
     SqMat, _decode, _kronecker_images, classical_mat, first_diff, kron_embed,
-    pack, products_equal, rank, unpack,
+    pack, products_equal, rank, sums_equal, unpack,
 )
 from qortho.rmatrix import (
     GroupShape, _integer_ybe, build_metric, build_R, build_rhat, build_rho,
@@ -162,6 +162,11 @@ def ybe_sides(R, N):
     return [R12, R13, R23], [R23, R13, R12]
 
 
+def chain_images(left, right):
+    # `_kronecker_images` of the one identity left's product = right's
+    return _kronecker_images([left], [right] if right else [])
+
+
 def integer_verdict(R, N):
     return products_equal(*ybe_sides(R, N))
 
@@ -268,7 +273,7 @@ def test_ybe_sides_obey_the_coefficient_bound(monkeypatch, N):
             assert not v.n1 and v.d == {0: GaussRat(1)}
             assert all(c.d == 1 and not c.b and abs(c.a) <= rho ** 3
                        for c in v.n0.values())
-    k = _kronecker_images(*ybe_sides(R, N))[0]
+    k = chain_images(*ybe_sides(R, N))[0]
     assert 2 ** k > 8 * rho ** 3
     # the YBE kernel takes the images of R alone, and they are the ones
     # of the three embedded factors: the same k and entry objects
@@ -278,7 +283,7 @@ def test_ybe_sides_obey_the_coefficient_bound(monkeypatch, N):
                         lambda left, right: seen.append(images(left, right))
                         or seen[-1])
     assert _integer_ybe(R, N, R12, R23) is None
-    assert seen == [_kronecker_images(*ybe_sides(R, N))]
+    assert seen == [chain_images(*ybe_sides(R, N))]
     assert 2 ** seen[0][0] > 8 * rho ** 3
 
 
@@ -287,7 +292,7 @@ def test_even_n_images_are_half_as_wide(N):
     # every exponent of R is even for even N, so the images are taken in
     # s^2 and the widest is about half of what it is in s
     R = build_R(N)
-    k, lo, g, images = _kronecker_images([R] * 3, [R] * 3)
+    k, lo, g, images = _kronecker_images([[R] * 3], [[R] * 3])
     exponents = [e for v in R.entries.values() for e in v.n0]
     width_in_s = k * (max(exponents) - min(exponents))
     widest = max(abs(x).bit_length() for x in images.values())
@@ -345,7 +350,7 @@ def test_non_integer_r_raises_type_error(monkeypatch, c):
     R = build_R(3).scale(c)
     assert reference_ybe(R, 3) == (True, None)
     with pytest.raises(TypeError):
-        _kronecker_images(*ybe_sides(R, 3))
+        chain_images(*ybe_sides(R, 3))
     calls = count_products(monkeypatch)
     with pytest.raises(TypeError):
         check_ybe(R, 3)
@@ -418,10 +423,82 @@ def test_integer_chain_verdict_equals_product_verdict(case):
     assert products_equal(left, right) == chain_product_verdict(left, right)
 
 
+@st.composite
+def identity_lists(draw):
+    """Identities (lhs, rhs) over one small dim, each side a list of 0 to 3
+    chains of m factors (m per identity), every exponent a multiple of one
+    stride g; with a perturbed entry, or rhs the same chains regrouped, so
+    that both verdicts occur."""
+    dim = draw(st.integers(1, 3))
+    g = draw(st.sampled_from((1, 2, 3)))
+    index = st.tuples(st.integers(1, dim), st.integers(1, dim))
+    factor = st.dictionaries(index, laurent(g) | vanishing(g),
+                             max_size=dim * dim).map(
+        lambda entries: SqMat(dim, entries))
+    identities = []
+    for _ in range(draw(st.integers(1, 4))):
+        m = draw(st.integers(1, 3))
+        lhs = [[draw(factor) for _ in range(m)]
+               for _ in range(draw(st.integers(0, 3)))]
+        if lhs and draw(st.booleans()):
+            rhs = [chain[::-1] if m == 1 else
+                   [chain[0] * chain[1], *chain[2:], SqMat.identity(dim)]
+                   for chain in reversed(lhs)]
+            if draw(st.booleans()):
+                rhs[0][0] = perturbed(rhs[0][0], draw(index),
+                                      draw(laurent(g) | vanishing(g)))
+        else:
+            rhs = [[draw(factor) for _ in range(m)]
+                   for _ in range(draw(st.integers(0, 3)))]
+        identities.append((lhs, rhs))
+    return identities
+
+
+def sum_verdict(lhs, rhs):
+    # the two sides as Scalar sums of SqMat products
+    def total(side):
+        out = None
+        for chain in side:
+            product = chain[0]
+            for X in chain[1:]:
+                product = product * X
+            out = product if out is None else out + product
+        return out
+    left, right = total(lhs), total(rhs)
+    if left is None or right is None:
+        other = right if left is None else left
+        return other is None or other.is_zero()
+    return left == right
+
+
+@given(identity_lists())
+@settings(max_examples=200, deadline=None)
+def test_one_pass_verdicts_equal_sum_of_product_verdicts(identities):
+    verdicts = sums_equal(identities)
+    assert verdicts == [sum_verdict(lhs, rhs) for lhs, rhs in identities]
+    # each identity alone gives the verdict it gives among the others
+    assert verdicts == [sums_equal([identity])[0] for identity in identities]
+
+
+def test_k_bounds_the_sum_over_chains_not_the_largest_chain():
+    # 16 chains of 2^h against s: at s = 2^(h+4) both sides read 2^(h+4).
+    # A k from the largest chain's bound 2^h alone would be h + 4 and
+    # call them equal; the side's bound 16 2^h gives h + 8
+    h = 5
+    A = SqMat(1, {(1, 1): Scalar.from_frac(2 ** h)})
+    S = SqMat(1, {(1, 1): sp(1)})
+    k = _kronecker_images([[A]] * 16, [[S]])[0]
+    assert 2 ** k > 8 * 16 * 2 ** h
+    assert sums_equal([([[A]] * 16, [[S]])]) == [False]
+    assert sums_equal([([[A]] * 16, [[A] for _ in range(8)] * 2)]) == [True]
+
+
 def test_integer_chains_have_equal_lengths():
     I = SqMat.identity(2)
     with pytest.raises(ValueError):
         products_equal([I, I], [I])
+    with pytest.raises(ValueError):
+        sums_equal([([[I, I]], [[I, I]]), ([[I], [I, I]], [])])
 
 
 @pytest.mark.parametrize("c", [
@@ -458,7 +535,7 @@ def coded_entries(draw):
 def test_decoded_images_give_back_each_entry(case):
     g, entries = case
     X = SqMat.diag(entries)
-    k, lo, stride, images = _kronecker_images([X], [])
+    k, lo, stride, images = chain_images([X], [])
     exponents = {e for v in entries for e in v.n0}
     assert lo == min(exponents)
     assert stride % g == 0 or len(exponents) == 1
@@ -497,7 +574,7 @@ def test_projector_chains_obey_the_coefficient_bound(N):
                     assert all(c.d == 1 and not c.b and abs(c.a) <= bound
                                for c in v.n0.values())
             beta = max(beta, bound)
-        k = _kronecker_images(left, right)[0]
+        k = chain_images(left, right)[0]
         assert 2 ** k > 8 * beta
         assert products_equal(left, right)
 
@@ -591,6 +668,83 @@ def test_cleared_projector_checks_fail_on_corrupted_numerators():
     assert {"pa_idempotent", "sum_is_identity"} <= failed
     failed = failing_projector_checks(N, den * (ONE + Q), P0, PA, PS, Rhat)
     assert {"pa_idempotent", "sum_is_identity"} <= failed
+
+
+def reference_projector_verdicts(N, den, P0, PA, PS, Rhat):
+    """Each projector identity by its own `products_equal` call, or, for
+    sum_is_identity, a `Scalar` matrix comparison, with den I and the
+    char_eq factors from chained SqMat arithmetic; and P0's trace over den,
+    as the trace_p0 check reports it."""
+    I = SqMat.identity(N * N)
+    den_I = I.scale(den)
+    return str(P0.trace() * den.inv()), {
+        "p0_idempotent": products_equal([P0, P0], [P0, den_I]),
+        "pa_idempotent": products_equal([PA, PA], [PA, den_I]),
+        "pa_p0_orthogonal": (products_equal([PA, P0])
+                             and products_equal([P0, PA])),
+        "sum_is_identity": P0 + PA + PS == den_I,
+        "char_eq": products_equal([Rhat - Q * I, Rhat + QI * I,
+                                   Rhat - Scalar.q_power(1 - N) * I]),
+    }
+
+
+def perturbed(X, key, delta):
+    entries = dict(X.entries)
+    entries[key] = X.get(*key) + delta
+    return SqMat(X.dim, entries)
+
+
+@pytest.mark.parametrize("N", range(3, 7))
+def test_perturbed_projectors_give_each_check_its_own_verdict(N):
+    # one entry of P0, PA, PS or Rhat changed, present or absent before:
+    # the one integer pass gives every identity the verdict that its own
+    # product or Scalar comparison gives, and trace_p0 the quotient that
+    # the Scalar division gives
+    projectors = GroupShape(N).projectors
+    names = ("P0", "PA", "PS", "Rhat")
+    failed, traces = {}, set()
+    for slot, name in enumerate(names, 1):
+        X = projectors[slot]
+        absent = next(key for key in itertools.product(
+            range(1, N * N + 1), repeat=2) if key not in X.entries)
+        for key, delta in ((min(X.entries), ONE), (max(X.entries), sp(2)),
+                           (absent, -QI)):
+            args = list(projectors)
+            args[slot] = perturbed(X, key, delta)
+            shape = GroupShape(N)
+            shape.once("projectors", lambda: tuple(args))
+            result = {c["name"]: c for c in _projector_checks(shape)}
+            trace, expected = reference_projector_verdicts(N, *args)
+            assert {k: result[k]["pass"] for k in expected} == expected
+            assert result["trace_p0"]["data"] == {"trace": trace}
+            assert result["trace_p0"]["pass"] == (trace == "1*s^0")
+            traces.add(trace)
+            failed.setdefault(name, set()).update(
+                k for k, ok in expected.items() if not ok)
+    assert "1*s^0" in traces and len(traces) > 1
+    assert failed["PS"] == {"sum_is_identity"}
+    assert failed["Rhat"] == {"char_eq"}
+    assert set().union(*failed.values()) == {
+        "p0_idempotent", "pa_idempotent", "pa_p0_orthogonal",
+        "sum_is_identity", "char_eq"}
+
+
+@pytest.mark.parametrize("N", range(3, 9))
+def test_projector_checks_take_one_integer_pass_and_no_matrix_sums(
+        N, monkeypatch):
+    # from a fresh shape, builds included: one `_kronecker_images` call
+    # encodes every identity, and no SqMat sum, difference or scaling runs
+    calls = []
+    images = linalg._kronecker_images
+    monkeypatch.setattr(linalg, "_kronecker_images",
+                        lambda *sides: calls.append("images") or images(*sides))
+    for name in ("__add__", "__sub__", "scale"):
+        method = getattr(SqMat, name)
+        monkeypatch.setattr(SqMat, name, lambda *args, name=name, method=method:
+                            calls.append(name) or method(*args))
+    checks = _projector_checks(GroupShape(N))
+    assert all(c["pass"] for c in checks)
+    assert calls == ["images"]
 
 
 def test_char_eq():

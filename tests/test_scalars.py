@@ -15,8 +15,8 @@ from qortho.errors import DivisionByZero, PoleAtOne, ResidualT
 from qortho.linalg import SqMat, row_reduce
 from qortho.qplane import NCPoly, RewriteSystem, _normalize_terms, normal_form
 from qortho.scalars import (
-    ConjRegime, GaussRat, Scalar, _lp_add, _lp_divexact, _lp_divmod, _lp_gcd, _lp_mul,
-    _lp_nonzero, _lp_shift,
+    ConjRegime, GaussRat, Scalar, _lp_add, _lp_bar, _lp_divexact, _lp_divmod, _lp_gcd,
+    _lp_mul, _lp_nonzero, _lp_shift,
 )
 
 
@@ -225,6 +225,23 @@ def test_bar_involutive(a, regime):
 def test_bar_multiplicative(a, b, regime):
     assert (a * b).bar(regime) == a.bar(regime) * b.bar(regime)
     assert (a + b).bar(regime) == a.bar(regime) + b.bar(regime)
+
+
+@given(st.one_of(scalars(), scalars(with_den=False)),
+       st.sampled_from([REAL, UNIT]))
+@settings(max_examples=200, deadline=None)
+def test_bar_is_canonical_as_built(x, regime):
+    # the bar over d = 1 skips the checking constructor; its dicts are the
+    # ones that constructor gives, for the result and for the bar of x's
+    # dicts rebuilt from scratch
+    unit = regime is UNIT
+    y = x.bar(regime)
+    forms = (y.n0, y.n1, y.d)
+    again = Scalar(y.n0, y.n1, y.d)
+    assert (again.n0, again.n1, again.d) == forms
+    rebuilt = Scalar(_lp_bar(x.n0, unit), _lp_bar(x.n1, unit),
+                     _lp_bar(x.d, unit))
+    assert (rebuilt.n0, rebuilt.n1, rebuilt.d) == forms
 
 
 # --- sympy oracle: the ring on sympy's polynomials over Q(i) ---------------
