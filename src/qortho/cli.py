@@ -214,9 +214,7 @@ def _projector_checks(shape):
     N = shape.N
     den, P0, PA, PS, Rhat = shape.projectors
     den_I = linear_combination([(den, SqMat.identity(N * N))])
-    # P0's trace over den, which is 1 exactly when the trace equals den
-    trace = P0.trace()
-    trace = Scalar.one() if trace == den else trace * den.inv()
+    trace = P0.trace() * den.inv()
     rank_pa = rank(shape.pa_rows)
     p0_idem, pa_idem, pa_p0, p0_pa, total, char_eq = sums_equal([
         ([[P0, P0]], [[P0, den_I]]),

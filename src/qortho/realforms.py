@@ -54,20 +54,11 @@ class _Monomial:
     c[r] s^e[r] in column perm[r] (0-based), c[r] a nonzero GaussRat.  On
     this form products, transposes, bar and equality take O(N) steps."""
 
-    __slots__ = ("perm", "c", "e", "_square")
+    __slots__ = ("perm", "c", "e")
     dim = property(lambda self: len(self.perm))
 
     def __init__(self, perm, c, e):
         self.perm, self.c, self.e = tuple(perm), tuple(c), tuple(e)
-        self._square = None
-
-    def square(self):
-        """self * self, formed on first use and kept (perm, c and e are
-        tuples): a family member's `check_auto_conditions` and cross
-        `check_reality` share it."""
-        if self._square is None:
-            self._square = self * self
-        return self._square
 
     @staticmethod
     def identity(N):
@@ -408,7 +399,7 @@ def check_auto_conditions(mat, shape):
     detail = _r_commutation_witness(D, shape)
     if detail is not None:
         return _failed("RDD", detail)
-    sq, I = D.square(), _Monomial.identity(shape.N)
+    sq, I = D * D, _Monomial.identity(shape.N)
     if sq != I and sq != -I:
         return _failed("square", _diff(sq, I))
     return True, None
@@ -421,7 +412,7 @@ def check_reality(mat, base, shape):
     D = _as_monomial(mat, shape.N)
     barD = D.bar(ConjRegime.REAL_Q)
     if base == CROSS:
-        sq, I = D.square(), _Monomial.identity(shape.N)
+        sq, I = D * D, _Monomial.identity(shape.N)
         return (barD == D and sq == I) or (barD == -D and sq == -I)
     if base == STAR:
         Ct = _monomial_C(shape).transpose()
