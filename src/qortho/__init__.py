@@ -2,7 +2,7 @@
 their real forms, and the associated quantum orthogonal planes."""
 
 from .errors import (
-    QorthoError, DivisionByZero, PoleAtOne, ResidualT, DimMismatch,
+    QorthoError, DivisionByZero, PoleAtOne, DimMismatch,
     Singular, NotSymmetric, Degenerate, NotReal, NotInvolution,
     BadN, BadFamily, NoPlaneConjugation, Unclassifiable, RankMismatch,
 )

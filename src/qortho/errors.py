@@ -14,10 +14,6 @@ class PoleAtOne(QorthoError):
     pass
 
 
-class ResidualT(QorthoError):
-    pass
-
-
 # linear algebra
 class DimMismatch(QorthoError):
     pass

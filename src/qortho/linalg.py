@@ -183,7 +183,7 @@ def classical_mat(A):
     for k, v in A.entries.items():
         g = v.classical_limit()
         if not g.is_zero():
-            out[k] = Scalar._of({0: g}, {}, _ONE_POLY)
+            out[k] = Scalar._of({0: g}, _ONE_POLY)
     return SqMat._of(A.dim, out)
 
 
@@ -372,7 +372,7 @@ def _row_norm(X, polys):
         found = polys.get(id(v))
         if found is None:
             # a canonical denominator with one term is 1
-            if v.n1 or len(v.d) != 1:
+            if len(v.d) != 1:
                 raise TypeError(f"entry {v} is outside Z[s, s^-1]")
             poly, norm = {}, 0
             for e, x in v.n0.items():
@@ -442,10 +442,9 @@ def row_reduce(rows):
     v <- p v - f b with f = v's entry at b's pivot, products of polynomials
     that `Scalar.sum_of_products` sums with no gcd.  Each residual is then
     a nonzero multiple of the residual of an elimination over the fraction
-    field, so the same rows open the same pivots.  A pivot with a t part
-    is made free of t by its conjugate (see `_settle`).  A row whose pivot
-    is a unit c*s^k is divided by it at once; any other row is divided by
-    the gcd of its s-polynomials, which keeps its degrees down.  Every
+    field, so the same rows open the same pivots.  A row whose pivot is a
+    unit c*s^k is divided by it at once; any other row is divided by the
+    gcd of its numerators, which keeps its degrees down.  Every
     row is divided by its pivot once, at the end; the reduced basis is
     unique for its pivots, so it is the one a Gauss-Jordan elimination
     gives.
@@ -484,7 +483,7 @@ def _polynomial_row(row):
         return vec
     out = {}
     for k, v in vec.items():
-        x = Scalar(v.n0, v.n1)
+        x = Scalar(v.n0)
         own = frozenset(v.d.items())
         for key, d in dens.items():
             if key != own:
@@ -510,34 +509,25 @@ def _eliminate(vec, p, f, row):
 
 
 def _is_unit(x):
-    # c*s^k with c != 0: a canonical Scalar with one term and no t
-    return len(x.n0) == 1 and not x.n1 and len(x.d) == 1
+    # c*s^k with c != 0: a canonical Scalar with one term
+    return len(x.n0) == 1 and len(x.d) == 1
 
 
 def _settle(vec, piv):
-    """vec over a nonzero scalar, with entries that stay polynomial and a
-    pivot free of t.  A pivot n0 + t n1 with n1 != 0 is first multiplied
-    by its conjugate n0 - t n1, to n0^2 - (s + s^-1) n1^2: the gcd below
-    sees s-polynomials only, so it could not take out a factor with t.
-    Then the row is divided by its pivot if that is a unit c*s^k, else by
-    the gcd of its s-polynomials (the pivot's first, so a constant gcd is
-    found early), and by its pivot if that left a unit there."""
-    p = vec[piv]
-    if p.n1:
-        conj = Scalar._of(p.n0, {e: -c for e, c in p.n1.items()}, p.d)
-        vec = {k: conj * v for k, v in vec.items()}
+    """vec over a nonzero scalar, with entries that stay polynomial: the
+    row is divided by its pivot if that is a unit c*s^k, else by the gcd
+    of its numerators (the pivot's first, so a constant gcd is found
+    early), and by its pivot if that left a unit there."""
     if not _is_unit(vec[piv]):
-        rest = (v for k, v in vec.items() if k != piv)
-        polys = [x for v in (vec[piv], *rest) for x in (v.n0, v.n1) if x]
-        g = _lp_ground(polys[0])
-        for x in polys[1:]:
+        g = _lp_ground(vec[piv].n0)
+        for x in (v.n0 for k, v in vec.items() if k != piv):
             if len(g) == 1:
                 return vec
             g = _lp_gcd(g, x)
         if len(g) == 1:
             return vec
-        vec = {k: Scalar._of(_lp_divexact(v.n0, g), _lp_divexact(v.n1, g),
-                             v.d) for k, v in vec.items()}
+        vec = {k: Scalar._of(_lp_divexact(v.n0, g), v.d)
+               for k, v in vec.items()}
         if not _is_unit(vec[piv]):
             return vec
     return _over_pivot(vec, piv)

@@ -16,7 +16,7 @@ from types import MappingProxyType
 from .errors import BadN, QorthoError, RankMismatch
 from .linalg import row_reduce, unpack
 from .rmatrix import GroupShape
-from .scalars import Scalar, _accumulate
+from .scalars import _T_SQUARED, Scalar, _accumulate
 
 
 class NCPoly:
@@ -310,10 +310,20 @@ def check_star_consistency(rs, K, regime):
 def quotient_check(sign, include_scaling=True):
     """Embed the three-generator plane into the N=4 plane modulo x3 = (+-)x2.
 
-    The substitution is y1 -> x1, y2 -> t*x2 (i*t*x2 for the minus sign,
-    with t*t = s + 1/s), y3 -> x4; every three-generator relation must
-    normalize to zero in the quotient system.  With include_scaling False
-    the t factor is dropped, which is the documented failure mode."""
+    The substitution is y1 -> x1, y2 -> t*x2 (i*t*x2 for the minus sign),
+    y3 -> x4, with t = sqrt(q^(1/2) + q^(-1/2)); every three-generator
+    relation must normalize to zero in the quotient system.  With
+    include_scaling False the t factor is dropped, which is the documented
+    failure mode.
+
+    t is never formed.  A word with m letters y2 maps to t^m times its
+    image under y2 -> x2 (i*x2), and t^m is (s + 1/s)^(m // 2) times
+    t^(m % 2).  So a relation's image is A + t*B, A from the words with
+    even m and B from those with odd m, both free of t.  The quotient
+    rules are free of t too, so the normal form is nf(A) + t*nf(B), and
+    it is zero exactly when nf(A) = nf(B) = 0: 1 and t are independent
+    over Q(i)(s), since t^2 = (s^2 + 1)/s has odd order at s = 0 and so is
+    not a square there."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     base = plane_relations(GroupShape(4))
@@ -322,14 +332,18 @@ def quotient_check(sign, include_scaling=True):
     ok, _ = check_confluence(ext)
     if not ok:
         return False
-    scale = Scalar.t_unit() if include_scaling else Scalar.one()
-    if sign == -1:
-        scale = Scalar.i_unit() * scale
-    images = {1: NCPoly.gen(1), 2: NCPoly({(2,): scale}), 3: NCPoly.gen(4)}
+    unit = Scalar.i_unit() if sign == -1 else Scalar.one()
+    images = {1: NCPoly.gen(1), 2: NCPoly({(2,): unit}), 3: NCPoly.gen(4)}
     for (a, b), rhs in plane_relations(GroupShape(3)).pair_rules.items():
-        rel = NCPoly.word((a, b)) - rhs
-        if not normal_form(_substitute(rel.terms, images), ext).is_zero():
-            return False
+        parts = ({}, {})  # the t^0 and t^1 parts of the relation
+        for w, c in (NCPoly.word((a, b)) - rhs).terms.items():
+            m = w.count(2) if include_scaling else 0
+            for _ in range(m // 2):
+                c = c * _T_SQUARED
+            parts[m % 2][w] = c
+        for part in parts:
+            if not normal_form(_substitute(part, images), ext).is_zero():
+                return False
     return True
 
 

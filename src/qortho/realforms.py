@@ -24,7 +24,9 @@ from .linalg import (
     SqMat, antilinear_fixed_basis, bar_mat, classical_mat, signature,
 )
 from .rmatrix import GroupShape
-from .scalars import _GAUSS_ONE as _ONE, _ONE_POLY, ConjRegime, GaussRat, Scalar
+from .scalars import (
+    _GAUSS_ONE as _ONE, _ONE_POLY, _T_SQUARED, ConjRegime, GaussRat, Scalar,
+)
 
 STAR = "star"
 CROSS = "cross"
@@ -46,7 +48,7 @@ def _times(x, y):
 
 def _weight(c, e):
     # the Scalar c s^e, canonical as built for a nonzero GaussRat c
-    return Scalar._of({e: c}, {}, _ONE_POLY)
+    return Scalar._of({e: c}, _ONE_POLY)
 
 
 class _Monomial:
@@ -103,7 +105,7 @@ def _parse(mat, items=None):
     N = mat.dim
     perm, c, e, used = [None] * N, [None] * N, [None] * N, [False] * N
     for (r, j), v in mat.entries.items() if items is None else items:
-        if v.n1 or len(v.d) != 1 or len(v.n0) != 1:
+        if len(v.d) != 1 or len(v.n0) != 1:
             why = f"= {v} is not c*s^e"  # a one-term d is 1 in canonical form
         elif perm[r - 1] is not None or used[j - 1]:
             why = "is a second nonzero in its row or column"
@@ -492,21 +494,24 @@ def classify(spec, shape):
 
 
 def build_mpp(N):
-    """Change of basis M'' with rows (t/2)(e_j + e_j') and
-    (t/2) i (e_j - e_j'), normalizing the metric at q = 1."""
+    """N'' = M''/t, with rows (1/2)(e_j + e_j') and (i/2)(e_j - e_j').
+
+    The change of basis M'' = t N'' normalizes the metric at q = 1, with
+    t = sqrt(q^(1/2) + q^(-1/2)).  The checks on M'' are bilinear in it,
+    so they need t only as t^2 = s + s^-1 (see `check_sostar_basis`)."""
     shape = GroupShape(N)
     if shape.odd:
         raise BadN("M'' exists only for even N")
     n = shape.n
-    th = Scalar.t_unit() * Scalar.from_frac(2).inv()
-    ith = Scalar.i_unit() * th
+    half = Scalar.from_frac(2).inv()
+    ihalf = Scalar.i_unit() * half
     entries = {}
     for j in range(1, n + 1):
         jp = shape.prime(j)
-        entries[(j, j)] = th
-        entries[(j, jp)] = th
-        entries[(n + j, j)] = ith
-        entries[(n + j, jp)] = -ith
+        entries[(j, j)] = half
+        entries[(j, jp)] = half
+        entries[(n + j, j)] = ihalf
+        entries[(n + j, jp)] = -ihalf
     return SqMat(N, entries)
 
 
@@ -520,21 +525,26 @@ def symplectic_j(N):
     return SqMat(N, entries)
 
 
-def check_sostar_basis(Mpp, shape):
-    """The SO*(2n) checks at q = 1 that depend only on N, for a basis Mpp:
+def check_sostar_basis(Npp, shape):
+    """The SO*(2n) checks at q = 1 that depend only on N, for the basis
+    Mpp = t Npp, with Npp as `build_mpp` gives it:
 
     (i) Mpp turns the metric into the identity: Mpp^t Mpp = C;
     (ii) the canonical D''_1 conjugation transports to O bar = J O J^-1,
         i.e. bar(Mpp) C^t D''_1 Mpp^-1 = J up to one global unit, where
         Mpp^-1 = C Mpp^t by (i) and C C = 1; a product that is not
         monomial matches nothing.
+
+    Both products are bilinear in Mpp, and bar fixes the real t, so each
+    is t^2 = s + s^-1 times the same product in Npp: that is how they are
+    formed, and t itself never occurs.
     """
     C, D1 = shape.C, dsecond_canonical(shape.N)  # BadFamily for odd N
-    if classical_mat(Mpp.transpose() * Mpp) != classical_mat(C):
+    if classical_mat((Npp.transpose() * Npp).scale(_T_SQUARED)) != classical_mat(C):
         return False
-    X = _monomial(classical_mat(bar_mat(Mpp, ConjRegime.REAL_Q)
-                                * C.transpose() * D1.mat * C
-                                * Mpp.transpose()))
+    X = _monomial(classical_mat((bar_mat(Npp, ConjRegime.REAL_Q)
+                                 * C.transpose() * D1.mat * C
+                                 * Npp.transpose()).scale(_T_SQUARED)))
     return X is not None and _match_up_to_unit(
         X, _monomial(symplectic_j(shape.N)))
 

@@ -2,25 +2,24 @@
 
 The base ring is the Laurent polynomial ring Q(i)[s, s^-1] in s = q^(1/2)
 (half-integer powers of q occur in the metric and the R matrix for odd
-dimension, so s rather than q is the variable).  It is optionally extended
-by a single generator t with t^2 = s + s^-1, reduced eagerly, and by
-fractions: a Scalar is num/den with den a nonzero t-free Laurent
-polynomial.  Canonical form is unique: num and den are coprime, den has
-lowest s-power 0 and leading coefficient 1.  All arithmetic is exact and
-equality is structural equality of canonical forms.
+dimension, so s rather than q is the variable), extended by fractions: a
+Scalar is num/den with den a nonzero Laurent polynomial.  Canonical form
+is unique: num and den are coprime, den has lowest s-power 0 and leading
+coefficient 1.  All arithmetic is exact and equality is structural
+equality of canonical forms.
 
 `GaussRat` and `Scalar` operators take their own type only: mixing types
 raises TypeError and `==` across types is False.  Constructors take int or
 Fraction values, never floats or strings.
 
 Conjugation (bar) comes in two regimes: q real fixes s, |q| = 1 sends
-s to s^-1; both conjugate the Gaussian-rational coefficients and fix t.
+s to s^-1; both conjugate the Gaussian-rational coefficients.
 """
 
 import enum
 import math
 
-from .errors import DivisionByZero, PoleAtOne, ResidualT
+from .errors import DivisionByZero, PoleAtOne
 
 
 class ConjRegime(enum.Enum):
@@ -178,10 +177,6 @@ def _lp_add(a, b):
     return out
 
 
-def _lp_neg(a):
-    return {k: -v for k, v in a.items()}
-
-
 def _lp_scale(a, c):
     if c.is_zero():
         return {}
@@ -189,27 +184,26 @@ def _lp_scale(a, c):
 
 
 def _lp_mul(a, b):
-    return _lp_settle(_lp_addmul({}, a, b, (0,)))
+    return _lp_settle(_lp_addmul({}, a, b))
 
 
-def _lp_addmul(out, a, b, shifts):
-    # out += (sum over shifts of s^shift) * a * b, in place, as raw [re, im,
-    # den] int lists (zeros kept) that `_lp_settle` reduces once; returns out
+def _lp_addmul(out, a, b):
+    # out += a * b, in place, as raw [re, im, den] int lists (zeros kept)
+    # that `_lp_settle` reduces once; returns out
     for ka, va in a.items():
         xa, xb, xd = va.a, va.b, va.d
         for kb, vb in b.items():
             ya, yb, d = vb.a, vb.b, xd * vb.d
             pa, pb = xa * ya - xb * yb, xa * yb + xb * ya
-            for k in shifts:
-                k += ka + kb
-                w = out.get(k)
-                if w is None:
-                    out[k] = [pa, pb, d]
-                elif w[2] == d:
-                    w[0] += pa
-                    w[1] += pb
-                else:  # over the product of the two dens
-                    w[:] = w[0] * d + pa * w[2], w[1] * d + pb * w[2], w[2] * d
+            k = ka + kb
+            w = out.get(k)
+            if w is None:
+                out[k] = [pa, pb, d]
+            elif w[2] == d:
+                w[0] += pa
+                w[1] += pb
+            else:  # over the product of the two dens
+                w[:] = w[0] * d + pa * w[2], w[1] * d + pb * w[2], w[2] * d
     return out
 
 
@@ -300,50 +294,47 @@ _ONE_POLY = {0: _GAUSS_ONE}
 # ---------------------------------------------------------------------------
 
 class Scalar:
-    """Element (n0 + t*n1)/d of the extended Laurent ring, t^2 = s + s^-1.
+    """Element n0/d of the fraction field of the Laurent ring.
 
     Instances are immutable and kept in canonical form at all times; the
-    canonical dicts n0, n1 and d are the only stored form.
+    canonical dicts n0 and d are the only stored form.  The denominator
+    is keyword-only: `Scalar(n0, d=d)`.
     """
 
-    __slots__ = ("n0", "n1", "d")
+    __slots__ = ("n0", "d")
 
-    def __init__(self, n0=None, n1=None, d=None):
-        n0, n1 = _lp_nonzero(n0 or {}), _lp_nonzero(n1 or {})
+    def __init__(self, n0=None, *, d=None):
+        n0 = _lp_nonzero(n0 or {})
         d = _lp_nonzero(_ONE_POLY if d is None else d)
         if not d:
             raise DivisionByZero("zero denominator")
-        if not n0 and not n1:
+        if not n0:
             d = dict(_ONE_POLY)
         elif len(d) == 1:
             # monomial denominator: absorb it into the numerator
             (k, c), = d.items()
             if k or not c.is_one():
-                ci = c.inv()
-                n0 = _lp_shift(_lp_scale(n0, ci), -k)
-                n1 = _lp_shift(_lp_scale(n1, ci), -k)
+                n0 = _lp_shift(_lp_scale(n0, c.inv()), -k)
                 d = dict(_ONE_POLY)
         else:
-            g = _lp_gcd(_lp_gcd(d, n0), n1)
+            g = _lp_gcd(d, n0)
             if len(g) > 1 or (g and 0 not in g):
-                n0 = _lp_divexact(n0, g)
-                n1 = _lp_divexact(n1, g)
-                d = _lp_divexact(d, g)
+                n0, d = _lp_divexact(n0, g), _lp_divexact(d, g)
             lo = min(d)
             if lo:
-                n0, n1, d = _lp_shift(n0, -lo), _lp_shift(n1, -lo), _lp_shift(d, -lo)
+                n0, d = _lp_shift(n0, -lo), _lp_shift(d, -lo)
             lc = d[max(d)]
             if not lc.is_one():
                 ci = lc.inv()
-                n0, n1, d = _lp_scale(n0, ci), _lp_scale(n1, ci), _lp_scale(d, ci)
-        self.n0, self.n1, self.d = n0, n1, d
+                n0, d = _lp_scale(n0, ci), _lp_scale(d, ci)
+        self.n0, self.d = n0, d
 
     @staticmethod
-    def _of(n0, n1, d):
-        """Trusted constructor: (n0 + t*n1)/d is already canonical, with no
-        zero coefficients, and no caller mutates the dicts afterwards."""
+    def _of(n0, d):
+        """Trusted constructor: n0/d is already canonical, with no zero
+        coefficients, and no caller mutates the dicts afterwards."""
         x = Scalar.__new__(Scalar)
-        x.n0, x.n1, x.d = n0, n1, d
+        x.n0, x.d = n0, d
         return x
 
     # -- constructors -------------------------------------------------------
@@ -378,21 +369,15 @@ class Scalar:
             raise ValueError(f"q^{p} is not an integer power of s")
         return _s_power(int(e))
 
-    @staticmethod
-    def t_unit():
-        return Scalar(None, {0: GaussRat(1)})
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         if type(other) is not Scalar:
             return NotImplemented
         if self.d == other.d:
-            return Scalar(_lp_add(self.n0, other.n0), _lp_add(self.n1, other.n1), self.d)
-        return Scalar(
-            _lp_add(_lp_mul(self.n0, other.d), _lp_mul(other.n0, self.d)),
-            _lp_add(_lp_mul(self.n1, other.d), _lp_mul(other.n1, self.d)),
-            _lp_mul(self.d, other.d))
+            return Scalar(_lp_add(self.n0, other.n0), d=self.d)
+        return Scalar(_lp_add(_lp_mul(self.n0, other.d), _lp_mul(other.n0, self.d)),
+                      d=_lp_mul(self.d, other.d))
 
     def __sub__(self, other):
         if type(other) is not Scalar:
@@ -425,15 +410,13 @@ class Scalar:
             if x is not None:
                 return x
         if all(len(v.d) == 1 and len(w.d) == 1 for v, w in pairs):
-            n0, n1 = {}, {}
+            n0 = {}
             for v, w in pairs:
-                _add_product(v, w, n0, n1)
-            return Scalar._of(_lp_settle(n0), _lp_settle(n1), _ONE_POLY)
+                _lp_addmul(n0, v.n0, w.n0)
+            return Scalar._of(_lp_settle(n0), _ONE_POLY)
         total = None
         for v, w in pairs:
-            n0, n1 = {}, {}
-            _add_product(v, w, n0, n1)
-            term = Scalar(_lp_settle(n0), _lp_settle(n1), _lp_mul(v.d, w.d))
+            term = Scalar(_lp_mul(v.n0, w.n0), d=_lp_mul(v.d, w.d))
             total = term if total is None else total + term
         return total
 
@@ -445,40 +428,33 @@ class Scalar:
     def inv(self):
         if self.is_zero():
             raise DivisionByZero("inverse of zero scalar")
-        if len(self.n0) == 1 and not self.n1 and len(self.d) == 1:
+        if len(self.n0) == 1 and len(self.d) == 1:
             # a unit c*s^k: c^-1 s^-k, canonical as built
             (k, c), = self.n0.items()
-            return Scalar._of({-k: c.inv()}, {}, self.d)
-        # 1/(n0 + t n1) rationalized with the conjugate n0 - t n1
-        norm = _lp_addmul({}, self.n0, self.n0, (0,))
-        _lp_addmul(norm, _lp_neg(self.n1), self.n1, (1, -1))
-        return Scalar(_lp_mul(self.d, self.n0),
-                      _lp_neg(_lp_mul(self.d, self.n1)),
-                      _lp_settle(norm))
+            return Scalar._of({-k: c.inv()}, self.d)
+        return Scalar(self.d, d=self.n0)
 
     # -- structure -----------------------------------------------------------
 
     def is_zero(self):
-        return not self.n0 and not self.n1
+        return not self.n0
 
     def as_gauss(self):
         """The value of a constant scalar; None if not constant."""
-        if self.n1 or self.d != _ONE_POLY or len(self.n0) > (1 if 0 in self.n0 else 0):
+        if self.d != _ONE_POLY or len(self.n0) > (1 if 0 in self.n0 else 0):
             return None
         return self.n0.get(0, GaussRat(0))
 
     def bar(self, regime):
         unit = regime is ConjRegime.UNIT_MODULUS_Q
-        n0, n1 = _lp_bar(self.n0, unit), _lp_bar(self.n1, unit)
+        n0 = _lp_bar(self.n0, unit)
         if len(self.d) == 1:
             # over d = 1 the bar is canonical as built: conjugation keeps
             # every coefficient nonzero
-            return Scalar._of(n0, n1, self.d)
-        return Scalar(n0, n1, _lp_bar(self.d, unit))
+            return Scalar._of(n0, self.d)
+        return Scalar(n0, d=_lp_bar(self.d, unit))
 
     def classical_limit(self):
-        if self.n1:
-            raise ResidualT(f"t survives in {self}")
         dv = _lp_eval1(self.d)
         if dv.is_zero():
             raise PoleAtOne(f"denominator of {self} vanishes at s=1")
@@ -490,15 +466,13 @@ class Scalar:
         the same dicts, frozen."""
         if type(other) is not Scalar:
             return NotImplemented
-        return self.n0 == other.n0 and self.n1 == other.n1 and self.d == other.d
+        return self.n0 == other.n0 and self.d == other.d
 
     def __hash__(self):
-        return hash((_freeze(self.n0), _freeze(self.n1), _freeze(self.d)))
+        return hash((_freeze(self.n0), _freeze(self.d)))
 
     def __str__(self):
-        terms = [f"{c}*s^{k}" for k, c in sorted(self.n0.items())]
-        terms += [f"{c}*t*s^{k}" for k, c in sorted(self.n1.items())]
-        num = " + ".join(terms) if terms else "0"
+        num = " + ".join(f"{c}*s^{k}" for k, c in sorted(self.n0.items())) or "0"
         if self.d == _ONE_POLY:
             return num
         den = " + ".join(f"{c}*s^{k}" for k, c in sorted(self.d.items()))
@@ -510,7 +484,7 @@ class Scalar:
 
 def _s_power(e):
     # s^e for an int e, canonical as built
-    return Scalar._of({e: _GAUSS_ONE}, {}, _ONE_POLY)
+    return Scalar._of({e: _GAUSS_ONE}, _ONE_POLY)
 
 
 def _freeze(p):
@@ -521,32 +495,23 @@ def _unit_product(v, w):
     # v*w when one factor is a unit monomial c*s^k, else None.  A unit
     # times a canonical Scalar is canonical: only its numerator changes.
     # Of two units, a factor 1 is taken as the unit, so the other comes back.
-    if len(v.n0) == 1 and not v.n1 and len(v.d) == 1 and (
-            len(w.n0) != 1 or w.n1 or len(w.d) != 1 or v.n0 == _ONE_POLY):
+    if len(v.n0) == 1 and len(v.d) == 1 and (
+            len(w.n0) != 1 or len(w.d) != 1 or v.n0 == _ONE_POLY):
         v, w = w, v
-    elif len(w.n0) != 1 or w.n1 or len(w.d) != 1:
+    elif len(w.n0) != 1 or len(w.d) != 1:
         return None
     (k, c), = w.n0.items()  # w is now the unit
     if c.is_one():
         if not k:
             return v
-        return Scalar._of({e + k: a for e, a in v.n0.items()},
-                          {e + k: a for e, a in v.n1.items()}, v.d)
-    return Scalar._of({e + k: a * c for e, a in v.n0.items()},
-                      {e + k: a * c for e, a in v.n1.items()}, v.d)
-
-
-def _add_product(v, w, n0, n1):
-    # n0 + t*n1 += numerator of v*w, in place, as raw `_lp_addmul` sums:
-    # (a0 + t a1)(b0 + t b1) = a0 b0 + (s + s^-1) a1 b1 + t (a0 b1 + a1 b0)
-    _lp_addmul(n0, v.n0, w.n0, (0,))
-    if v.n1 or w.n1:
-        _lp_addmul(n0, v.n1, w.n1, (1, -1))
-        _lp_addmul(n1, v.n0, w.n1, (0,))
-        _lp_addmul(n1, v.n1, w.n0, (0,))
+        return Scalar._of({e + k: a for e, a in v.n0.items()}, v.d)
+    return Scalar._of({e + k: a * c for e, a in v.n0.items()}, v.d)
 
 
 _ZERO = Scalar()
 _ONE = Scalar({0: GaussRat(1)})
 _MINUS_ONE = Scalar({0: GaussRat(-1)})
+# t^2 for the scaling t = sqrt(q^(1/2) + q^(-1/2)) of the SO*(2n) basis and
+# the quotient embeddings, which need t only through t^2 and parity
+_T_SQUARED = Scalar({-1: _GAUSS_ONE, 1: _GAUSS_ONE})
 

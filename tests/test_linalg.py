@@ -98,9 +98,7 @@ def test_product_kernel_matches_entrywise_reference():
     P0, PA = P0.scale(den.inv()), PA.scale(den.inv())
     # PA's entries mix the denominators q + q^-1 and sum_e q^(-2 rho_e)
     assert len({tuple(sorted(v.d.items())) for v in PA.entries.values()}) >= 2
-    T = Scalar.t_unit()
-    X = PA.scale(ONE + T) + SqMat.diag([T * sp(k) for k in range(16)])
-    assert any(v.n1 for v in X.entries.values())
+    X = PA.scale(ONE + I_) + SqMat.diag([I_ * sp(k) for k in range(16)])
     for A, B in ((PA, PA), (P0, PA), (X, PA), (PA, X)):
         product = A * B
         assert dict(product.entries) == entrywise_product(A, B)
@@ -112,14 +110,13 @@ def test_product_kernel_matches_entrywise_reference():
 
 def random_mixed_matrix(rng, dim):
     # about half the slots filled, each with a unit monomial, a Laurent
-    # polynomial (sometimes with t) or a rational entry
-    T = Scalar.t_unit()
+    # polynomial or a rational entry
     pools = (
         [c * sp(k) for c in (ONE, -ONE, I_, Scalar.from_frac(Fraction(-1, 3)))
          for k in (-2, 0, 3)],
-        [sp(1) + sp(-1), sp(2) - Scalar.from_frac(2) * sp(-2), ONE + T * sp(1),
-         T - I_],
-        [ONE / (ONE + sp(1)), (sp(1) - ONE) / (sp(2) + ONE), T / (sp(1) - I_)],
+        [sp(1) + sp(-1), sp(2) - Scalar.from_frac(2) * sp(-2), ONE + I_ * sp(1),
+         sp(-1) - I_],
+        [ONE / (ONE + sp(1)), (sp(1) - ONE) / (sp(2) + ONE), sp(-1) / (sp(1) - I_)],
     )
     return SqMat(dim, {(r, c): rng.choice(rng.choice(pools))
                        for r in range(1, dim + 1) for c in range(1, dim + 1)
@@ -133,8 +130,8 @@ def test_product_of_mixed_entries_matches_entrywise_reference():
         product = A * B
         assert dict(product.entries) == entrywise_product(A, B)
         for v in product.entries.values():
-            w = Scalar(dict(v.n0), dict(v.n1), dict(v.d))
-            assert (w.n0, w.n1, w.d) == (v.n0, v.n1, v.d)
+            w = Scalar(dict(v.n0), d=dict(v.d))
+            assert (w.n0, w.d) == (v.n0, v.d)
 
 
 def test_dim_mismatch():
@@ -390,14 +387,12 @@ entries = st.one_of(
     laurent_terms.map(lambda t: Scalar(laurent(t))),
     st.builds(GaussRat, small_fracs, small_fracs).filter(
         lambda g: not g.is_zero()).map(Scalar.from_gauss),
-    st.builds(lambda n0, n1: Scalar(laurent(n0), laurent(n1)),
-              laurent_terms, laurent_terms),
-    st.builds(lambda n0, d: Scalar(laurent(n0), None, d),
+    st.builds(lambda n0, d: Scalar(laurent(n0), d=d),
               laurent_terms, st.sampled_from(DENOMINATORS)),
 )
 sparse_rows = st.dictionaries(st.integers(0, 5), entries, max_size=3)
 multipliers = st.sampled_from([Scalar.one(), -Scalar.one(), I_, sp(1),
-                               sp(1) + ONE, Scalar.t_unit()])
+                               sp(1) + ONE])
 
 
 @st.composite
@@ -471,9 +466,9 @@ def canonical_forms(A):
     rebuilds the entry with the same dicts."""
     out = {}
     for key, v in A.entries.items():
-        forms = (dict(v.n0), dict(v.n1), dict(v.d))
-        again = Scalar(v.n0, v.n1, v.d)
-        assert (dict(again.n0), dict(again.n1), dict(again.d)) == forms
+        forms = (dict(v.n0), dict(v.d))
+        again = Scalar(v.n0, d=v.d)
+        assert (dict(again.n0), dict(again.d)) == forms
         assert not v.is_zero()
         out[key] = forms
     return out
@@ -512,13 +507,13 @@ def test_linear_combination_drops_what_cancels():
         linear_combination([(ONE, X), (ONE, SqMat.identity(3))])
 
 
-# entries with a classical limit: no t, and a denominator that does not
-# vanish at s = 1 (1 + s, s - i); s - s^-1 has the limit 0
+# entries with a classical limit: a denominator that does not vanish at
+# s = 1 (1 + s, s - i); s - s^-1 has the limit 0
 limits = st.one_of(
     laurent_terms.map(lambda t: Scalar(laurent(t))),
     st.builds(GaussRat, small_fracs, small_fracs).filter(
         lambda g: not g.is_zero()).map(Scalar.from_gauss),
-    st.builds(lambda n0, d: Scalar(laurent(n0), None, d),
+    st.builds(lambda n0, d: Scalar(laurent(n0), d=d),
               laurent_terms, st.sampled_from(DENOMINATORS[::2])),
     st.just(sp(1) - sp(-1)),
 )

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qortho import qplane
 from qortho.errors import BadN, QorthoError, RankMismatch
 from qortho.qplane import (
     NCPoly, RewriteSystem, check_confluence, check_star_consistency,
@@ -305,6 +306,31 @@ def test_quotient_minus_sign():
 def test_quotient_fails_without_scaling():
     assert not quotient_check(1, include_scaling=False)
     assert not quotient_check(-1, include_scaling=False)
+
+
+# (1, 2) and (2, 3) have one y2 in each word, so their images are t times a
+# part free of t; (1, 3) has words with no y2 and with two, so its image is
+# free of t
+@pytest.mark.parametrize("key, word", [
+    ((1, 2), (2, 1)), ((1, 3), (2, 2)), ((1, 3), (3, 1)), ((2, 3), (3, 2)),
+], ids=["12:21-odd", "13:22-even", "13:31-even", "23:32-odd"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_quotient_fails_on_a_perturbed_relation(monkeypatch, sign, key, word):
+    # one rule of the three-generator plane with one coefficient raised by 1
+    relations = qplane.plane_relations
+
+    def perturbed(shape):
+        rs = relations(shape)
+        if shape.N != 3:
+            return rs
+        rules = dict(rs.pair_rules)
+        terms = dict(rules[key].terms)
+        terms[word] = terms[word] + one
+        rules[key] = NCPoly(terms)
+        return RewriteSystem(3, rules)
+
+    monkeypatch.setattr(qplane, "plane_relations", perturbed)
+    assert quotient_check(sign) is False
 
 
 def test_quotient_argument_validation():

@@ -18,7 +18,7 @@ from qortho.realforms import (
     _match_up_to_unit, _monomial, _r_commutation_witness,
 )
 from qortho.rmatrix import GroupShape, build_metric
-from qortho.scalars import ConjRegime, GaussRat, Scalar
+from qortho.scalars import _T_SQUARED, ConjRegime, GaussRat, Scalar
 
 REAL = ConjRegime.REAL_Q
 UNIT = ConjRegime.UNIT_MODULUS_Q
@@ -339,8 +339,8 @@ def test_monomial_form_rejects_other_matrices():
         m = _monomial(SqMat.diag([one, one, weight_]))
         assert (m.perm, m.c[2], m.e[2]) == ((0, 1, 2), c, e)
     for bad in (SqMat.diag([one, one, one + s]),          # two terms
-                SqMat.diag([one, one, Scalar.t_unit()]),  # t
-                SqMat.diag([one, one, one + Scalar.t_unit()]),  # 1 + t
+                SqMat.diag([one, one, one / (one + s)]),  # a denominator
+                SqMat.diag([one, one, s / (s - iu)]),     # s/(s - i)
                 SqMat(3, {(1, 1): one, (2, 2): one}),     # a zero row
                 SqMat(3, {(1, 1): one, (2, 1): one, (3, 3): one})):
         assert _monomial(bad) is None
@@ -353,8 +353,8 @@ def test_monomial_form_rejects_other_matrices():
 NON_MONOMIAL = [
     (SqMat.diag([one, one, one + Scalar.q_power(1), one]),
      "entry (3,3) = 1*s^0 + 1*s^2 is not c*s^e"),
-    (SqMat.diag([one, Scalar.t_unit(), one, one]),
-     "entry (2,2) = 1*t*s^0 is not c*s^e"),
+    (SqMat.diag([one, one / (one + Scalar.q_power(Fraction(1, 2))), one, one]),
+     "entry (2,2) = (1*s^0)/(1*s^0 + 1*s^1) is not c*s^e"),
     (SqMat(4, {(1, 1): one, (2, 2): one, (4, 4): one}), "row 3 is zero"),
     (SqMat(4, {(1, 1): one, (2, 2): one, (3, 2): one, (4, 4): one}),
      "entry (3,2) is a second nonzero in its row or column"),
@@ -381,7 +381,7 @@ def test_monomial_form_names_the_first_offending_entry():
     # entries read in storage order are reported in (row, col) order
     s = Scalar.q_power(1)
     mat = SqMat(3, {(3, 3): one + s, (2, 1): one, (1, 1): one,
-                    (2, 2): Scalar.t_unit()})
+                    (2, 2): one / (one + s)})
     with pytest.raises(TypeError, match=r"entry \(2,1\) is a second nonzero "
                                         r"in its row or column$"):
         check_auto_conditions(mat, GroupShape(3))
@@ -729,11 +729,32 @@ def test_sostar_checks_pass(N):
 
 
 def test_sostar_metric_normalization():
+    # M'' = t N'' takes the metric to the identity at q = 1; with
+    # M''^-1 = N''^-1 / t, the product in N'' comes over t^2
     for N in (4, 6):
-        Mpp = build_mpp(N)
-        Minv = inverse(Mpp)
-        T = classical_mat(Minv.transpose() * build_metric(N) * Minv)
-        assert T == SqMat.identity(N)
+        Ninv = inverse(build_mpp(N))
+        X = Ninv.transpose() * build_metric(N) * Ninv
+        assert classical_mat(X.scale(_T_SQUARED.inv())) == SqMat.identity(N)
+
+
+@pytest.mark.parametrize("N", [4, 6, 8, 10])
+def test_sostar_basis_fails_on_every_single_entry_change(N):
+    # N'' passes; negating, rotating by i or dropping one of its entries,
+    # or filling one empty slot, fails
+    shape, Npp = GroupShape(N), build_mpp(N)
+    assert check_sostar_basis(Npp, shape)
+    changes = []
+    for r in range(1, N + 1):
+        for c in range(1, N + 1):
+            v = Npp.get(r, c)
+            if v.is_zero():
+                changes.append((r, c, Scalar.from_frac(Fraction(1, 2))))
+            else:
+                changes += [(r, c, -v), (r, c, iu * v), (r, c, Scalar.zero())]
+    for r, c, w in changes:
+        entries = dict(Npp.entries)
+        entries[(r, c)] = w
+        assert not check_sostar_basis(SqMat(N, entries), shape), (r, c, w)
 
 
 def test_sostar_transport_hits_symplectic_form():

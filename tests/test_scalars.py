@@ -11,12 +11,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import qortho
-from qortho.errors import DivisionByZero, PoleAtOne, ResidualT
+from qortho.errors import DivisionByZero, PoleAtOne
 from qortho.linalg import SqMat, row_reduce
 from qortho.qplane import NCPoly, RewriteSystem, _normalize_terms, normal_form
 from qortho.scalars import (
-    ConjRegime, GaussRat, Scalar, _lp_add, _lp_bar, _lp_divexact, _lp_divmod, _lp_gcd,
-    _lp_mul, _lp_nonzero, _lp_shift,
+    _T_SQUARED, ConjRegime, GaussRat, Scalar, _lp_add, _lp_bar, _lp_divexact,
+    _lp_divmod, _lp_gcd, _lp_mul, _lp_nonzero, _lp_shift,
 )
 
 
@@ -31,7 +31,6 @@ UNIT = ConjRegime.UNIT_MODULUS_Q
 ONE = Scalar.one()
 ZERO = Scalar.zero()
 I = Scalar.i_unit()
-T = Scalar.t_unit()
 S = sp(1)
 Q = Scalar.q_power(1)
 
@@ -67,7 +66,9 @@ def test_identity_factor():
 
 
 def test_t_square():
-    assert T * T == S + ONE / S
+    # t = sqrt(q^(1/2) + q^(-1/2)) enters the SO*(2n) basis and the
+    # quotient embeddings only through this square
+    assert _T_SQUARED == S + ONE / S
 
 
 def test_division_by_zero():
@@ -95,19 +96,8 @@ def test_inexact_division_raises_under_optimize():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_t_division_rationalizes():
-    x = ONE + T
-    inv = ONE / x
-    assert inv * x == ONE
-    # the denominator is a plain t-free Laurent polynomial: for 1/(1+t)
-    # rationalization gives (1-t)/(1-s-s^-1), grounded monic
-    assert inv.d == {0: GaussRat(1), 1: GaussRat(-1), 2: GaussRat(1)}
-    y = (Q + T * S) / (T - S)
-    assert y * (T - S) == Q + T * S
-
-
 def test_canonical_zero():
-    samples = [Q, T, ONE / (ONE + T), (Q - ONE / Q) / (S - ONE / S), I * S]
+    samples = [Q, ONE + S, ONE / (ONE + S), (Q - ONE / Q) / (S - ONE / S), I * S]
     for a in samples:
         assert a - a == ZERO
         assert a - a is not None and (a - a).is_zero()
@@ -163,8 +153,6 @@ def test_bar_fixed_points():
     assert Q.bar(REAL) == Q
     assert Q.bar(UNIT) == ONE / Q
     assert (I * S).bar(UNIT) == -I / S
-    assert T.bar(REAL) == T
-    assert T.bar(UNIT) == T
     assert I.bar(REAL) == -I
 
 
@@ -209,9 +197,8 @@ def test_lp_gcd_matches_sympy(f, g, h, shift):
 @st.composite
 def scalars(draw, with_den=True):
     n0 = draw(polys)
-    n1 = draw(polys)
     d = draw(nonzero_polys) if with_den else None
-    return Scalar(n0, n1, d)
+    return Scalar(n0, d=d)
 
 
 @given(scalars(), st.sampled_from([REAL, UNIT]))
@@ -236,23 +223,20 @@ def test_bar_is_canonical_as_built(x, regime):
     # dicts rebuilt from scratch
     unit = regime is UNIT
     y = x.bar(regime)
-    forms = (y.n0, y.n1, y.d)
-    again = Scalar(y.n0, y.n1, y.d)
-    assert (again.n0, again.n1, again.d) == forms
-    rebuilt = Scalar(_lp_bar(x.n0, unit), _lp_bar(x.n1, unit),
-                     _lp_bar(x.d, unit))
-    assert (rebuilt.n0, rebuilt.n1, rebuilt.d) == forms
+    forms = (y.n0, y.d)
+    again = Scalar(y.n0, d=y.d)
+    assert (again.n0, again.d) == forms
+    rebuilt = Scalar(_lp_bar(x.n0, unit), d=_lp_bar(x.d, unit))
+    assert (rebuilt.n0, rebuilt.d) == forms
 
 
 # --- sympy oracle: the ring on sympy's polynomials over Q(i) ---------------
 #
-# A Scalar (n0 + t n1)/d maps to the triple (n0, n1, d) of sympy
-# polynomials in s over Q(i), all three shifted by one power of s so that
-# no exponent is negative.  The ring operations reduce t^2 to
-# w = (s^2 + 1)/s and take no gcd, and two values are equal when the
-# numerator of their difference is zero, on the t^0 and t^1 parts
-# separately.  So they share no code with the scalar kernel and do not
-# depend on a canonical form.
+# A Scalar n0/d maps to the pair (n0, d) of sympy polynomials in s over
+# Q(i), both shifted by one power of s so that no exponent is negative.
+# The ring operations take no gcd, and two values are equal when the
+# numerator of their difference is zero.  So they share no code with the
+# scalar kernel and do not depend on a canonical form.
 
 class Oracle:
 
@@ -265,29 +249,27 @@ class Oracle:
         QQ = self.sympy.QQ
         return self.QQ_I(QQ(c.a, c.d), QQ(c.b, c.d))
 
-    def triple(self, n0, n1, d):
-        # (n0 + t n1)/d for dicts {k: GaussRat}, all three times s^-m
-        m = min([0, *n0, *n1, *d])
+    def pair(self, n0, d):
+        # n0/d for dicts {k: GaussRat}, both times s^-m
+        m = min([0, *n0, *d])
         return tuple(self.ring.from_dict({(k - m,): self.gauss(c)
                                           for k, c in p.items()})
-                     for p in (n0, n1, d))
+                     for p in (n0, d))
 
     def image(self, x):
-        return self.triple(x.n0, x.n1, x.d)
+        return self.pair(x.n0, x.d)
 
     def add(self, x, y):
-        (a0, a1, ad), (b0, b1, bd) = x, y
-        return a0 * bd + b0 * ad, a1 * bd + b1 * ad, ad * bd
+        (a0, ad), (b0, bd) = x, y
+        return a0 * bd + b0 * ad, ad * bd
 
     def times(self, x, y):
-        (a0, a1, ad), (b0, b1, bd), s = x, y, self.s
-        return (s * a0 * b0 + (s * s + 1) * a1 * b1,
-                s * (a0 * b1 + a1 * b0), s * ad * bd)
+        (a0, ad), (b0, bd) = x, y
+        return a0 * b0, ad * bd
 
     def inv(self, x):
-        # 1/(a0 + t a1) = (a0 - t a1)/(a0^2 - w a1^2)
-        (a0, a1, ad), s = x, self.s
-        return s * ad * a0, -s * ad * a1, s * a0 * a0 - (s * s + 1) * a1 * a1
+        a0, ad = x
+        return ad, a0
 
     def bar(self, x, regime):
         # conjugate every coefficient; |q| = 1 also sends s to 1/s, and
@@ -301,31 +283,30 @@ class Oracle:
         return tuple(conj(p) for p in x)
 
     def equal(self, x, y):
-        (a0, a1, ad), (b0, b1, bd) = x, y
-        return a0 * bd == b0 * ad and a1 * bd == b1 * ad
+        (a0, ad), (b0, bd) = x, y
+        return a0 * bd == b0 * ad
 
 
-@given(polys, polys, nonzero_polys, scalars(), st.sampled_from([REAL, UNIT]))
+@given(polys, nonzero_polys, scalars(), st.sampled_from([REAL, UNIT]))
 @settings(max_examples=60, deadline=None)
-def test_ring_operations_match_sympy(n0, n1, d, b, regime):
+def test_ring_operations_match_sympy(n0, d, b, regime):
     oracle = Oracle()
-    a = Scalar(n0, n1, d)
+    a = Scalar(n0, d=d)
     A, B = oracle.image(a), oracle.image(b)
-    # the canonical form keeps the value of (n0 + t n1)/d as given
-    assert oracle.equal(A, oracle.triple(n0, n1, d))
+    # the canonical form keeps the value of n0/d as given
+    assert oracle.equal(A, oracle.pair(n0, d))
     assert oracle.equal(oracle.image(a + b), oracle.add(A, B))
     assert oracle.equal(oracle.image(a * b), oracle.times(A, B))
     if not a.is_zero():
         assert oracle.equal(oracle.image(a.inv()), oracle.inv(A))
     assert oracle.equal(oracle.image(a.bar(regime)), oracle.bar(A, regime))
-    if not a.n1:
-        # at s = 1, on the t^0 part in lowest terms
-        num, den = A[0].cancel(A[2])
-        if den(1):
-            assert oracle.gauss(a.classical_limit()) == num(1) / den(1)
-        else:
-            with pytest.raises(PoleAtOne):
-                a.classical_limit()
+    # at s = 1, in lowest terms
+    num, den = A[0].cancel(A[1])
+    if den(1):
+        assert oracle.gauss(a.classical_limit()) == num(1) / den(1)
+    else:
+        with pytest.raises(PoleAtOne):
+            a.classical_limit()
 
 
 @given(st.data())
@@ -334,10 +315,10 @@ def test_scalar_equality_matches_sympy(data):
     oracle = Oracle()
     x, z = data.draw(scalars()), data.draw(scalars())
     assume(not z.is_zero())
-    # y: another scalar; x plus p or t p for a Laurent polynomial p, which
-    # changes x's t^0 or t^1 part alone; or x's value rebuilt through z
+    # y: another scalar; x plus a Laurent polynomial p; or x's value
+    # rebuilt through z
     p = data.draw(polys)
-    candidates = [z, x + Scalar(p), x + Scalar(None, p), x * z / z, x + z - z]
+    candidates = [z, x + Scalar(p), x * z / z, x + z - z]
     if not x.is_zero():
         candidates.append((x.inv() * z).inv() * z)
     y = data.draw(st.sampled_from(candidates))
@@ -372,23 +353,16 @@ def naive_add(a, b):
     return out
 
 
-T_SQUARED = {1: GaussRat(1), -1: GaussRat(1)}  # t^2 = s + s^-1
-
-
 def reference_sum(pairs):
     # the sum of v*w over pairs, term by term over one common denominator,
     # then the canonicalising constructor: no code shared with the
     # product kernel, and zero coefficients left for the constructor to drop
-    n0, n1, d = {}, {}, {0: GaussRat(1)}
+    n0, d = {}, {0: GaussRat(1)}
     for v, w in pairs:
-        # (a0 + t a1)(b0 + t b1) = a0 b0 + t^2 a1 b1 + t (a0 b1 + a1 b0)
-        p0 = naive_add(naive_mul(v.n0, w.n0), naive_mul(naive_mul(v.n1, w.n1), T_SQUARED))
-        p1 = naive_add(naive_mul(v.n0, w.n1), naive_mul(v.n1, w.n0))
         e = naive_mul(v.d, w.d)
-        n0 = naive_add(naive_mul(n0, e), naive_mul(p0, d))
-        n1 = naive_add(naive_mul(n1, e), naive_mul(p1, d))
+        n0 = naive_add(naive_mul(n0, e), naive_mul(naive_mul(v.n0, w.n0), d))
         d = naive_mul(d, e)
-    return Scalar(n0, n1, d)
+    return Scalar(n0, d=d)
 
 
 def reference_product(v, w):
@@ -411,27 +385,28 @@ def test_sum_of_products_matches_mul_and_add(pairs):
 
 def forms(x):
     # copies of the canonical dicts, the only stored form of a Scalar
-    return dict(x.n0), dict(x.n1), dict(x.d)
+    return dict(x.n0), dict(x.d)
 
 
 def assert_same_canonical(got, expected):
     assert forms(got) == forms(expected) and str(got) == str(expected)
-    assert forms(Scalar(got.n0, got.n1, got.d)) == forms(got)
+    assert forms(Scalar(got.n0, d=got.d)) == forms(got)
 
 
 def assert_forms_kept(factors, before):
     # the factors' dicts are unchanged, and rebuilding them changes nothing
     assert [forms(x) for x in factors] == before
-    assert [forms(Scalar(x.n0, x.n1, x.d)) for x in factors] == before
+    assert [forms(Scalar(x.n0, d=x.d)) for x in factors] == before
 
 
 # integer Gaussian coefficients keep example generation cheap
 int_polys = st.dictionaries(st.integers(-3, 3),
                             st.builds(GaussRat, st.integers(-3, 3), st.integers(-3, 3)),
                             max_size=3)
-int_laurent = st.builds(Scalar, int_polys, int_polys)
-int_rational = st.builds(Scalar, int_polys, int_polys,
-                         int_polys.filter(lambda p: any(not v.is_zero() for v in p.values())))
+int_laurent = st.builds(Scalar, int_polys)
+int_rational = st.builds(
+    Scalar, int_polys,
+    d=int_polys.filter(lambda p: any(not v.is_zero() for v in p.values())))
 unit_monomials = st.builds(
     lambda c, k: Scalar({k: c}),
     st.sampled_from([GaussRat(1), GaussRat(-1), GaussRat(0, 1), GaussRat(0, -1),
@@ -459,12 +434,12 @@ def test_unit_monomial_product_is_canonical(u, x, swap):
 @settings(max_examples=50, deadline=None)
 def test_unit_monomial_inverse_is_canonical(u):
     # the constructor's path, over the denominator u itself
-    assert_same_canonical(u.inv(), Scalar(dict(ONE.n0), None, dict(u.n0)))
+    assert_same_canonical(u.inv(), Scalar(dict(ONE.n0), d=dict(u.n0)))
     assert u * u.inv() == ONE
 
 
 # coefficients over 1, 2 and 3 sum over different denominators in the
-# product kernel; one factor of a pair may carry t while the other does not
+# product kernel
 laurent = st.one_of(int_laurent, scalars(with_den=False))
 
 
@@ -477,18 +452,6 @@ def test_polynomial_sum_of_products_is_canonical(pairs):
     assert_same_canonical(total, expected)
     assert total.d == {0: GaussRat(1)}
     assert_forms_kept([x for pair in pairs for x in pair], before)
-
-
-@given(st.builds(Scalar, polys, nonzero_polys),
-       st.builds(Scalar, nonzero_polys, st.none(), st.none() | nonzero_polys),
-       st.booleans())
-@settings(max_examples=100, deadline=None)
-def test_product_with_t_in_one_factor(x, y, swap):
-    # x carries t and y does not, so only the t cross-terms make t*y
-    pair = (y, x) if swap else (x, y)
-    expected = reference_product(*pair)
-    assert expected.n1
-    assert_same_canonical(pair[0] * pair[1], expected)
 
 
 @given(unit_monomials, int_laurent, int_rational)
@@ -505,7 +468,7 @@ def test_equal_scalars_hash_equal_however_built(u, p, r):
              Scalar.sum_of_products([(u, p), (r, p), (-r, p)])]
     assert all(a == built[0] for a in built)
     for a in built + [u, p, r]:
-        assert a == Scalar(a.n0, a.n1, a.d)
+        assert a == Scalar(a.n0, d=a.d)
         for b in built + [u, p, r]:
             if a == b:
                 assert hash(a) == hash(b)
@@ -533,15 +496,11 @@ def test_classical_limit_values():
 def test_classical_limit_errors():
     with pytest.raises(PoleAtOne):
         (ONE / (S - ONE)).classical_limit()
-    with pytest.raises(ResidualT):
-        T.classical_limit()
 
 
 @given(scalars(with_den=False), scalars(with_den=False))
 @settings(max_examples=100, deadline=None)
 def test_classical_limit_homomorphism(a, b):
-    if a.n1 or b.n1:
-        return
     assert (a + b).classical_limit() == a.classical_limit() + b.classical_limit()
     assert (a * b).classical_limit() == a.classical_limit() * b.classical_limit()
 
@@ -552,9 +511,7 @@ def test_text_format():
     assert str(ZERO) == "0"
     assert str(ONE) == "1*s^0"
     assert str(Q) == "1*s^2"
-    assert str(T) == "1*t*s^0"
     assert str(Q - ONE / Q) == "-1*s^-2 + 1*s^2"
-    assert str(ONE + T * S) == "1*s^0 + 1*t*s^1"
     assert str(I) == "0+1*i*s^0"
     half = Scalar({0: GaussRat(Fraction(1, 2), Fraction(-3, 4))})
     assert str(half) == "1/2+-3/4*i*s^0"
@@ -628,9 +585,9 @@ def test_ring_operators_take_one_operand_type(x, one, foreign):
 # the keys it must hold.
 
 def cancel_scalar_add():
-    x, y = ONE + S * T, Q - S * T
+    x, y = ONE + S * Q, Q - S * Q
     assert x + y == ONE + Q
-    return _lp_add(x.n1, y.n1), set()
+    return _lp_add(x.n0, y.n0), {0, 2}
 
 
 def cancel_lp_divmod():
@@ -642,19 +599,19 @@ def cancel_lp_divmod():
 
 
 def cancel_sqmat_add():
-    A = SqMat(2, {(1, 1): ONE + S, (1, 2): T, (2, 2): Q})
+    A = SqMat(2, {(1, 1): ONE + S, (1, 2): I * Q, (2, 2): Q})
     return (A + (-A)).entries, set()
 
 
 def cancel_row_reduce():
-    row = {0: S, 2: ONE + S, 3: T}
+    row = {0: S, 2: ONE + S, 3: I * Q}
     basis = row_reduce([row, dict(row)])
     assert len(basis) == 1
     return basis[0][1], set(row)
 
 
 def cancel_ncpoly_add():
-    p = NCPoly({(1, 2): S, (2,): T, (): ONE})
+    p = NCPoly({(1, 2): S, (2,): I * Q, (): ONE})
     return (p + (-p)).terms, set()
 
 

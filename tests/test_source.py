@@ -1,7 +1,10 @@
 """Static checks on the package source."""
 
 import ast
+import inspect
 import os
+
+from qortho.scalars import Scalar
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "qortho")
@@ -69,3 +72,20 @@ def test_realforms_keeps_no_sqmat_witness_path():
     imported = {alias.name for node in tree.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not imported & {"kron_embed", "first_diff"}
+
+
+def test_scalar_denominator_is_passed_by_keyword():
+    # `Scalar(n0, *, d=...)`: perfbench/tracer.py counts gcd constructions
+    # from the call's arguments and reads d by keyword, so no call may pass
+    # more than n0 by position, or unpack its arguments
+    param = inspect.signature(Scalar).parameters["d"]
+    assert param.kind is inspect.Parameter.KEYWORD_ONLY
+    found = []
+    for name, tree in _trees():
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name) and node.func.id == "Scalar"
+                  and (len(node.args) > 1
+                       or any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))]
+    assert found == []
