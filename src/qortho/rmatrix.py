@@ -131,8 +131,20 @@ def check_ybe(R, N):
     """Yang-Baxter R12 R13 R23 = R23 R13 R12 in the N^3 space.
 
     Returns (True, None) or (False, witness) with the first differing
-    composite entry, both decided by `_integer_ybe` over the integers.
-    Every entry of R must lie in Z[s, s^-1]; TypeError otherwise."""
+    composite entry, lowest row then lowest column, both decided by
+    `_integer_ybe` over the integers.  Every entry of R must lie in
+    Z[s, s^-1]; TypeError otherwise.
+
+    The SO_q(N) R matrix is invariant under sigma(a, b) = (b', a'):
+    R^{ab}_{cd} = R^{b'a'}_{d'c'}.  With Q(a, b, c) = (c', b', a') on the
+    N^3 space, that makes Q R12 Q = R23 and Q R13 Q = R13, so
+    Q (LHS - RHS) Q = -(LHS - RHS): row Q(i) of the difference vanishes
+    exactly when row i does.  When R is sigma-invariant (checked, never
+    assumed) the kernel decides the identity on the rows i <= Q(i) alone,
+    about half of them.  The lowest differing row r has r <= Q(r), because
+    row Q(r) differs too and so is not below r.  So r is the first
+    differing row of that scan, and the witness is the one a scan of every
+    row gives."""
     if R.dim != N * N:
         raise BadN(f"R has dim {R.dim}, expected {N * N}")
     diff = _integer_ybe(R, N, kron_embed(R, 1, N, 3), kron_embed(R, 2, N, 3))
@@ -141,6 +153,35 @@ def check_ybe(R, N):
     r, c, lv, rv = diff
     return False, {"row": list(unpack(r, N, 3)), "col": list(unpack(c, N, 3)),
                    "lhs": str(lv), "rhs": str(rv)}
+
+
+def _ybe_rows(R, N):
+    """The rows of R12 R13 R23 - R23 R13 R12 that decide the YBE, 1-based
+    and increasing: those with i <= Q(i), Q(a, b, c) = (c', b', a'), when
+    R^{ab}_{cd} = R^{b'a'}_{d'c'} for every entry (one pass over R's
+    entries; sigma is an involution, so a partner missing from R fails the
+    pass at the partner's own entry), and every row otherwise.  Half of
+    the N^3 rows at even N, (N^3 + N) / 2 at odd N, where the rows
+    (a, n2, a') are fixed by Q.  See `check_ybe` for why they suffice."""
+    NN, last = N * N, N - 1
+
+    def sigma(x):
+        # 1-based (a, b) -> (b', a'), 0-based primes x' = N - 1 - x
+        a, b = divmod(x - 1, N)
+        return (last - b) * N + last - a + 1
+
+    entries = R.entries
+    if not all(entries.get((sigma(r), sigma(c))) == v
+               for (r, c), v in entries.items()):
+        return range(1, N ** 3 + 1)
+    rows = []
+    for a in range(N):
+        for b in range(N):
+            # (a, b, c) <= (c', b', a') lexicographically: c < a', or
+            # c = a' and b <= b'
+            start = a * NN + b * N + 1
+            rows.extend(range(start, start + N - a - (2 * b > last)))
+    return rows
 
 
 def _integer_ybe(R, N, R12, R23):
@@ -157,6 +198,11 @@ def _integer_ybe(R, N, R12, R23):
     (`_kronecker_images([[R] * 3], [[R] * 3])`, two sides of one chain
     each).  R13 is never formed: its row (a, b, c) is R's row (a, c) with
     column (a', c') placed at (a', b, c').
+    The rows accumulated are `_ybe_rows`: when R is sigma-invariant, only
+    the rows i <= Q(i), in increasing order.  Row Q(i) of LHS - RHS is
+    minus row i with its columns relabeled by Q, so those rows vanish
+    together, and the lowest differing row is itself such a row (see
+    `check_ybe`).  Otherwise every row, in the same loop.
     Each output row of LHS - RHS is accumulated into one dict, depth first
     through the three factors; the first row with a nonzero entry differs.
     There each side's integer at the lowest such column is summed alone
@@ -180,7 +226,7 @@ def _integer_ybe(R, N, R12, R23):
         for c in range(N):
             for b in range(N):
                 r13[a * NN + b * N + c + 1] = placed[a * N + c + 1], b * N + 1
-    for i in range(1, size + 1):
+    for i in _ybe_rows(R, N):
         acc = {}
         for first, last, negate in ((r12, r23, False), (r23, r12, True)):
             for j, x in first[i]:

@@ -296,9 +296,10 @@ _ONE_POLY = {0: _GAUSS_ONE}
 class Scalar:
     """Element n0/d of the fraction field of the Laurent ring.
 
-    Instances are immutable and kept in canonical form at all times; the
-    canonical dicts n0 and d are the only stored form.  The denominator
-    is keyword-only: `Scalar(n0, d=d)`.
+    Instances are kept in canonical form at all times; the canonical dicts
+    n0 and d are the only stored form.  The attributes cannot be rebound
+    or deleted; the dicts are shared between Scalars and must not be
+    mutated.  The denominator is keyword-only: `Scalar(n0, d=d)`.
     """
 
     __slots__ = ("n0", "d")
@@ -327,15 +328,23 @@ class Scalar:
             if not lc.is_one():
                 ci = lc.inv()
                 n0, d = _lp_scale(n0, ci), _lp_scale(d, ci)
-        self.n0, self.d = n0, d
+        object.__setattr__(self, "n0", n0)
+        object.__setattr__(self, "d", d)
 
     @staticmethod
     def _of(n0, d):
         """Trusted constructor: n0/d is already canonical, with no zero
         coefficients, and no caller mutates the dicts afterwards."""
         x = Scalar.__new__(Scalar)
-        x.n0, x.d = n0, d
+        object.__setattr__(x, "n0", n0)
+        object.__setattr__(x, "d", d)
         return x
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Scalar is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Scalar is immutable: cannot delete {name!r}")
 
     # -- constructors -------------------------------------------------------
 

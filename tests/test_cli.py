@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import io
 import json
 import os
@@ -516,3 +517,58 @@ def test_dumps_rejects_what_reports_never_hold(value):
     with pytest.raises(TypeError):
         _dumps(value)
 
+
+
+# -- the benchmark's pinned spans --------------------------------------------
+
+
+def benchmark_workloads():
+    """(invocations, required spans, expected exit codes) of each workload
+    that BENCHMARK.json lists, from perfbench/workloads.py."""
+    path = os.path.join(HERE, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    with open(os.path.join(HERE, "BENCHMARK.json")) as fh:
+        listed = [w["name"] for w in json.load(fh)["workloads"]]
+    with open(os.path.join(HERE, "perfbench", "expected.json")) as fh:
+        expected = json.load(fh)
+    return [pytest.param(workloads.WORKLOADS[name],
+                         workloads.REQUIRED_SPANS[name],
+                         [expected[workloads.invocation_key(argv)]["exit"]
+                          for argv in workloads.WORKLOADS[name]], id=name)
+            for name in listed]
+
+
+def span_code(span):
+    # "linalg.SqMat.__mul__" -> the code object of qortho.linalg.SqMat.__mul__
+    module, *path = span.split(".")
+    obj = importlib.import_module(f"qortho.{module}")
+    for name in path:
+        obj = getattr(obj, name)
+    return obj.__code__
+
+
+@pytest.mark.parametrize("invocations, spans, exits", benchmark_workloads())
+def test_benchmark_workload_reaches_every_required_span(
+        invocations, spans, exits):
+    # the traced benchmark run fails on a required span with no calls;
+    # replaying the workload in process catches a source change that stops
+    # calling one before that run does
+    codes = {span_code(span): span for span in spans}
+    counts = dict.fromkeys(spans, 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    results = []
+    sys.setprofile(profile)
+    try:
+        for argv in invocations:
+            results.append(main(list(argv) + ["--format", "json"],
+                                out=io.StringIO(), err=io.StringIO()))
+    finally:
+        sys.setprofile(None)
+    assert results == exits
+    assert [span for span, n in counts.items() if not n] == []

@@ -140,6 +140,50 @@ def flip(N):
                          for a in range(1, N + 1) for b in range(1, N + 1)})
 
 
+def sigma(x, N):
+    # sigma(a, b) = (b', a') on V (x) V, a' = N + 1 - a
+    a, b = unpack(x, N, 2)
+    return pack((N + 1 - b, N + 1 - a), N)
+
+
+def q_image(i, N):
+    # Q(a, b, c) = (c', b', a') on V (x) V (x) V
+    a, b, c = unpack(i, N, 3)
+    return pack((N + 1 - c, N + 1 - b, N + 1 - a), N)
+
+
+def sigma_partner(key, N):
+    r, c = key
+    return sigma(r, N), sigma(c, N)
+
+
+def is_sigma_invariant(R, N):
+    return {sigma_partner(key, N): v
+            for key, v in R.entries.items()} == dict(R.entries)
+
+
+def perturbed(X, key, delta):
+    entries = dict(X.entries)
+    entries[key] = X.get(*key) + delta
+    return SqMat(X.dim, entries)
+
+
+def sigma_paired(R, N, key, delta):
+    """R with the entry at key and its sigma partner each changed by delta."""
+    partner = sigma_partner(key, N)
+    R = perturbed(R, key, delta)
+    return R if partner == key else perturbed(R, partner, delta)
+
+
+def record_rows(monkeypatch):
+    """The rows the YBE kernel accumulates, one list per check."""
+    seen = []
+    rows = rmatrix._ybe_rows
+    monkeypatch.setattr(rmatrix, "_ybe_rows",
+                        lambda R, N: seen.append(list(rows(R, N))) or seen[-1])
+    return seen
+
+
 def embeddings(R, N):
     # R13 is R12 conjugated by the flip of slots 2 and 3
     R12, P23 = kron_embed(R, 1, N, 3), kron_embed(flip(N), 2, N, 3)
@@ -197,7 +241,10 @@ vanishing_at_power_of_two = vanishing(1)
 @st.composite
 def ybe_solutions(draw):
     """(R, N): a known solution of the YBE scaled by c s^j, optionally with
-    one entry perturbed by an integer Laurent polynomial."""
+    one entry perturbed by an integer Laurent polynomial, alone or together
+    with its sigma partner.  The identity, the flip and so3 are
+    sigma-invariant, and a paired change keeps them so: the YBE kernel
+    then takes only the representative rows."""
     N = draw(st.sampled_from((2, 3)))
     kinds = ["identity", "flip", "diagonal"] + (["so3"] if N == 3 else [])
     kind = draw(st.sampled_from(kinds))
@@ -214,9 +261,11 @@ def ybe_solutions(draw):
     R = R.scale(unit * sp(draw(st.integers(-3, 3))))
     if draw(st.booleans()):
         key = (draw(st.integers(1, N * N)), draw(st.integers(1, N * N)))
-        entries = dict(R.entries)
-        entries[key] = R.get(*key) + draw(int_laurent | vanishing_at_power_of_two)
-        R = SqMat(N * N, entries)
+        delta = draw(int_laurent | vanishing_at_power_of_two)
+        if draw(st.booleans()):
+            R = sigma_paired(R, N, key, delta)
+        else:
+            R = perturbed(R, key, delta)
     return R, N
 
 
@@ -232,10 +281,13 @@ def test_integer_verdict_equals_product_verdict(case):
 
 
 @pytest.mark.parametrize("N", range(3, 7))
-def test_ybe_kernel_verdict_on_changed_r(N):
+def test_ybe_kernel_verdict_on_changed_r(monkeypatch, N):
     # the real R scaled by c s^j (the equation is homogeneous, so it still
     # holds), and with one entry changed by +-c s^j: present entries and
-    # zero ones, both parities of j
+    # zero ones, both parities of j, each change alone and together with
+    # its sigma partner.  The scaled and the paired cases are
+    # sigma-invariant, so the kernel takes only the representative rows,
+    # and both verdicts occur there
     rng = random.Random(N)
     R = build_R(N)
     present = sorted(R.entries)
@@ -244,14 +296,49 @@ def test_ybe_kernel_verdict_on_changed_r(N):
     for n in range(8):
         key = present[rng.randrange(len(present))] if n % 2 else \
             (rng.randint(1, N * N), rng.randint(1, N * N))
-        c = rng.choice((-3, -2, -1, 1, 2, 3))
-        entries = dict(R.entries)
-        entries[key] = R.get(*key) + Scalar.from_frac(c) * sp(n - 4)
-        cases.append(SqMat(N * N, entries))
+        delta = Scalar.from_frac(rng.choice((-3, -2, -1, 1, 2, 3))) * sp(n - 4)
+        cases += [perturbed(R, key, delta), sigma_paired(R, N, key, delta)]
+    seen = record_rows(monkeypatch)
     results = [check_ybe(X, N) for X in cases]
     assert results == [reference_ybe(X, N) for X in cases]
     verdicts = [ok for ok, _ in results]
     assert verdicts[:3] == [True] * 3 and False in verdicts
+    halved = [len(rows) < N ** 3 for rows in seen]
+    assert halved == [is_sigma_invariant(X, N) for X in cases]
+    assert all(halved[:3] + halved[4::2])
+    assert {ok for ok, h in zip(verdicts, halved) if h} == {True, False}
+
+
+@pytest.mark.parametrize("N", (3, 4))
+def test_ybe_kernel_on_every_single_entry_change(N):
+    # every entry of R changed by 1, present or zero: verdict and witness
+    # against the Scalar products.  Most changes break sigma-invariance,
+    # so a kernel that took the representative rows without checking it
+    # would miss rows that differ; the changes at rows (a, a') and columns
+    # (c, c') keep it and take the representative rows
+    R = build_R(N)
+    for r in range(1, N * N + 1):
+        for c in range(1, N * N + 1):
+            X = perturbed(R, (r, c), ONE)
+            assert check_ybe(X, N) == reference_ybe(X, N), (r, c)
+
+
+@pytest.mark.parametrize("N", range(3, 13))
+def test_r_is_sigma_invariant_and_the_kernel_takes_representative_rows(
+        monkeypatch, N):
+    # R^{ab}_{cd} = R^{b'a'}_{d'c'}, so the kernel accumulates exactly the
+    # rows i <= Q(i), in order: N^3 / 2 of them at even N and
+    # (N^3 + N) / 2 at odd N; an R that is not sigma-invariant takes every
+    # row
+    R = build_R(N)
+    assert is_sigma_invariant(R, N)
+    seen = record_rows(monkeypatch)
+    assert check_ybe(R, N) == (True, None)
+    representatives = [i for i in range(1, N ** 3 + 1) if i <= q_image(i, N)]
+    assert seen == [representatives]
+    assert 2 * len(representatives) == N ** 3 + (N if N % 2 else 0)
+    assert check_ybe(changed_r(N), N)[0] is False
+    assert seen[1] == list(range(1, N ** 3 + 1))
 
 
 def row_norm(R):
@@ -688,12 +775,6 @@ def reference_projector_verdicts(N, den, P0, PA, PS, Rhat):
         "char_eq": products_equal([Rhat - Q * I, Rhat + QI * I,
                                    Rhat - Scalar.q_power(1 - N) * I]),
     }
-
-
-def perturbed(X, key, delta):
-    entries = dict(X.entries)
-    entries[key] = X.get(*key) + delta
-    return SqMat(X.dim, entries)
 
 
 @pytest.mark.parametrize("N", range(3, 7))

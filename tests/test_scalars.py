@@ -103,6 +103,21 @@ def test_canonical_zero():
         assert a - a is not None and (a - a).is_zero()
 
 
+def test_attributes_cannot_be_rebound_or_deleted():
+    # every constructor path: checked, trusted polynomial, unit product,
+    # rational product, the shared constants
+    samples = [Scalar.from_frac(3), S * Q, -S, ONE / (ONE + S), ONE, ZERO]
+    for x in samples:
+        before = (str(x), hash(x))
+        for name in ("n0", "d", "other"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(x, name, {0: GaussRat(2)})
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(x, name)
+        assert (str(x), hash(x)) == before
+    assert Scalar.one() == ONE and str(ONE) == "1*s^0"
+
+
 # --- coefficients: oracle against plain Fraction pairs ---------------------
 
 fracs = st.fractions(min_value=-40, max_value=40, max_denominator=48)
