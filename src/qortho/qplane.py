@@ -3,17 +3,19 @@
 Relations come from the antisymmetric projector: each row of P_A applied
 to x (x) x must vanish.  Row reduction with increasing pairs as pivot
 columns turns the row space into one rewrite rule per pair x^a x^b (a < b),
-with right-hand sides supported on weakly decreasing words.  A rewriting
-system certifies termination before it rewrites; the diamond lemma on
-overlaps then certifies confluence, so weakly decreasing words form a
-monomial basis and normal forms decide ideal membership.
+with right-hand sides supported on weakly decreasing words.  The x3 = +-x2
+quotient of the N=4 plane is built the same way, from the images of its
+relations in three generators.  A rewriting system, which has these
+quadratic rules only, certifies termination before it rewrites; the
+diamond lemma on overlaps then certifies confluence, so weakly decreasing
+words form a monomial basis and normal forms decide ideal membership.
 
 Words are plain tuples of generator indices; the empty tuple is the unit.
 """
 
 from types import MappingProxyType
 
-from .errors import BadN, QorthoError, RankMismatch
+from .errors import BadN, DimMismatch, QorthoError, RankMismatch
 from .linalg import row_reduce, unpack
 from .rmatrix import GroupShape
 from .scalars import _T_SQUARED, Scalar, _accumulate
@@ -110,84 +112,58 @@ class NCPoly:
         return f"<NCPoly {self}>"
 
 
-def _measure(word, letter_rules):
-    # (degree, letters that still carry a letter rule, reversed index order);
-    # well-founded, and u < v gives x u y < x v y, so lowering rules terminate
-    return (len(word), sum(1 for l in word if l in letter_rules),
-            tuple(-l for l in word))
+def _measure(word):
+    # (degree, reversed index order); well-founded, and u < v gives
+    # x u y < x v y, so lowering rules terminate
+    return (len(word), tuple(-l for l in word))
 
 
-def _certify(rules, letter_rules):
-    """Raise unless every right-hand side lies below its left-hand word;
-    `rules` maps left-hand words (letters as 1-tuples) to NCPolys."""
-    for lhs, rhs in rules.items():
-        bound = _measure(lhs, letter_rules)
-        for w in rhs.terms:
-            if not _measure(w, letter_rules) < bound:
-                name = lhs if len(lhs) == 2 else f"x{lhs[0]}"
-                raise QorthoError(f"rule {name} does not decrease the "
-                                  f"termination measure at {w}")
-
-
-def _reduce_spot(word, pair_rules, letter_rules):
-    for i, l in enumerate(word):
-        if l in letter_rules:
-            return i, 1, letter_rules[l]
-        if i + 1 < len(word) and (l, word[i + 1]) in pair_rules:
-            return i, 2, pair_rules[(l, word[i + 1])]
-    return None
-
-
-def _normalize_terms(terms, pair_rules, letter_rules):
+def _normalize_terms(terms, pair_rules):
     # `terms` holds no zero coefficients, and `_accumulate` stores none
     out = {}
     work = dict(terms)
     while work:
         w = min(work)
         c = work.pop(w)
-        spot = _reduce_spot(w, pair_rules, letter_rules)
-        if spot is None:
+        for i in range(len(w) - 1):
+            rep = pair_rules.get(w[i:i + 2])
+            if rep is not None:
+                for w2, c2 in rep.terms.items():
+                    _accumulate(work, w[:i] + w2 + w[i + 2:], c * c2)
+                break
+        else:
             _accumulate(out, w, c)
-            continue
-        i, span, rep = spot
-        for w2, c2 in rep.terms.items():
-            _accumulate(work, w[:i] + w2 + w[i + span:], c * c2)
     return out
 
 
 class RewriteSystem:
-    """Quadratic rules x^a x^b -> lower terms (a < b), plus optional
-    generator substitutions x^a -> poly used by the quotient embeddings.
+    """Quadratic rules x^a x^b -> lower terms (a < b) on the letters 1..N.
 
-    Construction first certifies that each letter rule, and each pair rule
-    after letter substitution, lowers the termination measure.  One pass
-    then normalizes every right-hand side; a second could change nothing,
-    as irreducibility depends only on the rule keys.  Rules are read-only
-    and no attribute can be rebound."""
+    Construction first checks each rule's letters and certifies that it
+    lowers the termination measure.  One pass then normalizes every
+    right-hand side; a second could change nothing, as irreducibility
+    depends only on the rule keys.  Rules are read-only and no attribute
+    can be rebound."""
 
-    __slots__ = ("N", "pair_rules", "letter_rules")
+    __slots__ = ("N", "pair_rules")
 
-    def __init__(self, N, pair_rules, letter_rules=None):
+    def __init__(self, N, pair_rules):
         if not isinstance(N, int) or N < 1:
             raise BadN(f"width must be a positive integer, got {N!r}")
         object.__setattr__(self, "N", N)
-        letter_rules = dict(letter_rules or {})
-        for (a, b) in pair_rules:
+        pair_rules = dict(pair_rules)
+        for (a, b), rhs in pair_rules.items():
             if not (1 <= a < b <= N):
                 raise ValueError(f"pair rule key must satisfy 1 <= a < b <= N: {(a, b)}")
-        for a in letter_rules:
-            if not (1 <= a <= N):
-                raise ValueError(f"letter rule key out of range: {a}")
-        _certify({(a,): rhs for a, rhs in letter_rules.items()}, letter_rules)
-        pair_rules = {key: NCPoly._of(_normalize_terms(rhs.terms, {}, letter_rules))
-                      for key, rhs in pair_rules.items()}
-        _certify(pair_rules, letter_rules)
-        for rules in (pair_rules, letter_rules):
-            for key, rhs in rules.items():
-                rules[key] = NCPoly._of(_normalize_terms(rhs.terms, pair_rules,
-                                                         letter_rules))
+            for w in rhs.terms:
+                if any(l < 1 or l > N for l in w):
+                    raise ValueError(f"rule {(a, b)} uses letters outside 1..{N}")
+                if not _measure(w) < _measure((a, b)):
+                    raise QorthoError(f"rule {(a, b)} does not decrease the "
+                                      f"termination measure at {w}")
+        for key, rhs in pair_rules.items():
+            pair_rules[key] = NCPoly._of(_normalize_terms(rhs.terms, pair_rules))
         object.__setattr__(self, "pair_rules", MappingProxyType(pair_rules))
-        object.__setattr__(self, "letter_rules", MappingProxyType(letter_rules))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"RewriteSystem is immutable: cannot set {name!r}")
@@ -196,8 +172,7 @@ class RewriteSystem:
         raise AttributeError(f"RewriteSystem is immutable: cannot delete {name!r}")
 
     def __repr__(self):
-        return (f"<RewriteSystem N={self.N} rules={len(self.pair_rules)}"
-                f"+{len(self.letter_rules)}>")
+        return f"<RewriteSystem N={self.N} rules={len(self.pair_rules)}>"
 
 
 def normal_form(p, rs):
@@ -207,69 +182,59 @@ def normal_form(p, rs):
     for w in p.terms:
         if any(l < 1 or l > rs.N for l in w):
             raise ValueError(f"word {w} uses letters outside 1..{rs.N}")
-    return NCPoly._of(_normalize_terms(p.terms, rs.pair_rules, rs.letter_rules))
+    return NCPoly._of(_normalize_terms(p.terms, rs.pair_rules))
+
+
+def _quadratic_rules(N, relations, what):
+    """One rule per increasing pair from the degree-2 `relations`, maps
+    {(a, b): coeff} in N letters, row reduced with the increasing pairs as
+    the first columns.  Raises RankMismatch, naming `what`, unless the
+    pivots are exactly the increasing pairs."""
+    inc = [(a, b) for a in range(1, N + 1) for b in range(a + 1, N + 1)]
+    rest = [(a, b) for a in range(1, N + 1) for b in range(1, a + 1)]
+    cols = inc + rest
+    colpos = {pair: k for k, pair in enumerate(cols)}
+
+    basis = row_reduce([{colpos[w]: v for w, v in rel.items()}
+                        for rel in relations])
+    pivots = {cols[piv] for piv, _, _ in basis}
+    if pivots != set(inc):
+        raise RankMismatch(f"{what} pivots {sorted(pivots)} are not the "
+                           f"increasing pairs for N={N}")
+    return RewriteSystem(N, {
+        cols[piv]: NCPoly({cols[k]: -v for k, v in vec.items() if k != piv})
+        for piv, vec, _ in basis})
 
 
 def plane_relations(shape):
     """Rewrite rules of the N-generator quantum orthogonal plane, one per
     increasing pair, from the reduced rows of P_A's row space.
 
-    `shape.pa_rows` is already P_A's reduced basis.  Its rows are reduced
-    again here with the increasing pairs as the first columns: a basis
-    row is zero at the other pivots and its pivot is its lowest column in
-    this order too, so that takes no elimination step.  It still checks
-    that the pivots are the increasing pairs, and raises RankMismatch if
-    they are not."""
-    N, rowspace = shape.N, shape.pa_rows
-    inc = [(a, b) for a in range(1, N + 1) for b in range(a + 1, N + 1)]
-    rest = [(a, b) for a in range(1, N + 1) for b in range(1, a + 1)]
-    cols = inc + rest
-    colpos = {pair: k for k, pair in enumerate(cols)}
-
+    `shape.pa_rows` is already P_A's reduced basis, so reducing it again
+    with the increasing pairs first takes no elimination step: a basis row
+    is zero at the other pivots and its pivot is its lowest column in this
+    order too.  RankMismatch if the pivots are not the increasing pairs."""
+    N = shape.N
     rows = {}
-    for (r, c), v in rowspace.entries.items():
-        rows.setdefault(r, {})[colpos[unpack(c, N, 2)]] = v
-    basis = row_reduce([rows[r] for r in sorted(rows)])
-    pivots = {cols[piv] for piv, _, _ in basis}
-    if pivots != set(inc):
-        raise RankMismatch(f"P_A pivots {sorted(pivots)} are not the "
-                           f"increasing pairs for N={N}")
-    rules = {}
-    for piv, vec, _ in basis:
-        rhs = NCPoly({cols[k]: -v for k, v in vec.items() if k != piv})
-        rules[cols[piv]] = rhs
-    return RewriteSystem(N, rules)
+    for (r, c), v in shape.pa_rows.entries.items():
+        rows.setdefault(r, {})[unpack(c, N, 2)] = v
+    return _quadratic_rules(N, [rows[r] for r in sorted(rows)], "P_A")
 
 
-def _ambiguities(rs):
-    """(witness stub, reduct, reduct) for each ambiguity: the overlaps
-    x^a x^b x^c of two pair rules, then each letter rule inside the left
-    word of a pair rule."""
+def check_confluence(rs):
+    """Diamond lemma on overlaps.  For words x^a x^b x^c with both (a,b)
+    and (b,c) rules, the two one-step reducts must share a normal form.
+    Returns (True, None) or (False, witness)."""
     for (a, b), rhs_ab in sorted(rs.pair_rules.items()):
         for c in range(b + 1, rs.N + 1):
             rhs_bc = rs.pair_rules.get((b, c))
             if rhs_bc is None:
                 continue
-            yield {"overlap": [a, b, c]}, rhs_ab * NCPoly.gen(c), NCPoly.gen(a) * rhs_bc
-    for (a, b), rhs_ab in sorted(rs.pair_rules.items()):
-        for pos, l in enumerate((a, b)):
-            sub = rs.letter_rules.get(l)
-            if sub is None:
-                continue
-            one_step = (sub * NCPoly.gen(b)) if pos == 0 else (NCPoly.gen(a) * sub)
-            yield {"overlap": [a, b], "letter": l}, one_step, rhs_ab
-
-
-def check_confluence(rs):
-    """Diamond lemma on overlaps.  For words x^a x^b x^c with both (a,b)
-    and (b,c) rules, the two one-step reducts must share a normal form;
-    generator substitutions overlapping a pair rule are checked the same
-    way.  Returns (True, None) or (False, witness)."""
-    for stub, left, right in _ambiguities(rs):
-        left = normal_form(left, rs)
-        right = normal_form(right, rs)
-        if left != right:
-            return False, dict(stub, left=str(left), right=str(right))
+            left = normal_form(rhs_ab * NCPoly.gen(c), rs)
+            right = normal_form(NCPoly.gen(a) * rhs_bc, rs)
+            if left != right:
+                return False, {"overlap": [a, b, c], "left": str(left),
+                               "right": str(right)}
     return True, None
 
 
@@ -295,7 +260,10 @@ def conj_poly(p, K, regime):
 
 def check_star_consistency(rs, K, regime):
     """The conjugation must be an involution on generators and must map
-    every defining relation into the relation ideal (normal form zero)."""
+    every defining relation into the relation ideal (normal form zero).
+    Raises DimMismatch unless K is N x N for the plane's N generators."""
+    if K.dim != rs.N:
+        raise DimMismatch(f"K is {K.dim}x{K.dim}, the plane has {rs.N} generators")
     for a in range(1, rs.N + 1):
         g = NCPoly.gen(a)
         if conj_poly(conj_poly(g, K, regime), K, regime) != g:
@@ -310,8 +278,18 @@ def check_star_consistency(rs, K, regime):
 def quotient_check(sign, include_scaling=True):
     """Embed the three-generator plane into the N=4 plane modulo x3 = (+-)x2.
 
+    The quotient is built on three generators from the images of the N=4
+    relations under psi: x1, x2, x3, x4 -> x1, x2, (+-)x2, x3.  psi is the
+    map F4 -> F3 killing x3 -+ x2 (x4 renamed x3), so this system and the
+    N=4 one with a rule x3 -> (+-)x2 present the same algebra, and psi keeps
+    right-hand sides on weakly decreasing words.  If the pivots are the
+    increasing pairs, both systems have those words as irreducible words:
+    one is confluent exactly when the other is, and in both a normal form
+    is zero exactly on the ideal.  An extra pivot puts a nonzero
+    combination of them into the ideal, so neither is confluent: False.
+
     The substitution is y1 -> x1, y2 -> t*x2 (i*t*x2 for the minus sign),
-    y3 -> x4, with t = sqrt(q^(1/2) + q^(-1/2)); every three-generator
+    y3 -> x3, with t = sqrt(q^(1/2) + q^(-1/2)); every three-generator
     relation must normalize to zero in the quotient system.  With
     include_scaling False the t factor is dropped, which is the documented
     failure mode.
@@ -326,14 +304,19 @@ def quotient_check(sign, include_scaling=True):
     not a square there."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    base = plane_relations(GroupShape(4))
-    sub = NCPoly({(2,): Scalar.from_frac(sign)})
-    ext = RewriteSystem(4, base.pair_rules, {3: sub})
-    ok, _ = check_confluence(ext)
+    psi = {1: NCPoly.gen(1), 2: NCPoly.gen(2),
+           3: NCPoly({(2,): Scalar.from_frac(sign)}), 4: NCPoly.gen(3)}
+    relations = [_substitute((NCPoly.word(lhs) - rhs).terms, psi).terms
+                 for lhs, rhs in plane_relations(GroupShape(4)).pair_rules.items()]
+    try:
+        quotient = _quadratic_rules(3, relations, "x3 = (+-)x2 quotient")
+    except RankMismatch:
+        return False
+    ok, _ = check_confluence(quotient)
     if not ok:
         return False
     unit = Scalar.i_unit() if sign == -1 else Scalar.one()
-    images = {1: NCPoly.gen(1), 2: NCPoly({(2,): unit}), 3: NCPoly.gen(4)}
+    images = {1: NCPoly.gen(1), 2: NCPoly({(2,): unit}), 3: NCPoly.gen(3)}
     for (a, b), rhs in plane_relations(GroupShape(3)).pair_rules.items():
         parts = ({}, {})  # the t^0 and t^1 parts of the relation
         for w, c in (NCPoly.word((a, b)) - rhs).terms.items():
@@ -342,7 +325,7 @@ def quotient_check(sign, include_scaling=True):
                 c = c * _T_SQUARED
             parts[m % 2][w] = c
         for part in parts:
-            if not normal_form(_substitute(part, images), ext).is_zero():
+            if not normal_form(_substitute(part, images), quotient).is_zero():
                 return False
     return True
 

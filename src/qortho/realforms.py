@@ -292,6 +292,8 @@ def enumerate_autos(N, family):
 
 def auto_from_signs(N, family, signs):
     """Family member from a full-length +- sign string."""
+    if set(signs) - {"+", "-"}:
+        raise BadFamily(f"signs must be + or -, got {signs!r}")
     return _member(N, family, tuple(1 if ch == "+" else -1 for ch in signs))
 
 

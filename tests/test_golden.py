@@ -38,6 +38,8 @@ CASES.update({
         "plane-conj", "--n", "3", "--spec", "base:cross;autos:;regime:unit"],
     "quotient_plus": ["quotient", "--sign", "plus"],
     "quotient_minus": ["quotient", "--sign", "minus"],
+    "quotient_plus_no-scaling": [
+        "quotient", "--sign", "plus", "--no-scaling"],
     "quotient_minus_no-scaling": [
         "quotient", "--sign", "minus", "--no-scaling"],
     "classify_n4_star_canonical": [

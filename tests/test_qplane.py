@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qortho import qplane
-from qortho.errors import BadN, QorthoError, RankMismatch
+from qortho.errors import BadN, DimMismatch, QorthoError, RankMismatch
 from qortho.qplane import (
     NCPoly, RewriteSystem, check_confluence, check_star_consistency,
     conj_poly, normal_form, plane_relations, quotient_check, rules_json,
@@ -173,15 +173,19 @@ def test_toy_two_generator_system():
 def test_bad_rule_keys_rejected():
     with pytest.raises(ValueError):
         RewriteSystem(4, {(2, 1): NCPoly({(1, 2): one})})
-    with pytest.raises(ValueError):
-        RewriteSystem(4, {}, {0: NCPoly.gen(1)})
+
+
+@pytest.mark.parametrize("word", [(7, 1), (2, 0), (4, 3)])
+def test_right_hand_side_letters_outside_the_alphabet_rejected(word):
+    # normal_form rejects such letters in its input; a rule may not bring
+    # them in either
+    with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+        RewriteSystem(3, {(1, 2): NCPoly.word(word)})
 
 
 def test_nonterminating_rules_rejected():
     with pytest.raises(QorthoError, match="does not decrease"):
         RewriteSystem(4, {(1, 2): NCPoly({(2, 1, 1): one})})  # degree grows
-    with pytest.raises(QorthoError, match="does not decrease"):
-        RewriteSystem(4, {}, {1: NCPoly.gen(2), 2: NCPoly.gen(1)})  # cycle
 
 
 def test_rule_must_decrease_before_normalization():
@@ -196,9 +200,6 @@ def test_rules_are_read_only():
     base = plane_relations(GroupShape(4))
     with pytest.raises(TypeError):
         base.pair_rules[(1, 2)] = NCPoly.word((2, 1))
-    ext = RewriteSystem(4, base.pair_rules, {3: NCPoly({(2,): one})})
-    with pytest.raises(TypeError):
-        ext.letter_rules[3] = NCPoly.gen(1)
 
 
 def test_rule_terms_are_read_only():
@@ -216,12 +217,12 @@ def test_rule_terms_are_read_only():
 
 def test_rewrite_system_attributes_cannot_be_rebound():
     rs = plane_relations(GroupShape(3))
-    for name in ("N", "pair_rules", "letter_rules", "confluent"):
+    for name in ("N", "pair_rules", "confluent"):
         with pytest.raises(AttributeError):
             setattr(rs, name, {})
         with pytest.raises(AttributeError):
             delattr(rs, name)
-    assert rs.N == 3 and len(rs.pair_rules) == 3 and not rs.letter_rules
+    assert rs.N == 3 and len(rs.pair_rules) == 3
     # check_confluence is a pure function: it records nothing on rs
     assert check_confluence(rs) == (True, None)
 
@@ -292,6 +293,13 @@ def test_star_consistency_identity_fails_for_real_q():
     assert not check_star_consistency(rs, SqMat.identity(4), REAL)
 
 
+@pytest.mark.parametrize("N, dim", [(4, 3), (3, 4)])
+def test_star_consistency_rejects_a_K_of_the_wrong_size(N, dim):
+    rs = plane_relations(GroupShape(N))
+    with pytest.raises(DimMismatch, match=f"K is {dim}x{dim}.* {N} gen"):
+        check_star_consistency(rs, SqMat.identity(dim), REAL)
+
+
 # -- quotient embeddings --------------------------------------------------------
 
 
@@ -308,29 +316,58 @@ def test_quotient_fails_without_scaling():
     assert not quotient_check(-1, include_scaling=False)
 
 
-# (1, 2) and (2, 3) have one y2 in each word, so their images are t times a
-# part free of t; (1, 3) has words with no y2 and with two, so its image is
-# free of t
-@pytest.mark.parametrize("key, word", [
-    ((1, 2), (2, 1)), ((1, 3), (2, 2)), ((1, 3), (3, 1)), ((2, 3), (3, 2)),
-], ids=["12:21-odd", "13:22-even", "13:31-even", "23:32-odd"])
+# N=3: (1, 2) and (2, 3) have one y2 in each word, so their images are t
+# times a part free of t; (1, 3) has words with no y2 and with two, so its
+# image is free of t.  The quotient is untouched, so each relation falls
+# outside its ideal.  N=4: the images of x1x2 - (q+1)x2x1 and x1x3 - q x3x1
+# differ by a multiple of x2x1, which opens a pivot there; an extra x3x1 in
+# rule (1, 4) puts an x2x1 term into the quotient's rule (1, 3), which
+# breaks the overlap x1x2x3; an extra x2x2 there gives a confluent quotient
+# whose rule (1, 3) misses the three-generator relation
+@pytest.mark.parametrize("N, key, word, branch", [
+    (3, (1, 2), (2, 1), "ideal"), (3, (1, 3), (2, 2), "ideal"),
+    (3, (1, 3), (3, 1), "ideal"), (3, (2, 3), (3, 2), "ideal"),
+    (4, (1, 2), (2, 1), "pivots"), (4, (1, 4), (3, 1), "confluence"),
+    (4, (1, 4), (2, 2), "ideal"),
+], ids=["12:21-odd", "13:22-even", "13:31-even", "23:32-odd",
+        "n4-12:21-pivots", "n4-14:31-confluence", "n4-14:22-ideal"])
 @pytest.mark.parametrize("sign", [1, -1])
-def test_quotient_fails_on_a_perturbed_relation(monkeypatch, sign, key, word):
-    # one rule of the three-generator plane with one coefficient raised by 1
+def test_quotient_fails_on_a_perturbed_relation(monkeypatch, sign, N, key,
+                                                word, branch):
+    # one rule of the N-generator plane with one coefficient raised by 1
     relations = qplane.plane_relations
+    quadratic_rules = qplane._quadratic_rules
+    confluence = qplane.check_confluence
+    taken = []
 
     def perturbed(shape):
         rs = relations(shape)
-        if shape.N != 3:
+        if shape.N != N:
             return rs
         rules = dict(rs.pair_rules)
         terms = dict(rules[key].terms)
-        terms[word] = terms[word] + one
+        terms[word] = terms.get(word, Scalar.zero()) + one
         rules[key] = NCPoly(terms)
-        return RewriteSystem(3, rules)
+        return RewriteSystem(N, rules)
+
+    def spied_rules(*args):
+        try:
+            return quadratic_rules(*args)
+        except RankMismatch:
+            taken.append("pivots")
+            raise
+
+    def spied_confluence(rs):
+        ok, witness = confluence(rs)
+        if not ok:
+            taken.append("confluence")
+        return ok, witness
 
     monkeypatch.setattr(qplane, "plane_relations", perturbed)
+    monkeypatch.setattr(qplane, "_quadratic_rules", spied_rules)
+    monkeypatch.setattr(qplane, "check_confluence", spied_confluence)
     assert quotient_check(sign) is False
+    assert taken == ([] if branch == "ideal" else [branch])
 
 
 def test_quotient_argument_validation():
@@ -338,12 +375,24 @@ def test_quotient_argument_validation():
         quotient_check(0)
 
 
-def test_quotient_system_reduces_third_generator():
-    base = plane_relations(GroupShape(4))
-    ext = RewriteSystem(4, base.pair_rules,
-                        {3: NCPoly({(2,): one})})
-    nf = normal_form(NCPoly.word((1, 4)), ext)
-    assert nf == NCPoly({(4, 1): one, (2, 2): -lam})
+def test_quotient_system_reduces_third_generator(monkeypatch):
+    # the quotient is the three-generator system of the N=4 relations under
+    # x3 -> (+-)x2, x4 -> x3; quotient_check checks its confluence first
+    confluence = qplane.check_confluence
+    for sign in (1, -1):
+        systems = []
+        monkeypatch.setattr(qplane, "check_confluence",
+                            lambda rs: systems.append(rs) or confluence(rs))
+        assert quotient_check(sign)
+        (quotient,) = systems
+        assert quotient.N == 3
+        assert quotient.pair_rules == {
+            (1, 2): NCPoly({(2, 1): q}),
+            (2, 3): NCPoly({(3, 2): q}),
+            (1, 3): NCPoly({(3, 1): one, (2, 2): -lam * Scalar.from_frac(sign)}),
+        }
+        nf = normal_form(NCPoly.word((1, 3)), quotient)
+        assert nf == NCPoly({(3, 1): one, (2, 2): -lam * Scalar.from_frac(sign)})
 
 
 # -- serialization ---------------------------------------------------------------

@@ -98,6 +98,13 @@ def test_bad_sign_vectors_rejected():
         enumerate_autos(4, "nope")
 
 
+@pytest.mark.parametrize("signs", ["x++x", "+ +-", "-++0", "+++*"])
+def test_sign_strings_take_only_plus_and_minus(signs):
+    # no character other than - may read as a minus sign
+    with pytest.raises(BadFamily, match="signs must be"):
+        auto_from_signs(4, "dprime", signs)
+
+
 def test_auto_from_signs_roundtrip():
     for N, fam in ((5, "dprime"), (6, "dprime"), (6, "dsecond")):
         for a in enumerate_autos(N, fam):

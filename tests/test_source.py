@@ -18,6 +18,16 @@ def _trees():
                 yield name, ast.parse(fh.read(), filename=path)
 
 
+def _scopes(tree):
+    """node -> name of the innermost enclosing function."""
+    scopes = {}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                scopes[node] = func.name  # inner functions come later
+    return scopes
+
+
 def test_no_assert_statements_in_package():
     # `python -O` strips assert statements, so no check may rely on one
     found = []
@@ -32,11 +42,7 @@ def test_gc_freeze_only_in_console():
     # called in-process, where a freeze would pin the caller's objects
     found = []
     for name, tree in _trees():
-        scopes = {}  # node -> name of the innermost enclosing function
-        for func in ast.walk(tree):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for node in ast.walk(func):
-                    scopes[node] = func.name  # inner functions come later
+        scopes = _scopes(tree)
         found += [(name, scopes.get(node, "<module>"))
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr == "freeze"
@@ -89,3 +95,16 @@ def test_scalar_denominator_is_passed_by_keyword():
                        or any(isinstance(a, ast.Starred) for a in node.args)
                        or any(k.arg is None for k in node.keywords))]
     assert found == []
+
+
+def test_rewrite_systems_are_built_by_one_helper():
+    # every plane's rewriting system, the x3 = +-x2 quotient's too, comes
+    # from qplane._quadratic_rules, which checks the pivots first
+    found = []
+    for name, tree in _trees():
+        scopes = _scopes(tree)
+        found += [(name, scopes.get(node, "<module>"))
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and "RewriteSystem" in (getattr(node.func, "id", None),
+                                          getattr(node.func, "attr", None))]
+    assert found == [("qplane.py", "_quadratic_rules")]
