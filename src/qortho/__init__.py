@@ -2,7 +2,7 @@
 their real forms, and the associated quantum orthogonal planes."""
 
 from .errors import (
-    QorthoError, DivisionByZero, PoleAtOne, DimMismatch,
+    QorthoError, DivisionByZero, NotUnit, DimMismatch,
     Singular, NotSymmetric, Degenerate, NotReal, NotInvolution,
     BadN, BadFamily, NoPlaneConjugation, Unclassifiable, RankMismatch,
 )

@@ -210,11 +210,13 @@ def cmd_ybe(args):
 def _projector_checks(shape):
     # each projector is its numerator over den != 0, and
     # (X/den)(Y/den) = Z/den exactly when X Y = Z (den I); the identities
-    # are decided together, in one integer pass of `sums_equal`
+    # are decided together, in one integer pass of `sums_equal`, and
+    # tr(P0/den) = 1 exactly when tr(P0) = den
     N = shape.N
     den, P0, PA, PS, Rhat = shape.projectors
     den_I = linear_combination([(den, SqMat.identity(N * N))])
-    trace = P0.trace() * den.inv()
+    trace = P0.trace()
+    trace_ok = trace == den
     rank_pa = rank(shape.pa_rows)
     p0_idem, pa_idem, pa_p0, p0_pa, total, char_eq = sums_equal([
         ([[P0, P0]], [[P0, den_I]]),
@@ -229,8 +231,9 @@ def _projector_checks(shape):
         _check("pa_idempotent", pa_idem),
         _check("pa_p0_orthogonal", pa_p0 and p0_pa),
         _check("sum_is_identity", total),
-        _check("trace_p0", trace == Scalar.one(),
-               data={"trace": str(trace)}),
+        _check("trace_p0", trace_ok,
+               None if trace_ok else {"trace": str(trace), "den": str(den)},
+               {"trace": str(Scalar.one())} if trace_ok else None),
         _check("rank_pa", rank_pa == N * (N - 1) // 2,
                data={"rank": rank_pa}),
         _check("char_eq", char_eq),

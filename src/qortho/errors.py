@@ -10,7 +10,7 @@ class DivisionByZero(QorthoError):
     pass
 
 
-class PoleAtOne(QorthoError):
+class NotUnit(QorthoError):
     pass
 
 

@@ -10,9 +10,9 @@ is the slow index.
 
 `row_reduce` is the one row-elimination kernel: `inverse`, `rank`,
 `antilinear_fixed_basis`, P_A's reduced basis and the quantum-plane
-relations all run on it.  It is fraction-free: rows stay polynomial while
-it eliminates, so no step runs a gcd per entry, and each row is divided
-by its pivot once, at the end.  `signature` is a congruence reduction
+relations all run on it.  It is division-free: rows stay in the Laurent
+ring while it eliminates, and a row is divided by its pivot only when
+that pivot is a unit c*s^k.  `signature` is a congruence reduction
 (rows and columns together), not a row reduction, and keeps its own loop
 on the one dense copy in the package: a list of `Fraction` rows, because
 the sign of a pivot needs an ordered field and the scalar ring is not
@@ -23,10 +23,11 @@ import math
 from types import MappingProxyType
 
 from .errors import (
-    Degenerate, DimMismatch, NotInvolution, NotReal, NotSymmetric, Singular,
+    Degenerate, DimMismatch, NotInvolution, NotReal, NotSymmetric, NotUnit,
+    Singular,
 )
 from .scalars import (
-    _ONE_POLY, ConjRegime, GaussRat, Scalar, _accumulate, _lp_divexact, _lp_gcd,
+    ConjRegime, GaussRat, Scalar, _accumulate, _lp_divexact, _lp_gcd,
     _lp_ground,
 )
 
@@ -56,6 +57,9 @@ class SqMat:
         entries = entries or {}
         if any(type(v) is not Scalar for v in entries.values()):
             raise TypeError("SqMat entries must be Scalars")
+        for r, c in entries:
+            if not (1 <= r <= dim and 1 <= c <= dim):
+                raise DimMismatch(f"entry ({r},{c}) outside a {dim}x{dim} matrix")
         self._set(dim, {k: v for k, v in entries.items() if not v.is_zero()})
 
     @staticmethod
@@ -183,7 +187,7 @@ def classical_mat(A):
     for k, v in A.entries.items():
         g = v.classical_limit()
         if not g.is_zero():
-            out[k] = Scalar._of({0: g}, _ONE_POLY)
+            out[k] = Scalar._of({0: g})
     return SqMat._of(A.dim, out)
 
 
@@ -261,7 +265,8 @@ def sums_equal(identities):
     integers by the substitution s -> 2^k, in one pass: one
     `_kronecker_images` call encodes every distinct entry of every factor
     once, with one k for all the identities.  Every chain of one identity
-    has the same number m of factors (ValueError otherwise).  Every entry
+    has the same number m of factors (ValueError otherwise), and every
+    factor of one identity the same dim (DimMismatch otherwise).  Every entry
     of every factor must lie in Z[s, s^-1]; `_kronecker_images` raises
     TypeError for any other.
 
@@ -302,6 +307,9 @@ def sums_equal(identities):
         if len(lengths) > 1:
             raise ValueError(f"chains of {sorted(lengths)} factors in one "
                              "identity")
+        dims = {X.dim for chain in (*lhs, *rhs) for X in chain}
+        if len(dims) > 1:
+            raise DimMismatch(f"factors of dims {sorted(dims)} in one identity")
     sides = [side for identity in identities for side in identity]
     images = _kronecker_images(*sides)[3]
     rows = {}
@@ -371,9 +379,6 @@ def _row_norm(X, polys):
     for (r, _), v in X.entries.items():
         found = polys.get(id(v))
         if found is None:
-            # a canonical denominator with one term is 1
-            if len(v.d) != 1:
-                raise TypeError(f"entry {v} is outside Z[s, s^-1]")
             poly, norm = {}, 0
             for e, x in v.n0.items():
                 if x.b or x.d != 1:
@@ -425,33 +430,32 @@ def _row_times(row, M):
 
 
 def row_reduce(rows):
-    """Sparse fraction-free Gauss-Jordan elimination: the one row-reduction
+    """Sparse division-free Gauss-Jordan elimination: the one row-reduction
     kernel.
 
     `rows` are {col: value} dicts of Scalars, taken in order.  Each row is
     reduced against the basis so far and, if anything is left, pivots on
     its lowest nonzero column and is eliminated from the earlier basis
-    rows.  Returns the reduced row echelon basis as a list of
-    (pivot, row, index) in the order the pivots were opened: row has a 1 at
-    pivot and zeros at every other pivot, and index is the position in
-    `rows` of the input row that opened the pivot.
+    rows.  Returns the basis as a list of (pivot, row, index) in the order
+    the pivots were opened: row is zero at every other pivot, and index is
+    the position in `rows` of the input row that opened the pivot.
 
-    While it runs, each row is held as a polynomial multiple of its reduced
-    row, so no step divides: a row with a denominator is first multiplied
-    by its denominators, and eliminating row b (pivot value p) from v is
-    v <- p v - f b with f = v's entry at b's pivot, products of polynomials
-    that `Scalar.sum_of_products` sums with no gcd.  Each residual is then
-    a nonzero multiple of the residual of an elimination over the fraction
-    field, so the same rows open the same pivots.  A row whose pivot is a
-    unit c*s^k is divided by it at once; any other row is divided by the
-    gcd of its numerators, which keeps its degrees down.  Every
-    row is divided by its pivot once, at the end; the reduced basis is
-    unique for its pivots, so it is the one a Gauss-Jordan elimination
-    gives.
+    Each row is held as a Laurent multiple p r of the row r of the reduced
+    row echelon form over the fraction field, p its entry at its pivot, so
+    no step divides: eliminating row b (pivot value p) from v is
+    v <- p v - f b with f = v's entry at b's pivot, products that
+    `Scalar.sum_of_products` sums with no gcd.  Each residual is then a
+    nonzero multiple of the residual of an elimination over the fraction
+    field, so the same rows open the same pivots and `rank` is the rank
+    over that field.  A row whose pivot is a unit c*s^k is divided by it,
+    which makes the pivot 1 and the row r itself; any other row is divided
+    by the gcd of its entries, which keeps its degrees down.  So a returned
+    pivot entry is 1 exactly when r lies in the Laurent ring; otherwise
+    it is the non-unit p, and r = row / p is not Laurent.
     """
     basis = []
     for index, row in enumerate(rows):
-        vec = _polynomial_row(row)
+        vec = {k: v for k, v in row.items() if not v.is_zero()}
         for piv, brow, _ in basis:
             if not vec:
                 break
@@ -468,28 +472,7 @@ def row_reduce(rows):
             if f is not None:
                 b[1] = _settle(_eliminate(b[1], p, f, vec), b[0])
         basis.append([piv, vec, index])
-    return [(piv, _over_pivot(vec, piv), index) for piv, vec, index in basis]
-
-
-def _polynomial_row(row):
-    # the nonzero entries of row, times the product of their distinct
-    # non-monomial denominators: every entry comes out polynomial
-    vec = {k: v for k, v in row.items() if not v.is_zero()}
-    dens = {}
-    for v in vec.values():
-        if len(v.d) > 1:
-            dens.setdefault(frozenset(v.d.items()), v.d)
-    if not dens:
-        return vec
-    out = {}
-    for k, v in vec.items():
-        x = Scalar(v.n0)
-        own = frozenset(v.d.items())
-        for key, d in dens.items():
-            if key != own:
-                x = x * Scalar(d)
-        out[k] = x
-    return out
+    return [tuple(b) for b in basis]
 
 
 def _eliminate(vec, p, f, row):
@@ -510,14 +493,14 @@ def _eliminate(vec, p, f, row):
 
 def _is_unit(x):
     # c*s^k with c != 0: a canonical Scalar with one term
-    return len(x.n0) == 1 and len(x.d) == 1
+    return len(x.n0) == 1
 
 
 def _settle(vec, piv):
-    """vec over a nonzero scalar, with entries that stay polynomial: the
-    row is divided by its pivot if that is a unit c*s^k, else by the gcd
-    of its numerators (the pivot's first, so a constant gcd is found
-    early), and by its pivot if that left a unit there."""
+    """vec over a nonzero scalar, with entries that stay Laurent: the row
+    is divided by its pivot if that is a unit c*s^k, else by the gcd of its
+    entries (the pivot's first, so a constant gcd is found early), and by
+    its pivot if that left a unit there."""
     if not _is_unit(vec[piv]):
         g = _lp_ground(vec[piv].n0)
         for x in (v.n0 for k, v in vec.items() if k != piv):
@@ -526,15 +509,9 @@ def _settle(vec, piv):
             g = _lp_gcd(g, x)
         if len(g) == 1:
             return vec
-        vec = {k: Scalar._of(_lp_divexact(v.n0, g), v.d)
-               for k, v in vec.items()}
+        vec = {k: Scalar._of(_lp_divexact(v.n0, g)) for k, v in vec.items()}
         if not _is_unit(vec[piv]):
             return vec
-    return _over_pivot(vec, piv)
-
-
-def _over_pivot(vec, piv):
-    # vec divided by its entry at piv, which becomes 1
     if vec[piv] == Scalar.one():
         return vec
     inv = vec[piv].inv()
@@ -550,7 +527,9 @@ def _rows(A):
 
 
 def inverse(A):
-    """Exact inverse: row-reduce [A | I] over the fraction field."""
+    """Exact inverse by row-reducing [A | I].  Singular if A has no inverse
+    over the fraction field, NotUnit if its inverse is not Laurent: a
+    pivot of the reduction is not a unit."""
     n = A.dim
     rows = _rows(A)
     for r, row in enumerate(rows):
@@ -559,6 +538,10 @@ def inverse(A):
     if len(basis) < n:
         col = min(set(range(n)) - {piv for piv, _ in basis})
         raise Singular(f"no pivot in column {col + 1}")
+    for piv, row in basis:
+        if row[piv] != Scalar.one():
+            raise NotUnit(f"pivot {row[piv]} in column {piv + 1} is not a "
+                          "unit: the inverse is not Laurent")
     return SqMat(n, {(piv + 1, c - n + 1): v for piv, row in basis
                      for c, v in row.items() if c >= n})
 

@@ -15,7 +15,7 @@ Words are plain tuples of generator indices; the empty tuple is the unit.
 
 from types import MappingProxyType
 
-from .errors import BadN, DimMismatch, QorthoError, RankMismatch
+from .errors import BadN, DimMismatch, NotUnit, QorthoError, RankMismatch
 from .linalg import row_reduce, unpack
 from .rmatrix import GroupShape
 from .scalars import _T_SQUARED, Scalar, _accumulate
@@ -189,7 +189,8 @@ def _quadratic_rules(N, relations, what):
     """One rule per increasing pair from the degree-2 `relations`, maps
     {(a, b): coeff} in N letters, row reduced with the increasing pairs as
     the first columns.  Raises RankMismatch, naming `what`, unless the
-    pivots are exactly the increasing pairs."""
+    pivots are exactly the increasing pairs, and NotUnit if a reduced row
+    is not Laurent (its pivot is not a unit)."""
     inc = [(a, b) for a in range(1, N + 1) for b in range(a + 1, N + 1)]
     rest = [(a, b) for a in range(1, N + 1) for b in range(1, a + 1)]
     cols = inc + rest
@@ -201,6 +202,10 @@ def _quadratic_rules(N, relations, what):
     if pivots != set(inc):
         raise RankMismatch(f"{what} pivots {sorted(pivots)} are not the "
                            f"increasing pairs for N={N}")
+    for piv, vec, _ in basis:
+        if vec[piv] != Scalar.one():
+            raise NotUnit(f"{what} rule for {cols[piv]} has the non-unit "
+                          f"pivot {vec[piv]}")
     return RewriteSystem(N, {
         cols[piv]: NCPoly({cols[k]: -v for k, v in vec.items() if k != piv})
         for piv, vec, _ in basis})
@@ -251,9 +256,14 @@ def _substitute(terms, images):
 
 def conj_poly(p, K, regime):
     """Antilinear anti-multiplicative extension of x* = K x: coefficients
-    are conjugated, generators mapped through K, word order reversed."""
+    are conjugated, generators mapped through K, word order reversed.
+    Raises DimMismatch for a letter outside 1..K.dim."""
     images = {a: NCPoly({(b,): K.get(a, b) for b in range(1, K.dim + 1)})
               for a in range(1, K.dim + 1)}
+    outside = sorted({a for w in p.terms for a in w} - images.keys())
+    if outside:
+        raise DimMismatch(f"letters {outside} outside the {K.dim} generators "
+                          "of K")
     return _substitute({w[::-1]: c.bar(regime) for w, c in p.terms.items()},
                        images)
 

@@ -25,7 +25,7 @@ from .linalg import (
 )
 from .rmatrix import GroupShape
 from .scalars import (
-    _GAUSS_ONE as _ONE, _ONE_POLY, _T_SQUARED, ConjRegime, GaussRat, Scalar,
+    _GAUSS_ONE as _ONE, _T_SQUARED, ConjRegime, GaussRat, Scalar,
 )
 
 STAR = "star"
@@ -48,19 +48,29 @@ def _times(x, y):
 
 def _weight(c, e):
     # the Scalar c s^e, canonical as built for a nonzero GaussRat c
-    return Scalar._of({e: c}, _ONE_POLY)
+    return Scalar._of({e: c})
 
 
 class _Monomial:
     """An N x N matrix with one nonzero per row and per column: row r holds
     c[r] s^e[r] in column perm[r] (0-based), c[r] a nonzero GaussRat.  On
-    this form products, transposes, bar and equality take O(N) steps."""
+    this form products, transposes, bar and equality take O(N) steps.  The
+    attributes cannot be rebound or deleted, so the monomials a GroupShape
+    keeps (C, and C at q = 1) stay as built."""
 
     __slots__ = ("perm", "c", "e")
     dim = property(lambda self: len(self.perm))
 
     def __init__(self, perm, c, e):
-        self.perm, self.c, self.e = tuple(perm), tuple(c), tuple(e)
+        object.__setattr__(self, "perm", tuple(perm))
+        object.__setattr__(self, "c", tuple(c))
+        object.__setattr__(self, "e", tuple(e))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"_Monomial is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"_Monomial is immutable: cannot delete {name!r}")
 
     @staticmethod
     def identity(N):
@@ -105,8 +115,8 @@ def _parse(mat, items=None):
     N = mat.dim
     perm, c, e, used = [None] * N, [None] * N, [None] * N, [False] * N
     for (r, j), v in mat.entries.items() if items is None else items:
-        if len(v.d) != 1 or len(v.n0) != 1:
-            why = f"= {v} is not c*s^e"  # a one-term d is 1 in canonical form
+        if len(v.n0) != 1:
+            why = f"= {v} is not c*s^e"
         elif perm[r - 1] is not None or used[j - 1]:
             why = "is a second nonzero in its row or column"
         else:

@@ -278,11 +278,13 @@ def build_projectors(R, N):
     of I making PA a projector orthogonal to P0, and
     PS = D (Rhat + q^-1 I) - (q^-1 + q^(1-N)) M.  Each is one
     `linear_combination` of I, Rhat and M, so no intermediate matrix is
-    formed.
+    formed.  BadN unless R is N^2 x N^2.
     """
+    shape = GroupShape(N)
+    if R.dim != N * N:
+        raise BadN(f"R has dim {R.dim}, expected {N * N}")
     q = Scalar.q_power(1)
     qi = Scalar.q_power(-1)
-    shape = GroupShape(N)
     rho2 = _rho2(N)
     D = sum((_s_power(-2 * r) for r in rho2), Scalar.zero())
     E = q + qi

@@ -1,12 +1,12 @@
 """Exact coefficient arithmetic for the deformation parameter.
 
-The base ring is the Laurent polynomial ring Q(i)[s, s^-1] in s = q^(1/2)
+The ring is the Laurent polynomial ring Q(i)[s, s^-1] in s = q^(1/2)
 (half-integer powers of q occur in the metric and the R matrix for odd
-dimension, so s rather than q is the variable), extended by fractions: a
-Scalar is num/den with den a nonzero Laurent polynomial.  Canonical form
-is unique: num and den are coprime, den has lowest s-power 0 and leading
-coefficient 1.  All arithmetic is exact and equality is structural
-equality of canonical forms.
+dimension, so s rather than q is the variable).  A Scalar is one term map
+with no zero coefficients, which is unique, so equality is structural.
+Only the units c*s^k are invertible; a quotient such as a projector is
+kept as a Laurent numerator over a separate Laurent denominator by its
+builder.  All arithmetic is exact.
 
 `GaussRat` and `Scalar` operators take their own type only: mixing types
 raises TypeError and `==` across types is False.  Constructors take int or
@@ -19,7 +19,7 @@ s to s^-1; both conjugate the Gaussian-rational coefficients.
 import enum
 import math
 
-from .errors import DivisionByZero, PoleAtOne
+from .errors import DivisionByZero, NotUnit
 
 
 class ConjRegime(enum.Enum):
@@ -177,19 +177,9 @@ def _lp_add(a, b):
     return out
 
 
-def _lp_scale(a, c):
-    if c.is_zero():
-        return {}
-    return {k: v * c for k, v in a.items()}
-
-
-def _lp_mul(a, b):
-    return _lp_settle(_lp_addmul({}, a, b))
-
-
 def _lp_addmul(out, a, b):
     # out += a * b, in place, as raw [re, im, den] int lists (zeros kept)
-    # that `_lp_settle` reduces once; returns out
+    # that `_lp_settle` reduces once
     for ka, va in a.items():
         xa, xb, xd = va.a, va.b, va.d
         for kb, vb in b.items():
@@ -204,7 +194,6 @@ def _lp_addmul(out, a, b):
                 w[1] += pb
             else:  # over the product of the two dens
                 w[:] = w[0] * d + pa * w[2], w[1] * d + pb * w[2], w[2] * d
-    return out
 
 
 def _lp_settle(raw):
@@ -226,13 +215,6 @@ def _lp_bar(a, unit):
     if unit:
         return {-k: v.conj() for k, v in a.items()}
     return {k: v.conj() for k, v in a.items()}
-
-
-def _lp_eval1(a):
-    out = GaussRat(0)
-    for v in a.values():
-        out = out + v
-    return out
 
 
 def _lp_divmod(a, b):
@@ -273,7 +255,8 @@ def _lp_monic(a):
     if not a:
         return {}
     a = _lp_ground(a)
-    return _lp_scale(a, a[max(a)].inv())
+    c = a[max(a)].inv()
+    return {k: v * c for k, v in a.items()}
 
 
 def _lp_divexact(a, g):
@@ -288,56 +271,30 @@ def _lp_divexact(a, g):
 
 
 _GAUSS_ONE = GaussRat(1)
-_ONE_POLY = {0: _GAUSS_ONE}
 
 
 # ---------------------------------------------------------------------------
 
 class Scalar:
-    """Element n0/d of the fraction field of the Laurent ring.
+    """Element of the Laurent ring Q(i)[s, s^-1], held as its term map n0
+    {exponent: nonzero GaussRat}.
 
-    Instances are kept in canonical form at all times; the canonical dicts
-    n0 and d are the only stored form.  The attributes cannot be rebound
-    or deleted; the dicts are shared between Scalars and must not be
-    mutated.  The denominator is keyword-only: `Scalar(n0, d=d)`.
+    The term map is the canonical form: equal values have equal maps.  The
+    attribute cannot be rebound or deleted; the dict is shared between
+    Scalars and must not be mutated.
     """
 
-    __slots__ = ("n0", "d")
+    __slots__ = ("n0",)
 
-    def __init__(self, n0=None, *, d=None):
-        n0 = _lp_nonzero(n0 or {})
-        d = _lp_nonzero(_ONE_POLY if d is None else d)
-        if not d:
-            raise DivisionByZero("zero denominator")
-        if not n0:
-            d = dict(_ONE_POLY)
-        elif len(d) == 1:
-            # monomial denominator: absorb it into the numerator
-            (k, c), = d.items()
-            if k or not c.is_one():
-                n0 = _lp_shift(_lp_scale(n0, c.inv()), -k)
-                d = dict(_ONE_POLY)
-        else:
-            g = _lp_gcd(d, n0)
-            if len(g) > 1 or (g and 0 not in g):
-                n0, d = _lp_divexact(n0, g), _lp_divexact(d, g)
-            lo = min(d)
-            if lo:
-                n0, d = _lp_shift(n0, -lo), _lp_shift(d, -lo)
-            lc = d[max(d)]
-            if not lc.is_one():
-                ci = lc.inv()
-                n0, d = _lp_scale(n0, ci), _lp_scale(d, ci)
-        object.__setattr__(self, "n0", n0)
-        object.__setattr__(self, "d", d)
+    def __init__(self, n0):
+        object.__setattr__(self, "n0", _lp_nonzero(n0))
 
     @staticmethod
-    def _of(n0, d):
-        """Trusted constructor: n0/d is already canonical, with no zero
-        coefficients, and no caller mutates the dicts afterwards."""
+    def _of(n0):
+        """Trusted constructor: n0 has no zero coefficients, and no caller
+        mutates the dict afterwards."""
         x = Scalar.__new__(Scalar)
         object.__setattr__(x, "n0", n0)
-        object.__setattr__(x, "d", d)
         return x
 
     def __setattr__(self, name, value):
@@ -383,10 +340,7 @@ class Scalar:
     def __add__(self, other):
         if type(other) is not Scalar:
             return NotImplemented
-        if self.d == other.d:
-            return Scalar(_lp_add(self.n0, other.n0), d=self.d)
-        return Scalar(_lp_add(_lp_mul(self.n0, other.d), _lp_mul(other.n0, self.d)),
-                      d=_lp_mul(self.d, other.d))
+        return Scalar._of(_lp_add(self.n0, other.n0))
 
     def __sub__(self, other):
         if type(other) is not Scalar:
@@ -404,44 +358,29 @@ class Scalar:
     @staticmethod
     def sum_of_products(pairs):
         """The sum of v*w over a list of (v, w) Scalar pairs; `v * w` is
-        this sum for the one pair (v, w).
-
-        A single pair with a unit monomial factor c*s^k, and pairs whose
-        denominators are all 1, give the canonical result directly, with no
-        gcd.  Otherwise each product is canonicalised once over dv*dw and
-        the products are added with `+`.  The subcommands multiply only
-        matrices with polynomial entries, so a pair with a denominator
-        comes alone (`v * w`, row reduction); the sum starts from the first
-        product, not from zero, so such a pair costs one canonicalisation.
-        """
+        this sum for the one pair (v, w).  A single pair with a unit
+        monomial factor c*s^k is its other factor's terms shifted and
+        scaled; otherwise every coefficient product is accumulated as raw
+        ints and each sum is reduced once."""
         if len(pairs) == 1:
             x = _unit_product(*pairs[0])
             if x is not None:
                 return x
-        if all(len(v.d) == 1 and len(w.d) == 1 for v, w in pairs):
-            n0 = {}
-            for v, w in pairs:
-                _lp_addmul(n0, v.n0, w.n0)
-            return Scalar._of(_lp_settle(n0), _ONE_POLY)
-        total = None
+        n0 = {}
         for v, w in pairs:
-            term = Scalar(_lp_mul(v.n0, w.n0), d=_lp_mul(v.d, w.d))
-            total = term if total is None else total + term
-        return total
-
-    def __truediv__(self, other):
-        if type(other) is not Scalar:
-            return NotImplemented
-        return self * other.inv()
+            _lp_addmul(n0, v.n0, w.n0)
+        return Scalar._of(_lp_settle(n0))
 
     def inv(self):
-        if self.is_zero():
-            raise DivisionByZero("inverse of zero scalar")
-        if len(self.n0) == 1 and len(self.d) == 1:
-            # a unit c*s^k: c^-1 s^-k, canonical as built
-            (k, c), = self.n0.items()
-            return Scalar._of({-k: c.inv()}, self.d)
-        return Scalar(self.d, d=self.n0)
+        """The inverse of a unit c*s^k, which is c^-1 s^-k.  The units are
+        the only invertible elements of the ring: NotUnit for any other
+        nonzero value, DivisionByZero for zero."""
+        if len(self.n0) != 1:
+            if not self.n0:
+                raise DivisionByZero("inverse of zero scalar")
+            raise NotUnit(f"{self} is not a unit c*s^k")
+        (k, c), = self.n0.items()
+        return Scalar._of({-k: c.inv()})
 
     # -- structure -----------------------------------------------------------
 
@@ -450,42 +389,30 @@ class Scalar:
 
     def as_gauss(self):
         """The value of a constant scalar; None if not constant."""
-        if self.d != _ONE_POLY or len(self.n0) > (1 if 0 in self.n0 else 0):
+        if len(self.n0) > (1 if 0 in self.n0 else 0):
             return None
         return self.n0.get(0, GaussRat(0))
 
     def bar(self, regime):
-        unit = regime is ConjRegime.UNIT_MODULUS_Q
-        n0 = _lp_bar(self.n0, unit)
-        if len(self.d) == 1:
-            # over d = 1 the bar is canonical as built: conjugation keeps
-            # every coefficient nonzero
-            return Scalar._of(n0, self.d)
-        return Scalar(n0, d=_lp_bar(self.d, unit))
+        # canonical as built: conjugation keeps every coefficient nonzero
+        return Scalar._of(_lp_bar(self.n0, regime is ConjRegime.UNIT_MODULUS_Q))
 
     def classical_limit(self):
-        dv = _lp_eval1(self.d)
-        if dv.is_zero():
-            raise PoleAtOne(f"denominator of {self} vanishes at s=1")
-        return _lp_eval1(self.n0) / dv
+        # the value at s = 1
+        return sum(self.n0.values(), GaussRat(0))
 
     def __eq__(self, other):
-        """Equality of the canonical dicts, exact because canonical forms
-        are unique and hold no zero coefficients; the hash is taken from
-        the same dicts, frozen."""
+        """Equality of the canonical term maps; the hash is taken from the
+        same map, frozen."""
         if type(other) is not Scalar:
             return NotImplemented
-        return self.n0 == other.n0 and self.d == other.d
+        return self.n0 == other.n0
 
     def __hash__(self):
-        return hash((_freeze(self.n0), _freeze(self.d)))
+        return hash(_freeze(self.n0))
 
     def __str__(self):
-        num = " + ".join(f"{c}*s^{k}" for k, c in sorted(self.n0.items())) or "0"
-        if self.d == _ONE_POLY:
-            return num
-        den = " + ".join(f"{c}*s^{k}" for k, c in sorted(self.d.items()))
-        return f"({num})/({den})"
+        return " + ".join(f"{c}*s^{k}" for k, c in sorted(self.n0.items())) or "0"
 
     def __repr__(self):
         return f"<Scalar {self}>"
@@ -493,7 +420,7 @@ class Scalar:
 
 def _s_power(e):
     # s^e for an int e, canonical as built
-    return Scalar._of({e: _GAUSS_ONE}, _ONE_POLY)
+    return Scalar._of({e: _GAUSS_ONE})
 
 
 def _freeze(p):
@@ -502,22 +429,21 @@ def _freeze(p):
 
 def _unit_product(v, w):
     # v*w when one factor is a unit monomial c*s^k, else None.  A unit
-    # times a canonical Scalar is canonical: only its numerator changes.
-    # Of two units, a factor 1 is taken as the unit, so the other comes back.
-    if len(v.n0) == 1 and len(v.d) == 1 and (
-            len(w.n0) != 1 or len(w.d) != 1 or v.n0 == _ONE_POLY):
+    # times a canonical Scalar is canonical.  Of two units, a factor 1 is
+    # taken as the unit, so the other comes back.
+    if len(v.n0) == 1 and (len(w.n0) != 1 or v.n0 == _ONE.n0):
         v, w = w, v
-    elif len(w.n0) != 1 or len(w.d) != 1:
+    elif len(w.n0) != 1:
         return None
     (k, c), = w.n0.items()  # w is now the unit
     if c.is_one():
         if not k:
             return v
-        return Scalar._of({e + k: a for e, a in v.n0.items()}, v.d)
-    return Scalar._of({e + k: a * c for e, a in v.n0.items()}, v.d)
+        return Scalar._of({e + k: a for e, a in v.n0.items()})
+    return Scalar._of({e + k: a * c for e, a in v.n0.items()})
 
 
-_ZERO = Scalar()
+_ZERO = Scalar({})
 _ONE = Scalar({0: GaussRat(1)})
 _MINUS_ONE = Scalar({0: GaussRat(-1)})
 # t^2 for the scaling t = sqrt(q^(1/2) + q^(-1/2)) of the SO*(2n) basis and

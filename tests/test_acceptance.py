@@ -83,19 +83,22 @@ def test_02_metric_is_selfinverse_antidiagonal_with_permutation_limit():
 def test_03_projector_algebra_and_characteristic_equation():
     with acceptance("03 projector idempotence, orthogonality, completeness, "
                     "trace, rank, cubic identity for N=3..6"):
+        # each projector is X/den for its Laurent numerator X, so
+        # (X/den)(Y/den) = Z/den exactly when XY = den Z, the projectors
+        # sum to I exactly when their numerators sum to den I, tr(P0) = 1
+        # exactly when tr(X0) = den, and a projector has its numerator's rank
         for N in range(3, 7):
             den, P0, PA, PS, Rhat = GroupShape(N).projectors
-            P0, PA, PS = (X.scale(den.inv()) for X in (P0, PA, PS))
-            I = SqMat.identity(N * N)
+            den_I = SqMat.identity(N * N).scale(den)
             zero = SqMat(N * N, {})
-            assert PA * PA == PA, N
-            assert P0 * P0 == P0, N
+            assert PA * PA == PA.scale(den), N
+            assert P0 * P0 == P0.scale(den), N
             assert PA * P0 == zero and P0 * PA == zero, N
-            assert P0 + PA + PS == I, N
+            assert P0 + PA + PS == den_I, N
             trace = Scalar.zero()
             for k in range(1, N * N + 1):
                 trace = trace + P0.get(k, k)
-            assert trace == one, N
+            assert trace == den, N
             assert rank(PA) == N * (N - 1) // 2, N
             assert check_char_eq(Rhat, N), N
 

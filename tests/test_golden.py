@@ -54,7 +54,8 @@ CASES.update({
     "classify_n6_star_dsecond_canonical": [
         "classify", "--n", "6",
         "--spec", "base:star;autos:dsecond:+++---,canonical;regime:real"],
-    # beyond N = 4: non-monomial denominators and the t-extension at size
+    # beyond N = 4: projectors over a non-monomial den and the t-extension
+    # at size
     "verify-all_n5": ["verify-all", "--n", "5"],
     "projectors_n6": ["projectors", "--n", "6"],
     "table_n8_real": ["table", "--n", "8", "--regime", "real"],

@@ -1,6 +1,6 @@
 """Sparse exact matrices: products, embeddings, inverse, signature,
-antilinear fixed bases, and the fraction-free row reduction against the
-Gauss-Jordan reduction it replaced."""
+antilinear fixed bases, and the division-free row reduction against a
+Gauss-Jordan reduction over the fraction field."""
 
 import io
 import itertools
@@ -8,15 +8,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qortho import cli, linalg, qplane, rmatrix
 from qortho.errors import (
-    Degenerate, DimMismatch, NotInvolution, NotReal, NotSymmetric, Singular,
+    Degenerate, DimMismatch, NotInvolution, NotReal, NotSymmetric, NotUnit,
+    Singular,
 )
 from qortho.linalg import (
     SqMat, _rows, antilinear_fixed_basis, bar_mat, classical_mat, inverse,
-    kron_embed, linear_combination, pack, rank, row_reduce, signature, unpack,
+    kron_embed, linear_combination, pack, products_equal, rank, row_reduce,
+    signature, sums_equal, unpack,
 )
 from qortho.rmatrix import GroupShape, build_R
 from qortho.scalars import ConjRegime, GaussRat, Scalar, _accumulate
@@ -94,29 +96,30 @@ def entrywise_product(A, B):
 
 
 def test_product_kernel_matches_entrywise_reference():
+    # the numerators of P_0 and P_A over den
     den, P0, PA, _, _ = GroupShape(4).projectors
-    P0, PA = P0.scale(den.inv()), PA.scale(den.inv())
-    # PA's entries mix the denominators q + q^-1 and sum_e q^(-2 rho_e)
-    assert len({tuple(sorted(v.d.items())) for v in PA.entries.values()}) >= 2
+    # PA has entries of several terms, and terms that cancel in products
+    assert max(len(v.n0) for v in PA.entries.values()) >= 3
     X = PA.scale(ONE + I_) + SqMat.diag([I_ * sp(k) for k in range(16)])
     for A, B in ((PA, PA), (P0, PA), (X, PA), (PA, X)):
         product = A * B
         assert dict(product.entries) == entrywise_product(A, B)
         assert all(not v.is_zero() for v in product.entries.values())
-    assert PA * PA == PA
+    assert PA * PA == PA.scale(den)
     # P_A P_0 = 0: every entry cancels and none is stored
     assert not (PA * P0).entries
 
 
 def random_mixed_matrix(rng, dim):
     # about half the slots filled, each with a unit monomial, a Laurent
-    # polynomial or a rational entry
+    # polynomial or a product of two of them
     pools = (
         [c * sp(k) for c in (ONE, -ONE, I_, Scalar.from_frac(Fraction(-1, 3)))
          for k in (-2, 0, 3)],
         [sp(1) + sp(-1), sp(2) - Scalar.from_frac(2) * sp(-2), ONE + I_ * sp(1),
          sp(-1) - I_],
-        [ONE / (ONE + sp(1)), (sp(1) - ONE) / (sp(2) + ONE), sp(-1) / (sp(1) - I_)],
+        [(ONE + sp(1)) * (sp(1) - ONE), (sp(2) + ONE) * (sp(-1) - I_),
+         Scalar.from_frac(Fraction(1, 2)) * (sp(1) - I_) * (sp(3) + sp(-2))],
     )
     return SqMat(dim, {(r, c): rng.choice(rng.choice(pools))
                        for r in range(1, dim + 1) for c in range(1, dim + 1)
@@ -130,8 +133,7 @@ def test_product_of_mixed_entries_matches_entrywise_reference():
         product = A * B
         assert dict(product.entries) == entrywise_product(A, B)
         for v in product.entries.values():
-            w = Scalar(dict(v.n0), d=dict(v.d))
-            assert (w.n0, w.d) == (v.n0, v.d)
+            assert Scalar(dict(v.n0)).n0 == v.n0
 
 
 def test_dim_mismatch():
@@ -139,6 +141,26 @@ def test_dim_mismatch():
         C3 * C4
     with pytest.raises(DimMismatch):
         C3 + C4
+
+
+def test_identity_factors_must_share_one_dim():
+    I3, I4 = SqMat.identity(3), SqMat.identity(4)
+    assert products_equal([I3, I3], [I3, I3])
+    with pytest.raises(DimMismatch, match=r"\[3, 4\]"):
+        products_equal([I3, I4], [I3, I4])
+    with pytest.raises(DimMismatch):
+        products_equal([I3, I3], [I4, I4])
+    with pytest.raises(DimMismatch):
+        sums_equal([([[I3]], [[I3]]), ([[I3], [I4]], [])])
+    # chains of different identities may differ in dim
+    assert sums_equal([([[I3]], [[I3]]), ([[I4]], [[I4]])]) == [True, True]
+
+
+@pytest.mark.parametrize("key", [(3, 3), (0, 1), (1, 0), (2, 3)])
+def test_entries_must_lie_inside_the_matrix(key):
+    with pytest.raises(DimMismatch, match="outside a 2x2"):
+        SqMat(2, {key: ONE})
+    assert SqMat(2, {(2, 2): ONE}) == SqMat.diag([Scalar.zero(), ONE])
 
 
 def test_kron_embed_identity():
@@ -219,10 +241,23 @@ def test_kron_embed_rejects_what_does_not_fit(dim, slot, arity):
 def test_inverse_metric_and_random():
     assert inverse(C4) == C4
     assert inverse(C3) == C3
+    # L U with L unit lower triangular and U upper triangular with units on
+    # its diagonal: invertible over the Laurent ring, and dense enough that
+    # every pivot takes eliminations
+    L = SqMat(3, {(1, 1): ONE, (2, 1): sp(1) + ONE, (2, 2): ONE,
+                  (3, 1): I_, (3, 2): sp(-1) - I_, (3, 3): ONE})
+    U = SqMat(3, {(1, 1): Scalar.q_power(1), (1, 2): ONE, (1, 3): sp(2) + I_,
+                  (2, 2): -sp(-1), (2, 3): sp(1) - I_, (3, 3): I_})
+    for A in (L * U, U * L):
+        assert A * inverse(A) == SqMat.identity(3)
+        assert inverse(A) * A == SqMat.identity(3)
+    # invertible over the fraction field, but its (2, 2) block is s + 1
+    # alone, so the inverse holds 1/(s + 1), which is not Laurent
     A = SqMat(3, {(1, 1): Scalar.q_power(1), (1, 3): ONE, (2, 2): sp(1) + ONE,
                   (3, 1): I_, (3, 3): sp(-2)})
-    assert A * inverse(A) == SqMat.identity(3)
-    assert inverse(A) * A == SqMat.identity(3)
+    assert rank(A) == 3
+    with pytest.raises(NotUnit, match="column 2"):
+        inverse(A)
 
 
 def test_inverse_singular():
@@ -337,16 +372,25 @@ def test_json_dump():
     assert A.to_json() == {"dim": 2, "entries": [[1, 1, "1*s^0"], [2, 1, "1*s^1"]]}
 
 
-# -- the fraction-free kernel against Gauss-Jordan over the fraction field ------
+# -- the division-free kernel against Gauss-Jordan over the fraction field -----
 
 
 def gauss_jordan(rows):
-    """Reference: the Gauss-Jordan row reduction the fraction-free
-    `row_reduce` replaced, with the same output contract.  Each residual
-    is divided by its pivot at once, over the fraction field."""
+    """Reference: Gauss-Jordan row reduction over sympy's field Q(i)(s) of
+    rational functions, with each residual divided by its pivot at once:
+    (pivot, reduced row over the field, index), as `row_reduce` returns
+    them but with 1 at every pivot."""
+    sympy = pytest.importorskip("sympy")
+    QQ, QQ_I = sympy.QQ, sympy.QQ_I
+    field, s = sympy.field("s", QQ_I)
+
+    def image(v):
+        return sum((field(QQ_I(QQ(c.a, c.d), QQ(c.b, c.d))) * s ** e
+                    for e, c in v.n0.items()), field.zero)
+
     basis = []
     for index, row in enumerate(rows):
-        vec = {k: v for k, v in row.items() if not v.is_zero()}
+        vec = {k: image(v) for k, v in row.items() if not v.is_zero()}
         for piv, brow, _ in basis:
             f = vec.get(piv)
             if f is not None:
@@ -354,21 +398,40 @@ def gauss_jordan(rows):
         if not vec:
             continue
         piv = min(vec)
-        inv = vec[piv].inv()
+        inv = 1 / vec[piv]
         vec = {k: inv * v for k, v in vec.items()}
         for _, brow, _ in basis:
             f = brow.get(piv)
             if f is not None:
                 subtract_multiple(brow, f, vec)
         basis.append((piv, vec, index))
-    return basis
+    return basis, image
 
 
 def subtract_multiple(vec, f, row):
-    # vec -= f * row in place, dropping entries that cancel
-    f = -f
+    # vec -= f * row in place, over the field, dropping entries that cancel
     for k, v in row.items():
-        _accumulate(vec, k, f * v)
+        x = vec.get(k, 0) - f * v
+        if x:
+            vec[k] = x
+        else:
+            vec.pop(k, None)
+
+
+def assert_matches_gauss_jordan(rows):
+    # the same pivots opened by the same rows; each returned row is its
+    # pivot entry p times the reduced row, and p is 1 exactly when the
+    # reduced row is Laurent (every denominator a power of s)
+    got = row_reduce(rows)
+    expected, image = gauss_jordan(rows)
+    assert [(piv, index) for piv, _, index in got] == \
+        [(piv, index) for piv, _, index in expected]
+    for (piv, row, _), (_, ref, _) in zip(got, expected):
+        p = image(row[piv])
+        assert {k: image(v) for k, v in row.items()} == \
+            {k: p * v for k, v in ref.items()}
+        laurent_row = all(len(v.denom) == 1 for v in ref.values())
+        assert (row[piv] == ONE) == laurent_row
 
 
 def laurent(terms):
@@ -377,18 +440,17 @@ def laurent(terms):
 
 laurent_terms = st.dictionaries(st.integers(-1, 2), st.integers(-2, 2)
                                 .filter(bool), min_size=1, max_size=2)
-# non-monomial denominators: 1 + s, s^2 - 1, s - i
-DENOMINATORS = ({0: GaussRat(1), 1: GaussRat(1)},
-                {0: GaussRat(-1), 2: GaussRat(1)},
-                {0: GaussRat(0, -1), 1: GaussRat(1)})
+# non-unit factors 1 + s, s^2 - 1, s - i, which rows then share
+FACTORS = tuple(Scalar(laurent(t)) for t in ({0: 1, 1: 1}, {0: -1, 2: 1}))
+FACTORS += (sp(1) - I_,)
 small_fracs = st.sampled_from([Fraction(p, q) for q in (1, 2, 3)
                                for p in range(-2, 3)])
 entries = st.one_of(
     laurent_terms.map(lambda t: Scalar(laurent(t))),
     st.builds(GaussRat, small_fracs, small_fracs).filter(
         lambda g: not g.is_zero()).map(Scalar.from_gauss),
-    st.builds(lambda n0, d: Scalar(laurent(n0), d=d),
-              laurent_terms, st.sampled_from(DENOMINATORS)),
+    st.builds(lambda n0, f: Scalar(laurent(n0)) * f,
+              laurent_terms, st.sampled_from(FACTORS)),
 )
 sparse_rows = st.dictionaries(st.integers(0, 5), entries, max_size=3)
 multipliers = st.sampled_from([Scalar.one(), -Scalar.one(), I_, sp(1),
@@ -412,8 +474,11 @@ def row_lists(draw):
 
 @given(row_lists())
 @settings(max_examples=200, deadline=None)
+# a non-unit pivot s + 1 that stays, and one that the row's gcd removes
+@example([{0: sp(1) + ONE, 1: ONE}])
+@example([{0: sp(1) + ONE, 1: (sp(1) + ONE) * sp(2)}, {0: ONE, 2: I_}])
 def test_row_reduce_matches_gauss_jordan_on_random_rows(rows):
-    assert row_reduce(rows) == gauss_jordan(rows)
+    assert_matches_gauss_jordan(rows)
 
 
 def cli_inputs(N, monkeypatch):
@@ -456,21 +521,21 @@ def test_row_reduce_matches_gauss_jordan_on_cli_inputs(N, monkeypatch):
                >= N * N for _, rows in inputs)
     assert any(len(rows) == 2 * N for _, rows in inputs)
     for _, rows in inputs:
-        assert row_reduce(rows) == gauss_jordan(rows)
+        assert_matches_gauss_jordan(rows)
+        # and every pivot the CLI meets is a unit
+        assert all(row[piv] == ONE for piv, row, _ in row_reduce(rows))
 
 
 # --- canonical fast paths against the checking constructors -------------------
 
 def canonical_forms(A):
-    """Each entry's dicts, after checking that the checking constructor
-    rebuilds the entry with the same dicts."""
+    """Each entry's term map, after checking that the checking constructor
+    rebuilds the entry with the same map."""
     out = {}
     for key, v in A.entries.items():
-        forms = (dict(v.n0), dict(v.d))
-        again = Scalar(v.n0, d=v.d)
-        assert (dict(again.n0), dict(again.d)) == forms
+        assert Scalar(v.n0).n0 == v.n0
         assert not v.is_zero()
-        out[key] = forms
+        out[key] = dict(v.n0)
     return out
 
 
@@ -507,16 +572,9 @@ def test_linear_combination_drops_what_cancels():
         linear_combination([(ONE, X), (ONE, SqMat.identity(3))])
 
 
-# entries with a classical limit: a denominator that does not vanish at
-# s = 1 (1 + s, s - i); s - s^-1 has the limit 0
-limits = st.one_of(
-    laurent_terms.map(lambda t: Scalar(laurent(t))),
-    st.builds(GaussRat, small_fracs, small_fracs).filter(
-        lambda g: not g.is_zero()).map(Scalar.from_gauss),
-    st.builds(lambda n0, d: Scalar(laurent(n0), d=d),
-              laurent_terms, st.sampled_from(DENOMINATORS[::2])),
-    st.just(sp(1) - sp(-1)),
-)
+# every entry has a classical limit; s - s^-1 and (s^2 - 1) p have the
+# limit 0
+limits = st.one_of(entries, st.just(sp(1) - sp(-1)))
 
 
 @given(st.dictionaries(index3, limits, max_size=6))

@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 
 from qortho import qplane
-from qortho.errors import BadN, DimMismatch, QorthoError, RankMismatch
+from qortho.errors import (
+    BadN, DimMismatch, NotUnit, QorthoError, RankMismatch,
+)
 from qortho.qplane import (
     NCPoly, RewriteSystem, check_confluence, check_star_consistency,
     conj_poly, normal_form, plane_relations, quotient_check, rules_json,
 )
-from qortho.linalg import SqMat
+from qortho.linalg import SqMat, inverse
 from qortho.realforms import CROSS, STAR, ConjugationSpec, canonical_D, \
     plane_conjugation_matrix
 from qortho.rmatrix import GroupShape, build_metric
@@ -83,6 +85,24 @@ def test_rank_mismatch_when_pivots_leave_increasing_pairs(monkeypatch):
         Scalar.one(), None, SqMat.identity(N * N), None, SqMat(N * N)))
     with pytest.raises(RankMismatch, match="not the increasing pairs"):
         plane_relations(GroupShape(3))
+
+
+@pytest.mark.parametrize("N", range(3, 13))
+def test_every_pivot_is_a_unit(N):
+    # the plane's rules and R's inverse must be Laurent, so each raises
+    # NotUnit on a non-unit pivot: none occurs
+    shape = GroupShape(N)
+    assert len(plane_relations(shape).pair_rules) == N * (N - 1) // 2
+    assert shape.R * inverse(shape.R) == SqMat.identity(N * N)
+
+
+def test_non_unit_pivot_raises_not_unit():
+    # (s + 1) x1 x2 + x2 x1 = 0 has the rule x1 x2 -> -x2 x1 / (s + 1),
+    # which is not Laurent; (s + 1) x1 x2 + (s + 1) x2 x1 = 0 is x1 x2 -> -x2 x1
+    with pytest.raises(NotUnit, match=r"rule for \(1, 2\)"):
+        qplane._quadratic_rules(2, [{(1, 2): s + one, (2, 1): one}], "test")
+    rs = qplane._quadratic_rules(2, [{(1, 2): s + one, (2, 1): s + one}], "test")
+    assert rs.pair_rules == {(1, 2): NCPoly({(2, 1): -one})}
 
 
 # -- normal forms -------------------------------------------------------------
@@ -291,6 +311,14 @@ def test_star_consistency_so21_plane():
 def test_star_consistency_identity_fails_for_real_q():
     rs = plane_relations(GroupShape(4))
     assert not check_star_consistency(rs, SqMat.identity(4), REAL)
+
+
+def test_conj_rejects_letters_outside_K():
+    K = SqMat.identity(3)
+    for p in (NCPoly.gen(4), NCPoly.gen(0), NCPoly.word((1, 4, 5))):
+        with pytest.raises(DimMismatch, match="outside the 3 generators"):
+            conj_poly(p, K, REAL)
+    assert conj_poly(NCPoly.word((1, 3)), K, REAL) == NCPoly.word((3, 1))
 
 
 @pytest.mark.parametrize("N, dim", [(4, 3), (3, 4)])

@@ -15,7 +15,7 @@ from qortho.realforms import (
     check_reality, check_sostar, check_sostar_basis, classify,
     count_real_forms, dsecond_canonical, enumerate_autos,
     plane_conjugation_matrix, symplectic_j, _Monomial, _diff,
-    _match_up_to_unit, _monomial, _r_commutation_witness,
+    _match_up_to_unit, _monomial, _monomial_C, _r_commutation_witness,
 )
 from qortho.rmatrix import GroupShape, build_metric
 from qortho.scalars import _T_SQUARED, ConjRegime, GaussRat, Scalar
@@ -232,7 +232,7 @@ def product_match_up_to_unit(X, Y):
     if X.is_zero():
         return one
     key = min(X.entries)
-    ratio = X.entries[key] / Y.entries[key]
+    ratio = X.entries[key] * Y.entries[key].inv()
     for lam in UNIT_SCALARS:
         if ratio == lam:
             return lam if X == lam * Y else None
@@ -346,8 +346,7 @@ def test_monomial_form_rejects_other_matrices():
         m = _monomial(SqMat.diag([one, one, weight_]))
         assert (m.perm, m.c[2], m.e[2]) == ((0, 1, 2), c, e)
     for bad in (SqMat.diag([one, one, one + s]),          # two terms
-                SqMat.diag([one, one, one / (one + s)]),  # a denominator
-                SqMat.diag([one, one, s / (s - iu)]),     # s/(s - i)
+                SqMat.diag([one, one, s * (s - iu)]),     # s^2 - i s
                 SqMat(3, {(1, 1): one, (2, 2): one}),     # a zero row
                 SqMat(3, {(1, 1): one, (2, 1): one, (3, 3): one})):
         assert _monomial(bad) is None
@@ -356,12 +355,32 @@ def test_monomial_form_rejects_other_matrices():
                                   (0, 0, 1))
 
 
+def test_kept_monomials_cannot_be_rebound_or_deleted():
+    # the shape keeps C as a monomial; rebinding its permutation to the
+    # identity used to fail the star reality check of the canonical D, and
+    # with it the automorphism suite of the shape
+    shape = GroupShape(4)
+    C = _monomial_C(shape)
+    for x in (C, C.transpose(), canonical_D(4).mono, _Monomial.identity(3)):
+        before = (x.perm, x.c, x.e)
+        for name in ("perm", "c", "e", "other"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(x, name, (0, 1, 2, 3))
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(x, name)
+        assert (x.perm, x.c, x.e) == before
+    assert _monomial_C(shape) is C
+    assert check_auto_conditions(canonical_D(4).mono, shape) == (True, None)
+    assert check_reality(canonical_D(4).mono, STAR, shape)
+
+
 # each non-monomial matrix, with the TypeError message that names it
 NON_MONOMIAL = [
     (SqMat.diag([one, one, one + Scalar.q_power(1), one]),
      "entry (3,3) = 1*s^0 + 1*s^2 is not c*s^e"),
-    (SqMat.diag([one, one / (one + Scalar.q_power(Fraction(1, 2))), one, one]),
-     "entry (2,2) = (1*s^0)/(1*s^0 + 1*s^1) is not c*s^e"),
+    (SqMat.diag([one, Scalar.q_power(Fraction(1, 2)) * (one + Scalar.q_power(
+        Fraction(1, 2))), one, one]),
+     "entry (2,2) = 1*s^1 + 1*s^2 is not c*s^e"),
     (SqMat(4, {(1, 1): one, (2, 2): one, (4, 4): one}), "row 3 is zero"),
     (SqMat(4, {(1, 1): one, (2, 2): one, (3, 2): one, (4, 4): one}),
      "entry (3,2) is a second nonzero in its row or column"),
@@ -388,7 +407,7 @@ def test_monomial_form_names_the_first_offending_entry():
     # entries read in storage order are reported in (row, col) order
     s = Scalar.q_power(1)
     mat = SqMat(3, {(3, 3): one + s, (2, 1): one, (1, 1): one,
-                    (2, 2): one / (one + s)})
+                    (2, 2): one - s})
     with pytest.raises(TypeError, match=r"entry \(2,1\) is a second nonzero "
                                         r"in its row or column$"):
         check_auto_conditions(mat, GroupShape(3))
@@ -737,11 +756,14 @@ def test_sostar_checks_pass(N):
 
 def test_sostar_metric_normalization():
     # M'' = t N'' takes the metric to the identity at q = 1; with
-    # M''^-1 = N''^-1 / t, the product in N'' comes over t^2
+    # M''^-1 = N''^-1 / t, the product in N'' is t^2 times that, and
+    # t^2 = s + s^-1 is 2 at s = 1
+    t2 = Scalar.from_gauss(_T_SQUARED.classical_limit())
+    assert t2 == Scalar.from_frac(2)
     for N in (4, 6):
         Ninv = inverse(build_mpp(N))
         X = Ninv.transpose() * build_metric(N) * Ninv
-        assert classical_mat(X.scale(_T_SQUARED.inv())) == SqMat.identity(N)
+        assert classical_mat(X) == SqMat.identity(N).scale(t2)
 
 
 @pytest.mark.parametrize("N", [4, 6, 8, 10])

@@ -17,8 +17,8 @@ from qortho.linalg import (
     pack, products_equal, rank, sums_equal, unpack,
 )
 from qortho.rmatrix import (
-    GroupShape, _integer_ybe, build_metric, build_R, build_rhat, build_rho,
-    check_char_eq, check_r_reality, check_ybe,
+    GroupShape, _integer_ybe, build_metric, build_projectors, build_R,
+    build_rhat, build_rho, check_char_eq, check_r_reality, check_ybe,
 )
 from qortho.scalars import ConjRegime, GaussRat, Scalar
 
@@ -56,6 +56,20 @@ def test_bad_n():
         build_R(0)
     with pytest.raises(BadN):
         GroupShape(3.0)
+
+
+def test_r_of_the_wrong_size_raises_bad_n():
+    # the same check, and the same message, in every builder or check that
+    # takes R and N
+    for call in (lambda R, N: build_projectors(R, N),
+                 lambda R, N: check_ybe(R, N),
+                 lambda R, N: check_r_reality(R, GroupShape(N),
+                                              ConjRegime.REAL_Q)):
+        with pytest.raises(BadN, match="R has dim 4, expected 9"):
+            call(SqMat.identity(4), 3)
+        with pytest.raises(BadN, match="R has dim 9, expected 16"):
+            call(build_R(3), 4)
+    assert build_projectors(build_R(3), 3) == GroupShape(3).projectors
 
 
 def test_group_shape_keeps_each_value_and_is_frozen():
@@ -357,7 +371,6 @@ def test_ybe_sides_obey_the_coefficient_bound(monkeypatch, N):
     R12, R13, R23 = embeddings(R, N)
     for side in (R12 * R13 * R23, R23 * R13 * R12):
         for v in side.entries.values():
-            assert v.d == {0: GaussRat(1)}
             assert all(c.d == 1 and not c.b and abs(c.a) <= rho ** 3
                        for c in v.n0.values())
     k = chain_images(*ybe_sides(R, N))[0]
@@ -432,7 +445,9 @@ def test_integer_r_takes_no_scalar_product(monkeypatch):
 
 @pytest.mark.parametrize("c", [
     Scalar.i_unit(), Scalar.from_frac(Fraction(1, 2)),
-    Scalar.one() / (Scalar.one() + Scalar.q_power(Fraction(1, 2))),
+    # (1 + s)/3: a Laurent polynomial over the denominator 3
+    Scalar.from_frac(Fraction(1, 3)) * (Scalar.one() + Scalar.q_power(
+        Fraction(1, 2))),
 ], ids=["i", "half", "den"])
 def test_non_integer_r_raises_type_error(monkeypatch, c):
     R = build_R(3).scale(c)
@@ -591,7 +606,9 @@ def test_integer_chains_have_equal_lengths():
 
 @pytest.mark.parametrize("c", [
     Scalar.i_unit(), Scalar.from_frac(Fraction(1, 2)),
-    Scalar.one() / (Scalar.one() + Scalar.q_power(Fraction(1, 2))),
+    # (1 + s)/3: a Laurent polynomial over the denominator 3
+    Scalar.from_frac(Fraction(1, 3)) * (Scalar.one() + Scalar.q_power(
+        Fraction(1, 2))),
 ], ids=["i", "half", "den"])
 def test_non_integer_entries_raise_type_error(monkeypatch, c):
     den, P0, PA, _, _ = GroupShape(3).projectors
@@ -659,7 +676,6 @@ def test_projector_chains_obey_the_coefficient_bound(N):
                 bound *= row_norm(X)
                 prefix = X if prefix is None else prefix * X
                 for v in prefix.entries.values():
-                    assert v.d == {0: GaussRat(1)}
                     assert all(c.d == 1 and not c.b and abs(c.a) <= bound
                                for c in v.n0.values())
             beta = max(beta, bound)
@@ -689,7 +705,7 @@ def test_corrupted_pa_fails_through_the_product_path(monkeypatch):
     n0 = dict(v.n0)
     n0[e] = c + GaussRat(1)
     bad = dict(PA.entries)
-    bad[key] = Scalar(n0, d=v.d)
+    bad[key] = Scalar(n0)
     bad_PA = SqMat(N * N, bad)
     den_I = SqMat.identity(N * N).scale(den)
     assert not chain_product_verdict([bad_PA, bad_PA], [bad_PA, den_I])
@@ -701,43 +717,64 @@ def test_corrupted_pa_fails_through_the_product_path(monkeypatch):
 
 
 def test_projector_algebra():
+    # on the numerators X = den P of the projectors P
     for N in (3, 4, 5):
         den, P0, PA, PS, Rhat = GroupShape(N).projectors
-        P0, PA, PS = (X.scale(den.inv()) for X in (P0, PA, PS))
-        I = SqMat.identity(N * N)
-        assert PA * PA == PA
-        assert P0 * P0 == P0
+        den_I = SqMat.identity(N * N).scale(den)
+        assert PA * PA == PA.scale(den)
+        assert P0 * P0 == P0.scale(den)
         assert (PA * P0).is_zero() and (P0 * PA).is_zero()
-        assert P0 + PA + PS == I
-        assert PS * PS == PS
-        assert P0.trace() == ONE
+        assert P0 + PA + PS == den_I
+        assert PS * PS == PS.scale(den)
+        assert P0.trace() == den
         assert rank(PA) == N * (N - 1) // 2
         # spectral decomposition of the flipped R matrix
-        assert Rhat == Q * PS - QI * PA + Scalar.q_power(1 - N) * P0
+        assert Rhat.scale(den) == \
+            Q * PS - QI * PA + Scalar.q_power(1 - N) * P0
 
 
 def rational_projectors(N):
-    # P0, PA, PS from the rational formulas, over q + q^-1 and D
+    """P0, PA, PS from the rational formulas, over q + q^-1 and D, in
+    sympy's field Q(s) of rational functions (R has rational integer
+    coefficients), with the map from a Scalar to its value there."""
+    sympy = pytest.importorskip("sympy")
+    QQ = sympy.QQ
+    field, s = sympy.field("s", QQ)
+
+    def value(v):
+        assert all(not c.b for c in v.n0.values())
+        return sum((QQ(c.a, c.d) * s ** k for k, c in v.n0.items()),
+                   field.zero)
+
     rho = build_rho(N)
-    D = sum((Scalar.q_power(-2 * r) for r in rho), Scalar.zero())
-    P0 = SqMat(N * N, {(pack((a, N + 1 - a), N), pack((c, N + 1 - c), N)):
-                       Scalar.q_power(-rho[a - 1] - rho[c - 1]) / D
-                       for a in range(1, N + 1) for c in range(1, N + 1)})
-    Rhat = build_rhat(build_R(N), N)
-    I = SqMat.identity(N * N)
-    Einv = (Q + QI).inv()
-    PA = (Q * I - Rhat - P0.scale(Q - Scalar.q_power(1 - N))).scale(Einv)
-    PS = (Rhat + QI * I - P0.scale(QI + Scalar.q_power(1 - N))).scale(Einv)
-    return P0, PA, PS
+    q, q1N = s ** 2, s ** (2 - 2 * N)
+    D = sum((s ** int(-4 * r) for r in rho), field.zero)
+    P0 = {(pack((a, N + 1 - a), N), pack((c, N + 1 - c), N)):
+          s ** int(-2 * rho[a - 1] - 2 * rho[c - 1]) / D
+          for a in range(1, N + 1) for c in range(1, N + 1)}
+    Rhat = {key: value(v) for key, v in build_rhat(build_R(N), N).entries.items()}
+    I = {(i, i): field.one for i in range(1, N * N + 1)}
+
+    def combination(*terms):
+        out = {}
+        for c, X in terms:
+            for key, x in X.items():
+                out[key] = out.get(key, field.zero) + c * x
+        return {key: x for key, x in out.items() if x}
+
+    E = q + 1 / q
+    PA = combination((q / E, I), (-1 / E, Rhat), (-(q - q1N) / E, P0))
+    PS = combination((1 / (q * E), I), (1 / E, Rhat), (-(1 / q + q1N) / E, P0))
+    return value, (P0, PA, PS)
 
 
 @pytest.mark.parametrize("N", range(3, 9))
 def test_projectors_are_numerators_over_one_denominator(N):
     den, *numerators, _ = GroupShape(N).projectors
     assert not den.is_zero()
-    for X, P in zip(numerators, rational_projectors(N)):
-        assert all(v.d == {0: GaussRat(1)} for v in X.entries.values())
-        assert X.scale(den.inv()) == P
+    value, rational = rational_projectors(N)
+    for X, P in zip(numerators, rational):
+        assert {key: value(v) / value(den) for key, v in X.entries.items()} == P
 
 
 def failing_projector_checks(N, den, P0, PA, PS, Rhat):
@@ -761,12 +798,13 @@ def test_cleared_projector_checks_fail_on_corrupted_numerators():
 
 def reference_projector_verdicts(N, den, P0, PA, PS, Rhat):
     """Each projector identity by its own `products_equal` call, or, for
-    sum_is_identity, a `Scalar` matrix comparison, with den I and the
-    char_eq factors from chained SqMat arithmetic; and P0's trace over den,
-    as the trace_p0 check reports it."""
+    sum_is_identity and trace_p0, a `Scalar` comparison, with den I and the
+    char_eq factors from chained SqMat arithmetic."""
     I = SqMat.identity(N * N)
     den_I = I.scale(den)
-    return str(P0.trace() * den.inv()), {
+    return {
+        "trace_p0": sum((P0.get(i, i) for i in range(1, N * N + 1)),
+                        Scalar.zero()) == den,
         "p0_idempotent": products_equal([P0, P0], [P0, den_I]),
         "pa_idempotent": products_equal([PA, PA], [PA, den_I]),
         "pa_p0_orthogonal": (products_equal([PA, P0])
@@ -781,8 +819,8 @@ def reference_projector_verdicts(N, den, P0, PA, PS, Rhat):
 def test_perturbed_projectors_give_each_check_its_own_verdict(N):
     # one entry of P0, PA, PS or Rhat changed, present or absent before:
     # the one integer pass gives every identity the verdict that its own
-    # product or Scalar comparison gives, and trace_p0 the quotient that
-    # the Scalar division gives
+    # product or Scalar comparison gives, and trace_p0 reports 1 when it
+    # passes and tr(P0) and den when it fails
     projectors = GroupShape(N).projectors
     names = ("P0", "PA", "PS", "Rhat")
     failed, traces = {}, set()
@@ -797,19 +835,25 @@ def test_perturbed_projectors_give_each_check_its_own_verdict(N):
             shape = GroupShape(N)
             shape.once("projectors", lambda: tuple(args))
             result = {c["name"]: c for c in _projector_checks(shape)}
-            trace, expected = reference_projector_verdicts(N, *args)
+            expected = reference_projector_verdicts(N, *args)
             assert {k: result[k]["pass"] for k in expected} == expected
-            assert result["trace_p0"]["data"] == {"trace": trace}
-            assert result["trace_p0"]["pass"] == (trace == "1*s^0")
-            traces.add(trace)
+            trace = args[1].trace()
+            if expected["trace_p0"]:
+                assert result["trace_p0"]["data"] == {"trace": "1*s^0"}
+                assert "witness" not in result["trace_p0"]
+            else:
+                assert result["trace_p0"]["witness"] == {
+                    "trace": str(trace), "den": str(args[0])}
+                assert "data" not in result["trace_p0"]
+            traces.add(str(trace))
             failed.setdefault(name, set()).update(
                 k for k, ok in expected.items() if not ok)
-    assert "1*s^0" in traces and len(traces) > 1
+    assert len(traces) > 1
     assert failed["PS"] == {"sum_is_identity"}
     assert failed["Rhat"] == {"char_eq"}
     assert set().union(*failed.values()) == {
         "p0_idempotent", "pa_idempotent", "pa_p0_orthogonal",
-        "sum_is_identity", "char_eq"}
+        "sum_is_identity", "trace_p0", "char_eq"}
 
 
 @pytest.mark.parametrize("N", range(3, 9))

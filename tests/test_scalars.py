@@ -8,15 +8,15 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qortho
-from qortho.errors import DivisionByZero, PoleAtOne
+from qortho.errors import DivisionByZero, NotUnit
 from qortho.linalg import SqMat, row_reduce
 from qortho.qplane import NCPoly, RewriteSystem, _normalize_terms, normal_form
 from qortho.scalars import (
     _T_SQUARED, ConjRegime, GaussRat, Scalar, _lp_add, _lp_bar, _lp_divexact,
-    _lp_divmod, _lp_gcd, _lp_mul, _lp_nonzero, _lp_shift,
+    _lp_divmod, _lp_gcd, _lp_nonzero, _lp_shift,
 )
 
 
@@ -49,18 +49,27 @@ def as_scalar(poly):
     return Scalar({k: GaussRat(v) for k, v in poly.items()})
 
 
+def poly_of(a, b):
+    # the Laurent product of two term maps, by the ring's own product
+    return (Scalar(a) * Scalar(b)).n0
+
+
 def test_division_oracle():
-    # (s^2 - s^-2) / (s - s^-1) should be s + s^-1: confirm the product
-    # with an independent multiplication first, then divide.
+    # (s^2 - s^-2) / (s - s^-1) is s + s^-1: confirm the product with an
+    # independent multiplication first.  The quotient is exact, but the
+    # ring has no division: s - s^-1 is not a unit.
     num = {2: Fraction(1), -2: Fraction(-1)}
     den = {1: Fraction(1), -1: Fraction(-1)}
     quo = {1: Fraction(1), -1: Fraction(1)}
     assert poly_mul(den, quo) == num
-    assert as_scalar(num) / as_scalar(den) == as_scalar(quo)
+    assert as_scalar(den) * as_scalar(quo) == as_scalar(num)
+    assert not hasattr(Scalar, "__truediv__")
+    with pytest.raises(NotUnit, match="not a unit"):
+        as_scalar(den).inv()
 
 
 def test_identity_factor():
-    v = Q - ONE / Q
+    v = Q - Q.inv()
     assert v * ONE == v
     assert v == sp(2) - sp(-2)
 
@@ -68,14 +77,14 @@ def test_identity_factor():
 def test_t_square():
     # t = sqrt(q^(1/2) + q^(-1/2)) enters the SO*(2n) basis and the
     # quotient embeddings only through this square
-    assert _T_SQUARED == S + ONE / S
+    assert _T_SQUARED == S + S.inv()
 
 
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
-        ONE / ZERO
+        ZERO.inv()
     with pytest.raises(DivisionByZero):
-        Q / ZERO
+        (Q - Q).inv()
 
 
 def test_inexact_division_raises_under_optimize():
@@ -97,16 +106,17 @@ def test_inexact_division_raises_under_optimize():
 
 
 def test_canonical_zero():
-    samples = [Q, ONE + S, ONE / (ONE + S), (Q - ONE / Q) / (S - ONE / S), I * S]
+    samples = [Q, ONE + S, (ONE + S) * (Q - Q.inv()), S + S.inv(), I * S]
     for a in samples:
         assert a - a == ZERO
         assert a - a is not None and (a - a).is_zero()
 
 
 def test_attributes_cannot_be_rebound_or_deleted():
-    # every constructor path: checked, trusted polynomial, unit product,
-    # rational product, the shared constants
-    samples = [Scalar.from_frac(3), S * Q, -S, ONE / (ONE + S), ONE, ZERO]
+    # every constructor path: checked, unit product, polynomial product,
+    # sum, the shared constants
+    samples = [Scalar.from_frac(3), S * Q, -S, (ONE + S) * (ONE - S), ONE + S,
+               ONE, ZERO]
     for x in samples:
         before = (str(x), hash(x))
         for name in ("n0", "d", "other"):
@@ -166,8 +176,8 @@ def test_gaussrat_matches_fraction_pairs(a, b, c, d):
 
 def test_bar_fixed_points():
     assert Q.bar(REAL) == Q
-    assert Q.bar(UNIT) == ONE / Q
-    assert (I * S).bar(UNIT) == -I / S
+    assert Q.bar(UNIT) == Q.inv()
+    assert (I * S).bar(UNIT) == -I * S.inv()
     assert I.bar(REAL) == -I
 
 
@@ -203,144 +213,132 @@ def test_lp_gcd_matches_sympy(f, g, h, shift):
         return sympy.Poly(sum((sympy.Rational(c.a, c.d) + sympy.I * sympy.Rational(c.b, c.d)) * s ** k
                               for k, c in _lp_nonzero(p).items()), s, domain=sympy.QQ_I)
 
-    a, b = _lp_mul(f, g), _lp_mul(h, g)
+    a, b = poly_of(f, g), poly_of(h, g)
     assert poly(_lp_gcd(a, b)) == poly(a).gcd(poly(b)).monic()
     laurent = _lp_shift(f, shift)
-    assert _lp_divexact(_lp_mul(laurent, g), g) == _lp_nonzero(laurent)
+    assert _lp_divexact(poly_of(laurent, g), g) == _lp_nonzero(laurent)
 
 
-@st.composite
-def scalars(draw, with_den=True):
-    n0 = draw(polys)
-    d = draw(nonzero_polys) if with_den else None
-    return Scalar(n0, d=d)
+scalars = st.builds(Scalar, polys)
+unit_monomials = st.builds(
+    lambda c, k: Scalar({k: c}),
+    st.sampled_from([GaussRat(1), GaussRat(-1), GaussRat(0, 1), GaussRat(0, -1),
+                     GaussRat(2), GaussRat(Fraction(-1, 3))]),
+    st.integers(-3, 3))
 
 
-@given(scalars(), st.sampled_from([REAL, UNIT]))
+@given(scalars, st.sampled_from([REAL, UNIT]))
 @settings(max_examples=100, deadline=None)
 def test_bar_involutive(a, regime):
     assert a.bar(regime).bar(regime) == a
 
 
-@given(scalars(), scalars(), st.sampled_from([REAL, UNIT]))
+@given(scalars, scalars, st.sampled_from([REAL, UNIT]))
 @settings(max_examples=100, deadline=None)
 def test_bar_multiplicative(a, b, regime):
     assert (a * b).bar(regime) == a.bar(regime) * b.bar(regime)
     assert (a + b).bar(regime) == a.bar(regime) + b.bar(regime)
 
 
-@given(st.one_of(scalars(), scalars(with_den=False)),
-       st.sampled_from([REAL, UNIT]))
+@given(scalars, st.sampled_from([REAL, UNIT]))
 @settings(max_examples=200, deadline=None)
 def test_bar_is_canonical_as_built(x, regime):
-    # the bar over d = 1 skips the checking constructor; its dicts are the
-    # ones that constructor gives, for the result and for the bar of x's
-    # dicts rebuilt from scratch
+    # the bar skips the checking constructor; its term map is the one that
+    # constructor gives, for the result and for the bar of x's map rebuilt
+    # from scratch
     unit = regime is UNIT
     y = x.bar(regime)
-    forms = (y.n0, y.d)
-    again = Scalar(y.n0, d=y.d)
-    assert (again.n0, again.d) == forms
-    rebuilt = Scalar(_lp_bar(x.n0, unit), d=_lp_bar(x.d, unit))
-    assert (rebuilt.n0, rebuilt.d) == forms
+    assert Scalar(y.n0).n0 == y.n0
+    assert Scalar(_lp_bar(x.n0, unit)).n0 == y.n0
 
 
-# --- sympy oracle: the ring on sympy's polynomials over Q(i) ---------------
+# --- sympy oracle: the ring in sympy's field of rational functions ----------
 #
-# A Scalar n0/d maps to the pair (n0, d) of sympy polynomials in s over
-# Q(i), both shifted by one power of s so that no exponent is negative.
-# The ring operations take no gcd, and two values are equal when the
-# numerator of their difference is zero.  So they share no code with the
-# scalar kernel and do not depend on a canonical form.
+# A Scalar with term map n0 maps to the rational function sum c s^k in
+# sympy's field Q(i)(s), which sympy keeps in lowest terms by its own gcd.
+# So the oracle shares no code with the scalar kernel, and it can say
+# which inverses leave the Laurent ring: those whose denominator is not a
+# power of s.
 
 class Oracle:
 
     def __init__(self):
         self.sympy = sympy = pytest.importorskip("sympy")
-        self.ring, self.s = sympy.ring("s", sympy.QQ_I)
+        self.field, self.s = sympy.field("s", sympy.QQ_I)
         self.QQ_I = sympy.QQ_I
 
     def gauss(self, c):
         QQ = self.sympy.QQ
         return self.QQ_I(QQ(c.a, c.d), QQ(c.b, c.d))
 
-    def pair(self, n0, d):
-        # n0/d for dicts {k: GaussRat}, both times s^-m
-        m = min([0, *n0, *d])
-        return tuple(self.ring.from_dict({(k - m,): self.gauss(c)
-                                          for k, c in p.items()})
-                     for p in (n0, d))
+    def poly(self, n0):
+        # sum c s^k for a dict {k: GaussRat}
+        return sum((self.field(self.gauss(c)) * self.s ** k
+                    for k, c in n0.items()), self.field.zero)
 
     def image(self, x):
-        return self.pair(x.n0, x.d)
-
-    def add(self, x, y):
-        (a0, ad), (b0, bd) = x, y
-        return a0 * bd + b0 * ad, ad * bd
-
-    def times(self, x, y):
-        (a0, ad), (b0, bd) = x, y
-        return a0 * b0, ad * bd
-
-    def inv(self, x):
-        a0, ad = x
-        return ad, a0
+        return self.poly(x.n0)
 
     def bar(self, x, regime):
-        # conjugate every coefficient; |q| = 1 also sends s to 1/s, and
-        # s^top then clears the denominators it makes
-        top = max(p.degree() for p in x)
-
+        # conjugate every coefficient of numerator and denominator; |q| = 1
+        # also sends s to 1/s
         def conj(p):
-            return self.ring.from_dict({
-                (top - k if regime is UNIT else k,): self.QQ_I(c.x, -c.y)
-                for (k,), c in p.terms()})
-        return tuple(conj(p) for p in x)
+            return sum((self.field(self.QQ_I(c.x, -c.y))
+                        * self.s ** (-k if regime is UNIT else k)
+                        for (k,), c in p.terms()), self.field.zero)
+        return conj(x.numer) / conj(x.denom)
 
-    def equal(self, x, y):
-        (a0, ad), (b0, bd) = x, y
-        return a0 * bd == b0 * ad
+    @staticmethod
+    def is_laurent(x):
+        # lowest terms with a denominator c s^m
+        return len(x.denom) == 1
+
+    def at_one(self, x):
+        return x.numer(1) / x.denom(1)
 
 
-@given(polys, nonzero_polys, scalars(), st.sampled_from([REAL, UNIT]))
+@given(polys, scalars, st.sampled_from([REAL, UNIT]))
 @settings(max_examples=60, deadline=None)
-def test_ring_operations_match_sympy(n0, d, b, regime):
+def test_ring_operations_match_sympy(n0, b, regime):
     oracle = Oracle()
-    a = Scalar(n0, d=d)
+    a = Scalar(n0)
     A, B = oracle.image(a), oracle.image(b)
-    # the canonical form keeps the value of n0/d as given
-    assert oracle.equal(A, oracle.pair(n0, d))
-    assert oracle.equal(oracle.image(a + b), oracle.add(A, B))
-    assert oracle.equal(oracle.image(a * b), oracle.times(A, B))
+    # the canonical form keeps the value of n0 as given
+    assert A == oracle.poly(n0)
+    assert oracle.image(a + b) == A + B
+    assert oracle.image(a - b) == A - B
+    assert oracle.image(a * b) == A * B
+    # a unit has a Laurent inverse; any other nonzero value has none
     if not a.is_zero():
-        assert oracle.equal(oracle.image(a.inv()), oracle.inv(A))
-    assert oracle.equal(oracle.image(a.bar(regime)), oracle.bar(A, regime))
-    # at s = 1, in lowest terms
-    num, den = A[0].cancel(A[1])
-    if den(1):
-        assert oracle.gauss(a.classical_limit()) == num(1) / den(1)
-    else:
-        with pytest.raises(PoleAtOne):
-            a.classical_limit()
+        assert oracle.is_laurent(1 / A) == (len(a.n0) == 1)
+        if len(a.n0) == 1:
+            assert oracle.image(a.inv()) == 1 / A
+        else:
+            with pytest.raises(NotUnit):
+                a.inv()
+    assert oracle.image(a.bar(regime)) == oracle.bar(A, regime)
+    # at s = 1
+    assert oracle.gauss(a.classical_limit()) == oracle.at_one(A)
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_scalar_equality_matches_sympy(data):
     oracle = Oracle()
-    x, z = data.draw(scalars()), data.draw(scalars())
-    assume(not z.is_zero())
+    x, z = data.draw(scalars), data.draw(scalars)
+    u = data.draw(unit_monomials)
     # y: another scalar; x plus a Laurent polynomial p; or x's value
-    # rebuilt through z
+    # rebuilt through z or through the unit u
     p = data.draw(polys)
-    candidates = [z, x + Scalar(p), x * z / z, x + z - z]
-    if not x.is_zero():
-        candidates.append((x.inv() * z).inv() * z)
+    candidates = [z, x + Scalar(p), x * u * u.inv(), x + z - z,
+                  (x + z) * u - z * u]
+    if len(x.n0) == 1:
+        candidates.append((x.inv() * u).inv() * u)
     y = data.draw(st.sampled_from(candidates))
-    assert (x == y) == oracle.equal(oracle.image(x), oracle.image(y))
+    assert (x == y) == (oracle.image(x) == oracle.image(y))
 
 
-@given(scalars(), scalars(), scalars())
+@given(scalars, scalars, scalars)
 @settings(max_examples=100, deadline=None)
 def test_ring_axioms(a, b, c):
     assert a + b == b + a
@@ -369,24 +367,20 @@ def naive_add(a, b):
 
 
 def reference_sum(pairs):
-    # the sum of v*w over pairs, term by term over one common denominator,
-    # then the canonicalising constructor: no code shared with the
-    # product kernel, and zero coefficients left for the constructor to drop
-    n0, d = {}, {0: GaussRat(1)}
+    # the sum of v*w over pairs, term by term, then the checking
+    # constructor: no code shared with the product kernel, and zero
+    # coefficients left for the constructor to drop
+    n0 = {}
     for v, w in pairs:
-        e = naive_mul(v.d, w.d)
-        n0 = naive_add(naive_mul(n0, e), naive_mul(naive_mul(v.n0, w.n0), d))
-        d = naive_mul(d, e)
-    return Scalar(n0, d=d)
+        n0 = naive_add(n0, naive_mul(v.n0, w.n0))
+    return Scalar(n0)
 
 
 def reference_product(v, w):
     return reference_sum([(v, w)])
 
 
-# the right factors carry no denominator, which keeps the reference sum's
-# gcds small; products of two denominators are covered in test_linalg
-@given(st.lists(st.tuples(scalars(), scalars(with_den=False)), max_size=4))
+@given(st.lists(st.tuples(scalars, scalars), max_size=4))
 @settings(max_examples=50, deadline=None)
 def test_sum_of_products_matches_mul_and_add(pairs):
     total = Scalar.sum_of_products(pairs)
@@ -399,19 +393,19 @@ def test_sum_of_products_matches_mul_and_add(pairs):
 # --- products that skip canonicalisation ------------------------------------
 
 def forms(x):
-    # copies of the canonical dicts, the only stored form of a Scalar
-    return dict(x.n0), dict(x.d)
+    # a copy of the canonical term map, the only stored form of a Scalar
+    return dict(x.n0)
 
 
 def assert_same_canonical(got, expected):
     assert forms(got) == forms(expected) and str(got) == str(expected)
-    assert forms(Scalar(got.n0, d=got.d)) == forms(got)
+    assert forms(Scalar(got.n0)) == forms(got)
 
 
 def assert_forms_kept(factors, before):
-    # the factors' dicts are unchanged, and rebuilding them changes nothing
+    # the factors' maps are unchanged, and rebuilding them changes nothing
     assert [forms(x) for x in factors] == before
-    assert [forms(Scalar(x.n0, d=x.d)) for x in factors] == before
+    assert [forms(Scalar(x.n0)) for x in factors] == before
 
 
 # integer Gaussian coefficients keep example generation cheap
@@ -419,17 +413,9 @@ int_polys = st.dictionaries(st.integers(-3, 3),
                             st.builds(GaussRat, st.integers(-3, 3), st.integers(-3, 3)),
                             max_size=3)
 int_laurent = st.builds(Scalar, int_polys)
-int_rational = st.builds(
-    Scalar, int_polys,
-    d=int_polys.filter(lambda p: any(not v.is_zero() for v in p.values())))
-unit_monomials = st.builds(
-    lambda c, k: Scalar({k: c}),
-    st.sampled_from([GaussRat(1), GaussRat(-1), GaussRat(0, 1), GaussRat(0, -1),
-                     GaussRat(2), GaussRat(Fraction(-1, 3))]),
-    st.integers(-3, 3))
 
 
-@given(unit_monomials, int_rational, st.booleans())
+@given(unit_monomials, int_laurent, st.booleans())
 @example(ONE, -ONE, True)  # two units: the factor 1 still returns the other
 @settings(max_examples=100, deadline=None)
 def test_unit_monomial_product_is_canonical(u, x, swap):
@@ -448,14 +434,15 @@ def test_unit_monomial_product_is_canonical(u, x, swap):
 @given(unit_monomials)
 @settings(max_examples=50, deadline=None)
 def test_unit_monomial_inverse_is_canonical(u):
-    # the constructor's path, over the denominator u itself
-    assert_same_canonical(u.inv(), Scalar(dict(ONE.n0), d=dict(u.n0)))
+    # c^-1 s^-k, against the checking constructor
+    (k, c), = u.n0.items()
+    assert_same_canonical(u.inv(), Scalar({-k: GaussRat(1) / c}))
     assert u * u.inv() == ONE
 
 
 # coefficients over 1, 2 and 3 sum over different denominators in the
 # product kernel
-laurent = st.one_of(int_laurent, scalars(with_den=False))
+laurent = st.one_of(int_laurent, scalars)
 
 
 @given(st.lists(st.tuples(laurent, laurent), max_size=4))
@@ -465,55 +452,59 @@ def test_polynomial_sum_of_products_is_canonical(pairs):
     expected = reference_sum(pairs)
     total = Scalar.sum_of_products(pairs)
     assert_same_canonical(total, expected)
-    assert total.d == {0: GaussRat(1)}
     assert_forms_kept([x for pair in pairs for x in pair], before)
 
 
-@given(unit_monomials, int_laurent, int_rational)
+@given(unit_monomials, int_laurent, int_laurent)
 @settings(max_examples=100, deadline=None)
 def test_equal_scalars_hash_equal_however_built(u, p, r):
-    # u*p built four ways: the canonicalising constructor, a unit product,
-    # the polynomial branch and the per-pair rational branch, each of the
-    # last two with a pair of products that cancel
-    r = r / (ONE + S)
-    assume(len(r.d) > 1)
+    # u*p built four ways: the checking constructor, a unit product, and
+    # the multi-pair sum with two different pairs of products that cancel
     built = [reference_product(u, p),
              Scalar.sum_of_products([(u, p)]),
              Scalar.sum_of_products([(u, p), (p, p), (-p, p)]),
-             Scalar.sum_of_products([(u, p), (r, p), (-r, p)])]
+             Scalar.sum_of_products([(r, p), (u, p), (-r, p)])]
     assert all(a == built[0] for a in built)
     for a in built + [u, p, r]:
-        assert a == Scalar(a.n0, d=a.d)
+        assert a == Scalar(a.n0)
         for b in built + [u, p, r]:
             if a == b:
                 assert hash(a) == hash(b)
 
 
-@given(scalars(), scalars())
+@given(scalars, st.one_of(scalars, unit_monomials))
 @settings(max_examples=100, deadline=None)
 def test_division_roundtrip(a, b):
+    # only a unit divides: by c s^k and back is the identity
     if b.is_zero():
         with pytest.raises(DivisionByZero):
-            a / b
+            b.inv()
+    elif len(b.n0) == 1:
+        assert (a * b.inv()) * b == a
     else:
-        assert (a / b) * b == a
+        with pytest.raises(NotUnit):
+            b.inv()
 
 
 # --- classical limit -------------------------------------------------------
 
 def test_classical_limit_values():
-    assert (Q - ONE / Q).classical_limit() == GaussRat(0)
+    assert (Q - Q.inv()).classical_limit() == GaussRat(0)
     assert Scalar.q_power(Fraction(-1, 2)).classical_limit() == GaussRat(1)
     assert sp(-2).classical_limit() == GaussRat(1)
-    assert ((Q - ONE / Q) / (S - ONE / S)).classical_limit() == GaussRat(2)
+    # (q - q^-1) = (s - s^-1)(s + s^-1), and the quotient's limit is 2
+    assert (S + S.inv()).classical_limit() == GaussRat(2)
 
 
 def test_classical_limit_errors():
-    with pytest.raises(PoleAtOne):
-        (ONE / (S - ONE)).classical_limit()
+    # a pole at s = 1 needs a denominator that vanishes there, and no
+    # Scalar has one: 1/(s - 1) cannot be formed, so every limit exists
+    with pytest.raises(NotUnit):
+        (S - ONE).inv()
+    assert (S - ONE).classical_limit() == GaussRat(0)
 
 
-@given(scalars(with_den=False), scalars(with_den=False))
+@given(scalars, scalars)
 @settings(max_examples=100, deadline=None)
 def test_classical_limit_homomorphism(a, b):
     assert (a + b).classical_limit() == a.classical_limit() + b.classical_limit()
@@ -526,11 +517,11 @@ def test_text_format():
     assert str(ZERO) == "0"
     assert str(ONE) == "1*s^0"
     assert str(Q) == "1*s^2"
-    assert str(Q - ONE / Q) == "-1*s^-2 + 1*s^2"
+    assert str(Q - Q.inv()) == "-1*s^-2 + 1*s^2"
     assert str(I) == "0+1*i*s^0"
     half = Scalar({0: GaussRat(Fraction(1, 2), Fraction(-3, 4))})
     assert str(half) == "1/2+-3/4*i*s^0"
-    assert str(ONE / (S - ONE)) == "(1*s^0)/(-1*s^0 + 1*s^1)"
+    assert str(S - ONE) == "-1*s^0 + 1*s^1"
 
 
 def test_q_power_rejects_non_half_integers():
@@ -608,7 +599,7 @@ def cancel_scalar_add():
 def cancel_lp_divmod():
     a = {0: GaussRat(1), 1: GaussRat(1)}
     b = {0: GaussRat(-1), 2: GaussRat(1)}
-    quo, rem = _lp_divmod(_lp_mul(a, b), b)
+    quo, rem = _lp_divmod(poly_of(a, b), b)
     assert quo == a
     return rem, set()
 

@@ -80,18 +80,19 @@ def test_realforms_keeps_no_sqmat_witness_path():
     assert not imported & {"kron_embed", "first_diff"}
 
 
-def test_scalar_denominator_is_passed_by_keyword():
-    # `Scalar(n0, *, d=...)`: perfbench/tracer.py counts gcd constructions
-    # from the call's arguments and reads d by keyword, so no call may pass
-    # more than n0 by position, or unpack its arguments
-    param = inspect.signature(Scalar).parameters["d"]
-    assert param.kind is inspect.Parameter.KEYWORD_ONLY
+def test_scalar_takes_n0_alone():
+    # `Scalar(n0)`, with no denominator: perfbench/tracer.py reads the
+    # constructor's positional arguments, so no call may pass more than n0,
+    # or unpack its arguments
+    assert list(inspect.signature(Scalar).parameters) == ["n0"]
+    assert Scalar.__slots__ == ("n0",)
+    assert not hasattr(Scalar, "__truediv__")
     found = []
     for name, tree in _trees():
         found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Call)
                   and isinstance(node.func, ast.Name) and node.func.id == "Scalar"
-                  and (len(node.args) > 1
+                  and (len(node.args) + len(node.keywords) > 1
                        or any(isinstance(a, ast.Starred) for a in node.args)
                        or any(k.arg is None for k in node.keywords))]
     assert found == []
